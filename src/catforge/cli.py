@@ -323,7 +323,7 @@ def parse_config(
         for key, val in src.items():
             if key not in KNOWN_KEYS:
                 raise ConfigError(f"unknown key {key!r}")
-            val = KNOWN_KEYS[key](key, val) if not isinstance(val, (tuple, int, float)) else val
+            val = KNOWN_KEYS[key](key, val)
             if key in preset_vals and val != preset_vals[key]:
                 log.info("preset %s override: %s = %r (preset value %r)", preset, key, val, preset_vals[key])
                 logged_overrides[key] = val
@@ -759,6 +759,7 @@ def run(config: RunConfig) -> dict:
 
     if not config.sweep_values:
         raise ConfigError("sweep requires sweep_values")
+    t_start = time.perf_counter()
     jobs = [
         (config, os.path.join(out_root, _sweep_label(config.sweep_key, v)), v)
         for v in config.sweep_values
@@ -781,7 +782,8 @@ def run(config: RunConfig) -> dict:
         ]
         _write_rows_csv(os.path.join(out_root, "summary.csv"), columns, rows)
         top["outputs"] = ["summary.csv"]
-    top["wall_time_s"] = sum(d["wall_time_s"] for d in docs)
+    top["wall_time_s"] = time.perf_counter() - t_start
+    top["members_wall_time_s"] = sum(d["wall_time_s"] for d in docs)
     _manifest(os.path.join(out_root, "manifest.json"), top)
     return top
 

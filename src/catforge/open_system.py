@@ -9,11 +9,13 @@ truncated phonon ladder, and the master equation
               + gamma_m (n_th+1) D[b] + gamma_m n_th D[b^dag]
 
 is applied through sector-block operators (photon loss maps the one-photon
-sectors into the vacuum sector).  Propagation is fixed-step RK4 on the
-phonon-interaction-picture matrix, with the exact e^{-i omega_m (p-q) t}
-phases restored at record times; omega_c multiplies only one-photon/vacuum
-coherences, which start at zero and are never generated, so it is gauged to
-zero inside the solver (asserted at record times).
+sectors into the vacuum sector).  Photon loss only feeds one-photon
+populations into the vacuum, so the one-photon/vacuum coherences start at
+zero and are never generated: the solver stores only the live blocks, the
+one-photon block {L,R}x{L,R} and the vacuum block VxV.  Propagation is
+fixed-step RK4 on the phonon-interaction-picture blocks, with the exact
+e^{-i omega_m (p-q) t} phases restored at record times; omega_c multiplies
+only the dropped coherences, so it does not enter the solver.
 """
 
 from __future__ import annotations
@@ -86,8 +88,18 @@ class SystemDensityMatrix:
     def hermiticity_error(self) -> float:
         return float(np.max(np.abs(self.rho - self.rho.conj().T)))
 
+    def live_blocks(self) -> tuple[np.ndarray, np.ndarray] | None:
+        """The one-photon block {L,R}x{L,R} and the vacuum block VxV, or None
+        when any one-photon/vacuum coherence is non-zero."""
+        k = 2 * (self.n_max + 1)
+        if np.any(self.rho[:k, k:]) or np.any(self.rho[k:, :k]):
+            return None
+        return self.rho[:k, :k], self.rho[k:, k:]
+
     def min_eigenvalue(self) -> float:
-        return float(np.linalg.eigvalsh(0.5 * (self.rho + self.rho.conj().T))[0])
+        # a block-diagonal Hermitian matrix has the union of its blocks' spectra
+        blocks = self.live_blocks() or (self.rho,)
+        return float(min(np.linalg.eigvalsh(0.5 * (b + b.conj().T))[0] for b in blocks))
 
     def cross_sector_coherence(self) -> float:
         """Largest one-photon/vacuum coherence (exactly conserved at zero)."""
@@ -113,13 +125,30 @@ def initial_density(kind: str, n_max: int) -> SystemDensityMatrix:
     return SystemDensityMatrix(np.outer(amp, amp.conj()), 0.0)
 
 
-class _Generators:
-    """Sector-block Lindblad generator for one n_max.
+def _damping(params: SystemParams, d: int, chi: tuple[float, ...]) -> np.ndarray:
+    """Elementwise damping of a sector view whose sectors hold chi photons:
+    the photon and phonon anticommutator terms of every dissipator."""
+    c = np.repeat(chi, d)
+    n_ph = np.tile(np.arange(d, dtype=float), len(chi))
+    g_c, g_m, nth = params.gamma_c, params.gamma_m, params.n_th
+    return -0.5 * (
+        g_c * (c[:, None] + c[None, :])
+        + g_m * ((2 * nth + 1) * (n_ph[:, None] + n_ph[None, :]) + 2 * nth)
+    )
 
-    The Hamiltonian commutator and the dissipators act through ladder shifts
-    and sector swaps on a (3, d, 3, d) view of rho, which is several times
-    faster than dense matrix products at these dimensions.  Equivalence with
-    the element-wise master equation is pinned by tests.
+
+class _Generators:
+    """Interaction-picture Lindblad generator on the packed live blocks.
+
+    The packed state is the one-photon block {L,R}x{L,R} (2d x 2d) followed
+    by the vacuum block VxV (d x d), each flattened row-major.  The kernels
+    act on an S-sector matrix whose sectors 0 and 1 are L and R: the
+    Hamiltonian commutator through sector swaps and ladder shifts on its
+    (S, d, S, d) view, the phonon jumps through shifted contiguous slices of
+    its flat form, which is several times faster than dense matrix products
+    or strided views at these dimensions.  rhs_lindblad applies the same
+    kernels to the full three-sector matrix; its equivalence with the
+    element-wise master equation is pinned by tests.
     """
 
     def __init__(self, params: SystemParams, n_max: int):
@@ -127,67 +156,91 @@ class _Generators:
         self.d = d
         self.params = params
         self.s = np.sqrt(np.arange(1.0, d))  # b|p> = s[p-1] |p-1>
-        self.ss = self.s[:, None] * self.s[None, :]
+        self.damp_one = _damping(params, d, (1.0, 1.0)).ravel()
+        self.damp_vac = _damping(params, d, (0.0,)).ravel()
+        self.jumps_one = self.jump_weights(2)
+        self.jumps_vac = self.jump_weights(1)
 
-        # elementwise damping factors: photon anticommutators + phonon diagonal
-        chi = np.repeat([1.0, 1.0, 0.0], d)  # photon number per sector
-        n_ph = np.tile(np.arange(d, dtype=float), 3)
-        g_c, g_m, nth = params.gamma_c, params.gamma_m, params.n_th
-        self.damp = -0.5 * (
-            g_c * (chi[:, None] + chi[None, :])
-            + g_m * ((2 * nth + 1) * (n_ph[:, None] + n_ph[None, :]) + 2 * nth)
-        )
-        # lab-frame free phases: i(E_j - E_i) with E = omega_c*chi + omega_m*n
-        energy = params.omega_c * chi + params.omega_m * n_ph
-        self.free_phase = 1j * (energy[None, :] - energy[:, None])
-        self.n_ph = n_ph
+    def jump_weights(self, sectors: int) -> tuple[int, np.ndarray, np.ndarray]:
+        """Flat-index offset and weights of the phonon jump terms on an S-sector matrix.
 
-    def apply(self, t: float, rho: np.ndarray, interaction: bool) -> np.ndarray:
+        gamma_m (n_th+1) b rho b^dag and gamma_m n_th b^dag rho b shift rho by
+        one row and one column, which is S d + 1 in the row-major flat index;
+        the weights vanish where the shift would cross a sector edge.
+        """
+        p = self.params
+        lower = np.tile(np.append(self.s, 0.0), sectors)  # <p|b|p+1>, zero on the top rung
+        raise_ = np.tile(np.append(0.0, self.s), sectors)  # <p|b^dag|p-1>, zero on the ground rung
+        off = sectors * self.d + 1
+        w_down = (p.gamma_m * (p.n_th + 1.0) * (lower[:, None] * lower[None, :])).ravel()[:-off]
+        w_up = (p.gamma_m * p.n_th * (raise_[:, None] * raise_[None, :])).ravel()[off:]
+        return off, w_down, w_up
+
+    def hamiltonian(self, t: float, z: complex, r: np.ndarray, out: np.ndarray):
+        """out += -i[H(t), r] on an (S, d, S, d) sector view, with
+
+        H = alpha(t) (|L><R| + |R><L|) (x) I  +  z Pi_R (x) b  +  conj(z) Pi_R (x) b^dag.
+        """
+        p = self.params
+        a = 1j * p.xi * p.omega_0 * math.cos(p.omega_0 * t)  # -i alpha
+        # hopping: L<->R swap on rows (H rho) and columns (rho H)
+        out[:2] += a * r[1::-1]
+        out[:, :, :2] -= a * r[:, :, 1::-1]
+        # radiation pressure: phonon shifts on the R sector
+        zs = (-1j * z) * self.s
+        zcs = (-1j * np.conj(z)) * self.s
+        out[1, :-1] += zs[:, None, None] * r[1, 1:]
+        out[1, 1:] += zcs[:, None, None] * r[1, :-1]
+        out[:, :, 1, 1:] -= zs * r[:, :, 1, :-1]
+        out[:, :, 1, :-1] -= zcs * r[:, :, 1, 1:]
+
+    def phonon_jumps(self, jumps: tuple[int, np.ndarray, np.ndarray], r: np.ndarray, out: np.ndarray):
+        """out += gamma_m (n_th+1) b r b^dag + gamma_m n_th b^dag r b on a flat
+        S-sector matrix, with jumps = jump_weights(S)."""
+        if self.params.gamma_m:
+            off, w_down, w_up = jumps
+            out[:-off] += w_down * r[off:]
+            if self.params.n_th:
+                out[off:] += w_up * r[:-off]
+
+    def photon_feed(self, r: np.ndarray, out_vac: np.ndarray):
+        """out_vac += gamma_c (rho_LL + rho_RR): photon loss into the vacuum block."""
+        if self.params.gamma_c:
+            out_vac += self.params.gamma_c * (r[0, :, 0] + r[1, :, 1])
+
+    def apply(self, t: float, y: np.ndarray) -> np.ndarray:
+        """Interaction-picture time derivative of the packed state y at t."""
         p = self.params
         d = self.d
-        s = self.s
-        lv, rv = PhotonSector.L.value, PhotonSector.R.value
-        vv = PhotonSector.V.value
-        r4 = rho.reshape(3, d, 3, d)
-
-        # H = alpha (|L><R| + |R><L|) (x) I  +  z Pi_R (x) b  +  conj(z) Pi_R (x) b^dag
-        alpha = -p.xi * p.omega_0 * math.cos(p.omega_0 * t)
-        z = -p.g0 * (np.exp(-1j * p.omega_m * t) if interaction else 1.0)
-        zc = np.conj(z)
-
-        comm = np.zeros_like(rho)
-        c4 = comm.reshape(3, d, 3, d)
-        # hopping: sector swap on rows (H rho) and columns (rho H)
-        c4[lv] += alpha * r4[rv]
-        c4[rv] += alpha * r4[lv]
-        c4[:, :, lv] -= alpha * r4[:, :, rv]
-        c4[:, :, rv] -= alpha * r4[:, :, lv]
-        # radiation pressure: phonon shifts on the R sector
-        c4[rv, :-1] += (z * s)[:, None, None] * r4[rv, 1:]
-        c4[rv, 1:] += (zc * s)[:, None, None] * r4[rv, :-1]
-        c4[:, :, rv, 1:] -= (z * s) * r4[:, :, rv, :-1]
-        c4[:, :, rv, :-1] -= (zc * s) * r4[:, :, rv, 1:]
-
-        out = self.damp * rho
-        out += -1j * comm
-        if not interaction:
-            out += self.free_phase * rho
-        out4 = out.reshape(3, d, 3, d)
-        if p.gamma_c:
-            out4[vv, :, vv] += p.gamma_c * (r4[lv, :, lv] + r4[rv, :, rv])
-        if p.gamma_m:
-            g_down = p.gamma_m * (p.n_th + 1.0)
-            out4[:, :-1, :, :-1] += (g_down * self.ss)[None, :, None, :] * r4[:, 1:, :, 1:]
-            if p.n_th:
-                g_up = p.gamma_m * p.n_th
-                out4[:, 1:, :, 1:] += (g_up * self.ss)[None, :, None, :] * r4[:, :-1, :, :-1]
+        k = 4 * d * d
+        out = np.empty_like(y)
+        one, out_one = y[:k], out[:k]
+        vac, out_vac = y[k:], out[k:]
+        one4 = one.reshape(2, d, 2, d)
+        np.multiply(self.damp_one, one, out=out_one)
+        self.hamiltonian(t, -p.g0 * np.exp(-1j * p.omega_m * t), one4, out_one.reshape(2, d, 2, d))
+        self.phonon_jumps(self.jumps_one, one, out_one)
+        np.multiply(self.damp_vac, vac, out=out_vac)
+        self.phonon_jumps(self.jumps_vac, vac, out_vac)
+        self.photon_feed(one4, out_vac.reshape(d, d))
         return out
 
 
 def rhs_lindblad(rho: SystemDensityMatrix, params: SystemParams) -> np.ndarray:
-    """Lab-frame time derivative of the density matrix at rho.t."""
+    """Lab-frame time derivative of the full density matrix at rho.t."""
     gen = _Generators(params, rho.n_max)
-    return gen.apply(rho.t, rho.rho, interaction=False)
+    d = gen.d
+    chi = (1.0, 1.0, 0.0)
+    energy = params.omega_c * np.repeat(chi, d) + params.omega_m * np.tile(np.arange(d), 3)
+    free_phase = 1j * (energy[None, :] - energy[:, None])
+    r = np.ascontiguousarray(rho.rho)
+    out = (_damping(params, d, chi) + free_phase) * r
+    r4 = r.reshape(3, d, 3, d)
+    out4 = out.reshape(3, d, 3, d)
+    gen.hamiltonian(rho.t, -params.g0, r4, out4)
+    gen.phonon_jumps(gen.jump_weights(3), r.ravel(), out.ravel())
+    gen.photon_feed(r4, out4[2, :, 2])
+    return out
 
 
 @dataclass
@@ -238,18 +291,25 @@ def evolve_open(
 ) -> OpenRun:
     """Propagate the master equation, recording probabilities and fidelities.
 
-    Aborts when the trace drifts by more than 1e-6 or an eigenvalue dips below
-    -1e-6 (both checked at record times; positivity is an O(dim^3) solve).
+    The initial density must have no one-photon/vacuum coherence: only the
+    one-photon and vacuum blocks are evolved.  Aborts when the trace drifts
+    by more than 1e-6 or an eigenvalue dips below -1e-6 (both checked at
+    record times; positivity is an O(dim^3) solve per block).
     """
     cfg.validate(params)
     if initial.trace_error() > 1e-8:
         raise ValueError("initial density matrix must have unit trace")
     if initial.hermiticity_error() > 1e-10:
         raise ValueError("initial density matrix must be Hermitian")
+    blocks = initial.live_blocks()
+    if blocks is None:
+        raise ValueError("initial density matrix must have no one-photon/vacuum coherence")
 
     d = derive(params)
     gen = _Generators(params, initial.n_max)
-    n_ph = gen.n_ph
+    dim = 3 * gen.d
+    k = 2 * gen.d
+    n_ph = np.tile(np.arange(gen.d, dtype=float), 3)
     record = TrajectoryRecord(OPEN_COLUMNS)
     snapshots: list[SystemDensityMatrix] = []
     marked = None
@@ -258,13 +318,16 @@ def evolve_open(
     herm_max = 0.0
     cross_max = 0.0
 
-    def lab_state(t: float, rho_t: np.ndarray) -> SystemDensityMatrix:
+    def lab_state(t: float, y: np.ndarray) -> SystemDensityMatrix:
         ph = np.exp(-1j * params.omega_m * t * n_ph)
-        return SystemDensityMatrix(ph[:, None] * rho_t * ph.conj()[None, :], t)
+        rho = np.zeros((dim, dim), dtype=complex)
+        rho[:k, :k] = ph[:k, None] * y[: k * k].reshape(k, k) * ph[:k].conj()[None, :]
+        rho[k:, k:] = ph[k:, None] * y[k * k :].reshape(dim - k, dim - k) * ph[k:].conj()[None, :]
+        return SystemDensityMatrix(rho, t)
 
-    def emit(t: float, rho_t: np.ndarray):
+    def emit(t: float, y: np.ndarray):
         nonlocal marked, trace_max, eig_min, herm_max, cross_max
-        st = lab_state(t, rho_t)
+        st = lab_state(t, y)
         tr_err = st.trace_error()
         mineig = st.min_eigenvalue()
         trace_max = max(trace_max, tr_err)
@@ -304,8 +367,8 @@ def evolve_open(
             marked = st
         return st
 
-    rho = initial.rho.copy()
-    emit(0.0, rho)
+    y = np.concatenate([b.ravel() for b in blocks])
+    emit(0.0, y)
 
     bounds = [0.0]
     if cfg.t_mark is not None and cfg.t_mark < cfg.t_end:
@@ -316,16 +379,16 @@ def evolve_open(
         n_steps, dt = _segment_steps(cfg.dt, t0, t1)
         for i in range(n_steps):
             t = t0 + i * dt
-            k1 = gen.apply(t, rho, True)
-            k2 = gen.apply(t + dt / 2, rho + dt / 2 * k1, True)
-            k3 = gen.apply(t + dt / 2, rho + dt / 2 * k2, True)
-            k4 = gen.apply(t + dt, rho + dt * k3, True)
-            rho = rho + dt / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
+            k1 = gen.apply(t, y)
+            k2 = gen.apply(t + dt / 2, y + dt / 2 * k1)
+            k3 = gen.apply(t + dt / 2, y + dt / 2 * k2)
+            k4 = gen.apply(t + dt, y + dt * k3)
+            y = y + dt / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
             t = t0 + (i + 1) * dt if i + 1 < n_steps else t1
             if (i + 1) % cfg.record_stride == 0 or i + 1 == n_steps:
-                emit(t, rho)
+                emit(t, y)
 
-    final = lab_state(cfg.t_end, rho)
+    final = lab_state(cfg.t_end, y)
     if cfg.t_mark is not None and cfg.t_mark == cfg.t_end:
         marked = final
     return OpenRun(
@@ -353,7 +416,7 @@ def write_snapshot(path, sdm: SystemDensityMatrix):
         "data": data.tolist(),
     }
     with open(path, "w", encoding="ascii") as fh:
-        json.dump(doc, fh)
+        fh.write(json.dumps(doc))  # json.dumps takes the C encoder; json.dump does not
 
 
 def read_snapshot(path) -> SystemDensityMatrix:

@@ -76,6 +76,12 @@ def test_parse_errors():
         parse_config(preset="fig9")
 
 
+def test_typed_overrides_are_validated():
+    for overrides in ({"initial": 3}, {"n0": 2.5}, {"mode": 1}):
+        with pytest.raises(ConfigError):
+            parse_config(preset="fig2", overrides=overrides)
+
+
 def test_units_preset_matches_dimensionless_twin():
     a = cli._resolve(parse_config(preset="fig2"))
     b = cli._resolve(parse_config(preset="fig2units"))
@@ -186,6 +192,23 @@ def test_sweep_summary_and_workers(tmp_path):
     rows = np.genfromtxt(tmp_path / "summary.csv", delimiter=",", names=True)
     assert rows.shape == (3,)
     assert list(rows["gamma_m"]) == [1e-4, 5e-4, 1e-3]
+
+
+def test_sweep_manifest_wall_times(tmp_path, monkeypatch):
+    # members report 5 s each; the sweep's own wall time is what elapsed
+    def fake_member(config, out_dir, sweep_value=None):
+        return {"wall_time_s": 5.0}
+
+    monkeypatch.setattr(cli, "_execute_single", fake_member)
+    cfg = parse_config(
+        preset="fig3a", overrides={"sweep_values": (1e-4, 1e-3)}, out=str(tmp_path), workers=1
+    )
+    top = cli.run(cfg)
+    assert top["members_wall_time_s"] == 10.0
+    assert 0.0 <= top["wall_time_s"] < 5.0
+    written = json.loads((tmp_path / "manifest.json").read_text())
+    assert written["wall_time_s"] == top["wall_time_s"]
+    assert written["members_wall_time_s"] == 10.0
 
 
 def test_cli_exit_codes(tmp_path, monkeypatch):

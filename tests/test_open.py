@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -82,6 +83,66 @@ def test_rhs_matches_element_equations():
     mine = osys.rhs_lindblad(SystemDensityMatrix(rho, t), params)
     ref = element_equation_rhs(rho, t, params, n_max)
     assert np.max(np.abs(mine - ref)) < 1e-12
+
+
+def invariant_density(n_max, seed=7):
+    """random_density with its one-photon/vacuum coherences removed (still a density)."""
+    rho = random_density(n_max, seed)
+    k = 2 * (n_max + 1)
+    rho[:k, k:] = 0.0
+    rho[k:, :k] = 0.0
+    return rho
+
+
+def test_block_generator_matches_full_generator():
+    # interaction frame rho_I = U rho U^dag with U = exp(i H0 t), H0 = omega_c chi + omega_m n:
+    # d rho_I/dt = i[H0, rho_I] + U (d rho/dt) U^dag
+    n_max = 4
+    d = n_max + 1
+    k = 2 * d
+    params = model.SystemParams(
+        omega_m=20.0, xi=XI, omega_0=9.878, omega_c=0.7, gamma_c=0.23, gamma_m=0.11, n_th=1.7
+    )
+    energy = params.omega_c * np.repeat([1.0, 1.0, 0.0], d) + params.omega_m * np.tile(np.arange(d), 3)
+    gen = osys._Generators(params, n_max)
+    for seed, t in ((3, 0.0), (4, 0.37), (5, 2.9)):
+        rho_i = invariant_density(n_max, seed)
+        u = np.exp(1j * energy * t)
+        rho_lab = u.conj()[:, None] * rho_i * u[None, :]
+        lab = osys.rhs_lindblad(SystemDensityMatrix(rho_lab, t), params)
+        expected = 1j * (energy[:, None] - energy[None, :]) * rho_i + u[:, None] * lab * u.conj()[None, :]
+        y = np.concatenate([rho_i[:k, :k].ravel(), rho_i[k:, k:].ravel()])
+        got = gen.apply(t, y)
+        assert np.max(np.abs(got[: k * k] - expected[:k, :k].ravel())) < 1e-14 * np.max(np.abs(expected))
+        assert np.max(np.abs(got[k * k :] - expected[k:, k:].ravel())) < 1e-14 * np.max(np.abs(expected))
+        assert np.max(np.abs(expected[:k, k:])) < 1e-14 * np.max(np.abs(expected))
+
+
+def test_min_eigenvalue_blockwise():
+    shifted = invariant_density(5)
+    shifted[12:, 12:] -= 0.5 * np.eye(6)  # lowest eigenvalue in the vacuum block
+    for rho in (invariant_density(5), shifted, random_density(5)):
+        sdm = SystemDensityMatrix(rho)
+        full = np.linalg.eigvalsh(0.5 * (rho + rho.conj().T))[0]
+        assert abs(sdm.min_eigenvalue() - full) < 1e-14
+    assert SystemDensityMatrix(invariant_density(5)).live_blocks() is not None
+    assert SystemDensityMatrix(random_density(5)).live_blocks() is None
+
+
+def test_open_rk4_order():
+    # fig2-like run at n_max=6: halving dt cuts the error against a dt/8 reference ~16x
+    params = fig2_params(gamma_m=0.05, n_th=2.0)
+    h = closed.default_dt(params, 40)  # the coarsest step the solver accepts; errors ~1e-8
+    t_end = 40 * h
+
+    def final(dt):
+        cfg = SolverConfig(dt=dt, t_end=t_end, record_stride=10**6)
+        return osys.evolve_open(osys.initial_density("bell", 6), params, cfg).final.rho
+
+    ref = final(h / 8)
+    e1 = np.max(np.abs(final(h) - ref))
+    e2 = np.max(np.abs(final(h / 2) - ref))
+    assert 10.0 < e1 / e2 < 24.0
 
 
 def test_rk4_step_matches_element_equations():
@@ -169,10 +230,16 @@ def test_invariant_accessors():
 
 def test_initial_validation():
     params = fig2_params()
+    cfg = SolverConfig(dt=1e-3, t_end=0.1)
     bad = osys.initial_density("bell", 10)
     bad.rho = bad.rho * 2.0
     with pytest.raises(ValueError, match="trace"):
-        osys.evolve_open(bad, params, SolverConfig(dt=1e-3, t_end=0.1))
+        osys.evolve_open(bad, params, cfg)
+    # a photon in superposition with the vacuum: L-V coherence the solver does not carry
+    amp = np.zeros(33, complex)
+    amp[0] = amp[22] = 1 / math.sqrt(2)
+    with pytest.raises(ValueError, match="coherence"):
+        osys.evolve_open(SystemDensityMatrix(np.outer(amp, amp.conj())), params, cfg)
 
 
 def test_fig2_probabilities(fig2_run):
@@ -247,6 +314,18 @@ def test_conditional_phonon_number(fig2_run):
     assert abs(cond - beta2) < 0.1 * beta2
     nb = fig2_run.record.row_at(T_D[20.0])["nb"]
     assert nb > cond * (fig2_run.record.row_at(T_D[20.0])["P_L"] * 2)
+
+
+def test_snapshot_text(tmp_path):
+    sdm = SystemDensityMatrix(random_density(2), 0.25)
+    path = tmp_path / "snap.json"
+    osys.write_snapshot(path, sdm)
+    flat = sdm.rho.ravel()
+    data = np.empty(2 * flat.size)
+    data[0::2] = flat.real
+    data[1::2] = flat.imag
+    doc = {"dim": 9, "t": 0.25, "layout": "row-major interleaved re/im", "data": data.tolist()}
+    assert path.read_text(encoding="ascii") == json.dumps(doc)
 
 
 def test_snapshot_round_trip(tmp_path, fig2_run):
