@@ -55,7 +55,7 @@ def _as_float(key, v):
 
 def _as_int(key, v):
     f = _as_float(key, v)
-    if f != int(f):
+    if not math.isfinite(f) or f != int(f):
         raise ConfigError(f"{key}: expected an integer, got {v!r}")
     return int(f)
 
@@ -616,7 +616,9 @@ def _mechanical_states_at_td(config: RunConfig, res: _Resolved):
         return phi_l, phi_r, model.beta_of_t(res.d, res.params.omega_m, t_d)
     cfg = SolverConfig(dt=res.dt, t_end=t_d, record_stride=res.record_stride)
     if config.source == "closed":
-        run_ = closed.evolve_closed(_load_initial_closed(config.initial, res.n_max), res.params, cfg)
+        run_ = closed.evolve_closed(
+            _load_initial_closed(config.initial, res.n_max), res.params, cfg, compute_fidelities=False
+        )
         psi_l, _, psi_r, _ = closed.conditional_states(run_.final)
         rho_l = np.outer(psi_l, psi_l.conj())
         rho_r = np.outer(psi_r, psi_r.conj())

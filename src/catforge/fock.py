@@ -47,15 +47,15 @@ def coherent_cutoff(beta_abs: float, floor: int = 20) -> int:
 def coherent_coeffs(beta: complex, n_max: int) -> np.ndarray:
     """Fock expansion coefficients c_n = exp(-|beta|^2/2) beta^n / sqrt(n!).
 
-    Computed by the recurrence c_{n+1} = c_n * beta / sqrt(n+1) starting from
-    c_0 = exp(-|beta|^2/2), which cannot overflow for |beta|^2 in float range.
+    Computed as the running product of c_0 = exp(-|beta|^2/2) and the factors
+    beta / sqrt(n), i.e. the recurrence c_{n} = c_{n-1} * beta / sqrt(n); it
+    starts from c_0, so it cannot overflow for |beta|^2 in float range.
     """
     n_max = _check_cutoff(n_max)
-    c = np.empty(n_max + 1, dtype=complex)
-    c[0] = math.exp(-0.5 * abs(beta) ** 2)
-    for n in range(n_max):
-        c[n + 1] = c[n] * beta / math.sqrt(n + 1)
-    return c
+    factors = np.empty(n_max + 1, dtype=complex)
+    factors[0] = math.exp(-0.5 * abs(beta) ** 2)
+    factors[1:] = beta / np.sqrt(np.arange(1.0, n_max + 1))
+    return np.cumprod(factors)
 
 
 def destroy(n_max: int) -> np.ndarray:

@@ -223,6 +223,15 @@ def test_cli_exit_codes(tmp_path, monkeypatch):
     assert (tmp_path / "env-out" / "diagnostics.json").exists()
 
 
+def test_non_finite_integers_exit_2(tmp_path, monkeypatch):
+    # int() of inf/nan raises OverflowError/ValueError; these must be config errors
+    monkeypatch.setenv(cli.OUT_ENV, str(tmp_path))
+    for key in ("n_max", "record_stride", "workers"):
+        for value in ("inf", "nan", "-inf"):
+            assert cli.main(["open", "--preset", "fig2", "--set", f"{key}={value}"]) == 2
+    assert not any(tmp_path.iterdir())
+
+
 def test_cli_env_output_dir(tmp_path, monkeypatch):
     monkeypatch.setenv(cli.OUT_ENV, str(tmp_path / "from-env"))
     assert cli.main(["sweep", "--preset", "fig1a"]) == 0

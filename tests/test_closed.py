@@ -51,7 +51,9 @@ def test_interaction_frame_consistency():
     bt = rng.normal(size=n_max + 1) + 1j * rng.normal(size=n_max + 1)
     t = 1.37
     f = closed._interaction_rhs(params, n_max)
-    da_t, db_t = f(t, at, bt)
+    coef = closed._generator_coefficients(params, n_max, np.array([t]))[0]
+    k = f(coef, np.concatenate([at, bt]), np.empty(2 * (n_max + 1), complex))
+    da_t, db_t = k[: n_max + 1], k[n_max + 1 :]
     m = np.arange(n_max + 1)
     ph = np.exp(-1j * m * params.omega_m * t)
     lab = closed.SinglePhotonState(ph * at, ph * bt, t)
@@ -59,6 +61,38 @@ def test_interaction_frame_consistency():
     # d/dt (ph * at) = ph * d(at)/dt - i m omega_m * (ph * at)
     assert np.max(np.abs((ph * da_t - 1j * m * params.omega_m * lab.a) - da_lab)) < 1e-12
     assert np.max(np.abs((ph * db_t - 1j * m * params.omega_m * lab.b) - db_lab)) < 1e-12
+
+
+def test_closed_matches_solve_ivp():
+    # the stepper, chunked coefficients and t_mark split against an adaptive
+    # high-order integration of the lab-frame amplitude equations
+    from scipy.integrate import solve_ivp
+
+    params = fig2_params(gamma_c=0.0, gamma_m=0.0, n_th=0.0)
+    n_max, t_mark, t_end = 12, 0.41, 1.0
+    cfg = SolverConfig(dt=closed.default_dt(params), t_end=t_end, record_stride=50, t_mark=t_mark)
+    for t0, t1 in ((0.0, t_mark), (t_mark, t_end)):
+        assert closed._segment_steps(cfg.dt, t0, t1)[0] % closed._CHUNK != 0
+    start = closed.initial_state("bell", n_max)
+    run = closed.evolve_closed(start, params, cfg)
+
+    d = n_max + 1
+
+    def lab(t, y):
+        return np.concatenate(closed.rhs_closed(closed.SinglePhotonState(y[:d], y[d:], t), params))
+
+    ref = solve_ivp(
+        lab,
+        (0.0, t_end),
+        np.concatenate([start.a, start.b]),
+        method="DOP853",
+        t_eval=[t_mark, t_end],
+        rtol=1e-12,
+        atol=1e-12,
+    )
+    assert ref.success
+    for st, y in ((run.marked, ref.y[:, 0]), (run.final, ref.y[:, 1])):
+        assert np.max(np.abs(np.concatenate([st.a, st.b]) - y)) < 1e-8
 
 
 def test_free_evolution_preserves_moduli():

@@ -25,6 +25,16 @@ def test_coherent_mean_phonon_number():
     assert abs(mean_n - abs(beta) ** 2) < 1e-9
 
 
+def test_coherent_coeffs_match_factorial_formula():
+    # explicit exp(-|beta|^2/2) beta^n / sqrt(n!) with exact integer factorials
+    for beta in (0.0, 0.5, 1.3 - 0.4j, -2.1 + 1.7j, 3j, -3.0):
+        c = fock.coherent_coeffs(beta, 20)
+        ref = np.array(
+            [math.exp(-0.5 * abs(beta) ** 2) * beta**n / math.sqrt(math.factorial(n)) for n in range(21)]
+        )
+        assert np.all(np.abs(c - ref) <= 1e-14 * np.abs(ref))
+
+
 def test_coherent_cutoff_leaves_small_tail():
     for beta_abs in (0.3, 1.0, 2.0, 3.0):
         n_max = fock.coherent_cutoff(beta_abs)
