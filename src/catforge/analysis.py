@@ -15,7 +15,7 @@ import numpy as np
 
 from .fock import (
     coherent_cutoff,
-    displacement_matrices,
+    displacement_matrices,  # unused here; perfbench/spans.py wraps this module-level name
     oscillator_eigenfunctions,
 )
 from .model import CatState, DerivedModulation, SystemParams, beta_of_t, bessel_j
@@ -130,26 +130,65 @@ def wigner_analytic(state: CatState, grid: PhaseSpaceGrid) -> np.ndarray:
     )
 
 
-def wigner_numeric(rho_m: np.ndarray, grid: PhaseSpaceGrid, chunk: int = 2048) -> np.ndarray:
+def wigner_numeric(rho_m: np.ndarray, grid: PhaseSpaceGrid) -> np.ndarray:
     """Displaced-parity Wigner function of a mechanical density matrix.
 
     W(eta) = (2/pi) Tr[D^dag(eta) rho D(eta) (-1)^n].  The displaced parity
     collapses to D(2 eta) (-1)^n, so the trace needs only displacement matrix
     elements between retained Fock states; truncating a product of matrices
     would instead leak badly wherever |eta| pushes the state past the cutoff.
+
+    With z = 2 eta, x = |z|^2 and the Laguerre form of <k|D(z)|k+a>, the trace
+    is summed one Fock diagonal a at a time over the whole grid:
+
+        W = (2/pi) e^{-x/2} sum_a Re[ q_a sum_k (-1)^k c_ka lam_k^a(x) ]
+
+    q_a = z^a / sqrt(a!); c_ka = rho_{k,k+a} + conj(rho_{k+a,k}) (rho_kk on
+    the main diagonal), so any matrix gives the full-trace value; and
+    lam_k^a = sqrt(k! a! / (k+a)!) L_k^a(x) by its normalized three-term
+    recurrence in k.  No displacement matrix and no factorial is formed.
     """
     rho_m = np.asarray(rho_m, dtype=complex)
-    n_max = rho_m.shape[0] - 1
-    etas = grid.mesh().ravel()
-    parity = np.where(np.arange(n_max + 1) % 2, -1.0, 1.0)
-    weighted = parity[:, None] * rho_m  # (-1)^p rho_pq
-    out = np.empty(etas.size)
-    for lo in range(0, etas.size, chunk):
-        dmats = displacement_matrices(2.0 * etas[lo : lo + chunk], n_max)
-        out[lo : lo + chunk] = (2.0 / math.pi) * np.real(
-            np.einsum("pq,gqp->g", weighted, dmats)
-        )
-    return out.reshape(grid.n_im, grid.n_re)
+    dim = rho_m.shape[0]
+    z = 2.0 * grid.mesh().ravel()
+    x = np.abs(z) ** 2
+    parity = np.where(np.arange(dim) % 2, -1.0, 1.0)
+    total = np.zeros(z.size)
+    q = np.ones(z.size, dtype=complex)
+    lam, lam_prev, lam_next = np.empty((3, z.size))
+    s_re, s_im, tmp = np.empty((3, z.size))
+    for a in range(dim):
+        if a:
+            q *= z
+            q *= 1.0 / math.sqrt(a)
+            c = np.diagonal(rho_m, a) + np.conj(np.diagonal(rho_m, -a))
+        else:
+            c = np.diagonal(rho_m).copy()
+        c *= parity[: dim - a]
+        lam.fill(1.0)
+        s_re.fill(c[0].real)
+        s_im.fill(c[0].imag)
+        for k in range(dim - a - 1):
+            # lam_{k+1} = [(2k+1+a-x) lam_k - sqrt(k(k+a)) lam_{k-1}] / sqrt((k+1)(k+1+a))
+            np.subtract(2 * k + 1 + a, x, out=lam_next)
+            lam_next *= lam
+            if k:
+                np.multiply(lam_prev, math.sqrt(k * (k + a)), out=tmp)
+                lam_next -= tmp
+            lam_next *= 1.0 / math.sqrt((k + 1) * (k + 1 + a))
+            lam_prev, lam, lam_next = lam, lam_next, lam_prev
+            np.multiply(lam, c[k + 1].real, out=tmp)
+            s_re += tmp
+            np.multiply(lam, c[k + 1].imag, out=tmp)
+            s_im += tmp
+        # Re[q_a s_a]
+        s_re *= q.real
+        s_im *= q.imag
+        total += s_re
+        total -= s_im
+    total *= np.exp(-0.5 * x)
+    total *= 2.0 / math.pi
+    return total.reshape(grid.n_im, grid.n_re)
 
 
 def quadrature_analytic(state: CatState, axis: QuadratureAxis, n_max: int | None = None) -> np.ndarray:

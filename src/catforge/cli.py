@@ -27,7 +27,7 @@ import numpy as np
 from . import __version__, analysis, closed, model, open_system
 from .closed import SolverAbort, SolverConfig
 from .model import SystemParams, derive
-from .trajectory import format_float
+from .trajectory import format_column
 
 __all__ = ["ConfigError", "RunConfig", "parse_config", "config_from_manifest", "run", "main"]
 
@@ -524,11 +524,12 @@ def _load_initial_closed(kind: str, n_max: int) -> closed.SinglePhotonState:
     return closed.initial_state(kind, n_max)
 
 
-def _write_rows_csv(path, header: tuple[str, ...], rows):
+def _write_csv(path, header: tuple[str, ...], columns):
+    """A header line, then one line per row of the equal-length columns."""
+    cells = [format_column(c) for c in columns]
+    lines = [",".join(header), *map(",".join, zip(*cells))]
     with open(path, "w", encoding="ascii") as fh:
-        fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(format_float(v) for v in row) + "\n")
+        fh.write("\n".join(lines) + "\n")
 
 
 def _manifest(path, doc: dict):
@@ -644,7 +645,7 @@ def _execute_single(config: RunConfig, out_dir: str, sweep_value: float | None =
         except ValueError as exc:
             raise ConfigError(str(exc)) from None
         path = os.path.join(out_dir, "beta_max.csv")
-        _write_rows_csv(path, ("xi", "delta", "beta_max"), rows)
+        _write_csv(path, ("xi", "delta", "beta_max"), zip(*rows))
         doc = _base_manifest(config, None, mode)
         doc.update(
             xi_list=list(config.xi_list),
@@ -665,7 +666,7 @@ def _execute_single(config: RunConfig, out_dir: str, sweep_value: float | None =
         center = config.t_d if config.t_d is not None else math.pi / abs(res.d.delta)
         cands = analysis.detection_time_candidates(res.params, res.d, center)
         path = os.path.join(out_dir, "detection_times.csv")
-        _write_rows_csv(path, ("t", "beta_abs"), cands)
+        _write_csv(path, ("t", "beta_abs"), zip(*cands))
         outputs.append("detection_times.csv")
         doc["window_center"] = center
         doc["n_candidates"] = len(cands)
@@ -716,13 +717,14 @@ def _execute_single(config: RunConfig, out_dir: str, sweep_value: float | None =
                     if config.source == "analytic"
                     else analysis.wigner_numeric(st, grid)
                 )
-                rows = [
-                    (re, im, w[i, j])
-                    for i, im in enumerate(grid.im_axis)
-                    for j, re in enumerate(grid.re_axis)
-                ]
+                # rows run over eta_re fastest, the row-major order of w
+                columns = (
+                    np.tile(grid.re_axis, grid.n_im),
+                    np.repeat(grid.im_axis, grid.n_re),
+                    w,
+                )
                 name = f"wigner_{tag}.csv"
-                _write_rows_csv(os.path.join(out_dir, name), ("eta_re", "eta_im", "W"), rows)
+                _write_csv(os.path.join(out_dir, name), ("eta_re", "eta_im", "W"), columns)
                 outputs.append(name)
                 doc[f"wigner_{tag}_integral"] = grid.integrate(w)
         else:
@@ -739,7 +741,7 @@ def _execute_single(config: RunConfig, out_dir: str, sweep_value: float | None =
                 # clamp tiny negative roundoff in emitted files only
                 emitted = np.where((p < 0) & (p > -1e-10), 0.0, p)
                 name = f"quadrature_{tag}.csv"
-                _write_rows_csv(os.path.join(out_dir, name), ("x", "P"), zip(axis.x_values, emitted))
+                _write_csv(os.path.join(out_dir, name), ("x", "P"), (axis.x_values, emitted))
                 outputs.append(name)
                 doc[f"quadrature_{tag}_integral"] = axis.integrate(p)
 
@@ -782,7 +784,7 @@ def run(config: RunConfig) -> dict:
             (v,) + tuple(d["final"][c] for c in columns[1:])
             for v, d in zip(config.sweep_values, docs)
         ]
-        _write_rows_csv(os.path.join(out_root, "summary.csv"), columns, rows)
+        _write_csv(os.path.join(out_root, "summary.csv"), columns, zip(*rows))
         top["outputs"] = ["summary.csv"]
     top["wall_time_s"] = time.perf_counter() - t_start
     top["members_wall_time_s"] = sum(d["wall_time_s"] for d in docs)

@@ -41,7 +41,6 @@ __all__ = [
     "default_dt",
     "default_n_max",
     "initial_state",
-    "rhs_closed",
     "evolve_closed",
     "observables",
     "fidelity_total",
@@ -152,24 +151,6 @@ def initial_state(kind: str, n_max: int) -> SinglePhotonState:
     else:
         raise ValueError(f"unknown initial state {kind!r}")
     return SinglePhotonState(a, b, 0.0)
-
-
-def rhs_closed(state: SinglePhotonState, params: SystemParams) -> tuple[np.ndarray, np.ndarray]:
-    """Lab-frame time derivative (dA/dt, dB/dt) of the amplitude equations."""
-    a, b, t = state.a, state.b, state.t
-    n = a.size - 1
-    m = np.arange(n + 1)
-    s = np.sqrt(np.arange(1.0, n + 1))
-    drive = params.xi * params.omega_0 * math.cos(params.omega_0 * t)
-    phase = -1j * (params.omega_c + m * params.omega_m)
-
-    da = phase * a + 1j * drive * b
-    db = phase * b + 1j * drive * a
-    rp = np.zeros_like(b)
-    rp[:-1] += s * b[1:]  # sqrt(m+1) B_{m+1}
-    rp[1:] += s * b[:-1]  # sqrt(m)   B_{m-1}
-    db += 1j * params.g0 * rp
-    return da, db
 
 
 # Steps whose generator coefficients are evaluated together.  Their table holds

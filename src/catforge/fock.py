@@ -1,10 +1,15 @@
 """Truncated harmonic-oscillator Fock-space primitives.
 
-Ladder matrices, coherent-state expansion coefficients, displacement-operator
-matrix elements and oscillator eigenfunctions, all on a ladder truncated at
-n_max (dimension n_max+1).  Everything is computed by stable recurrences; no
-factorials are ever formed explicitly, so the routines stay finite well past
-n ~ 85 where factorial-based formulas overflow.
+Coherent-state expansion coefficients, displacement-operator matrices and
+oscillator eigenfunctions, all on a ladder truncated at n_max (dimension
+n_max+1).  Everything is computed by stable recurrences; no factorials are
+ever formed explicitly, so the routines stay finite well past n ~ 85 where
+factorial-based formulas overflow.
+
+No solver or tomography path builds displacement matrices:
+``analysis.wigner_numeric`` sums the same Laguerre form one Fock diagonal at
+a time.  ``displacement_matrices`` stays as the tests' reference for that
+kernel and as the ``analysis`` name that ``perfbench/spans.py`` times.
 """
 
 from __future__ import annotations
@@ -16,9 +21,6 @@ import numpy as np
 __all__ = [
     "coherent_cutoff",
     "coherent_coeffs",
-    "destroy",
-    "number_op",
-    "displacement_matrix_element",
     "displacement_matrix",
     "displacement_matrices",
     "oscillator_eigenfunction",
@@ -58,59 +60,11 @@ def coherent_coeffs(beta: complex, n_max: int) -> np.ndarray:
     return np.cumprod(factors)
 
 
-def destroy(n_max: int) -> np.ndarray:
-    """Annihilation operator b on the truncated ladder: b|n> = sqrt(n)|n-1>."""
-    n_max = _check_cutoff(n_max)
-    return np.diag(np.sqrt(np.arange(1, n_max + 1, dtype=float)), k=1).astype(complex)
-
-
-def number_op(n_max: int) -> np.ndarray:
-    """Number operator b^dag b on the truncated ladder."""
-    n_max = _check_cutoff(n_max)
-    return np.diag(np.arange(n_max + 1, dtype=float)).astype(complex)
-
-
-def _laguerre_value(k: int, a: int, x: float) -> float:
-    # associated Laguerre L_k^a(x) by the three-term recurrence in the degree
-    if k == 0:
-        return 1.0
-    lm1, l = 1.0, 1.0 + a - x
-    for j in range(1, k):
-        lm1, l = l, ((2 * j + 1 + a - x) * l - (j + a) * lm1) / (j + 1)
-    return l
-
-
-def displacement_matrix_element(m: int, n: int, eta: complex) -> complex:
-    """Matrix element <m| D(eta) |n> of the displacement operator.
-
-    D(eta) = exp(eta b^dag - eta* b).  Two-branch associated-Laguerre form:
-
-        n >= m:  sqrt(m!/n!) e^{-|eta|^2/2} (-eta*)^{n-m} L_m^{n-m}(|eta|^2)
-        m >  n:  sqrt(n!/m!) e^{-|eta|^2/2} (eta)^{m-n}  L_n^{m-n}(|eta|^2)
-
-    The factorial ratio and the power are accumulated together as a product of
-    eta/sqrt(k) factors to avoid overflow.
-    """
-    if m < 0 or n < 0:
-        raise ValueError("Fock indices must be non-negative")
-    x = abs(eta) ** 2
-    if n >= m:
-        k, d, z = m, n - m, -np.conj(eta)
-    else:
-        k, d, z = n, m - n, complex(eta)
-    pref = math.exp(-0.5 * x)
-    val = complex(pref)
-    for j in range(k + 1, k + d + 1):
-        val *= z / math.sqrt(j)
-    return val * _laguerre_value(k, d, x)
-
-
 def displacement_matrices(etas: np.ndarray, n_max: int) -> np.ndarray:
     """Displacement matrices D(eta) for a batch of amplitudes.
 
     Returns an array of shape (len(etas), n_max+1, n_max+1).  The Laguerre
-    recurrence runs vectorized over the batch axis, which is what makes dense
-    Wigner grids affordable.
+    recurrence runs vectorized over the batch axis.
     """
     n_max = _check_cutoff(n_max)
     etas = np.asarray(etas, dtype=complex).ravel()

@@ -6,7 +6,7 @@ import math
 
 import numpy as np
 
-__all__ = ["TrajectoryRecord", "format_float"]
+__all__ = ["TrajectoryRecord", "format_column", "format_float"]
 
 
 def format_float(x) -> str:
@@ -17,6 +17,12 @@ def format_float(x) -> str:
     if math.isnan(x):
         return ""
     return repr(x)
+
+
+def format_column(values) -> list[str]:
+    """format_float over a whole column at once; None and NaN give empty cells."""
+    cells = map(repr, np.asarray(values, dtype=float).ravel().tolist())
+    return ["" if c == "nan" else c for c in cells]
 
 
 class TrajectoryRecord:

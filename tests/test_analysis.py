@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from catforge import analysis, closed, model
+from catforge import analysis, closed, fock, model
 from catforge import open_system as osys
 from catforge.analysis import PhaseSpaceGrid, QuadratureAxis
 
@@ -93,6 +93,22 @@ def test_wigner_numeric_matches_analytic():
     w_num = analysis.wigner_numeric(rho, grid)
     w_ana = analysis.wigner_analytic(phi_l, grid)
     assert np.max(np.abs(w_num - w_ana)) < 1e-6
+
+
+def test_wigner_numeric_matches_displacement_oracle():
+    # the diagonal-by-diagonal sum against the full trace over D(2 eta) matrices;
+    # random non-Hermitian inputs exercise both triangles of rho separately
+    rng = np.random.default_rng(17)
+    grid = PhaseSpaceGrid.square(4.5, 0.9)
+    for n_max in (1, 8, 30, 90):
+        d = n_max + 1
+        rho = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+        weighted = np.where(np.arange(d) % 2, -1.0, 1.0)[:, None] * rho
+        trace = np.array(
+            [np.einsum("pq,gqp->g", weighted, fock.displacement_matrices(2 * row, n_max)) for row in grid.mesh()]
+        )
+        ref = (2 / math.pi) * trace.real
+        assert np.max(np.abs(analysis.wigner_numeric(rho, grid) - ref)) < 1e-12
 
 
 def test_wigner_thermal_origin():

