@@ -525,8 +525,10 @@ def _load_initial_closed(kind: str, n_max: int) -> closed.SinglePhotonState:
 
 
 def _write_csv(path, header: tuple[str, ...], columns):
-    """A header line, then one line per row of the equal-length columns."""
-    cells = [format_column(c) for c in columns]
+    """A header line, then one line per row of the equal-length columns.
+
+    A column given as a list is taken as already formatted cells (str)."""
+    cells = [c if isinstance(c, list) else format_column(c) for c in columns]
     lines = [",".join(header), *map(",".join, zip(*cells))]
     with open(path, "w", encoding="ascii") as fh:
         fh.write("\n".join(lines) + "\n")
@@ -701,6 +703,7 @@ def _execute_single(config: RunConfig, out_dir: str, sweep_value: float | None =
             "min_eig_min": run_.min_eig_min,
             "herm_err_max": run_.herm_err_max,
             "cross_coherence_max": run_.cross_coherence_max,
+            "tail_max": run_.tail_max,
         }
         doc["final"] = run_.record.row_at(res.t_end)
 
@@ -711,20 +714,20 @@ def _execute_single(config: RunConfig, out_dir: str, sweep_value: float | None =
         doc["beta_at_t_d"] = {"re": beta.real, "im": beta.imag}
         if mode == "wigner":
             grid = analysis.PhaseSpaceGrid.square(config.grid_extent, config.grid_step)
+            # rows run over eta_re fastest, the row-major order of w; each axis
+            # cell is formatted once and repeated
+            eta_cells = (
+                format_column(grid.re_axis) * grid.n_im,
+                [c for c in format_column(grid.im_axis) for _ in range(grid.n_re)],
+            )
             for tag, st in (("L", state_l), ("R", state_r)):
                 w = (
                     analysis.wigner_analytic(st, grid)
                     if config.source == "analytic"
                     else analysis.wigner_numeric(st, grid)
                 )
-                # rows run over eta_re fastest, the row-major order of w
-                columns = (
-                    np.tile(grid.re_axis, grid.n_im),
-                    np.repeat(grid.im_axis, grid.n_re),
-                    w,
-                )
                 name = f"wigner_{tag}.csv"
-                _write_csv(os.path.join(out_dir, name), ("eta_re", "eta_im", "W"), columns)
+                _write_csv(os.path.join(out_dir, name), ("eta_re", "eta_im", "W"), (*eta_cells, w))
                 outputs.append(name)
                 doc[f"wigner_{tag}_integral"] = grid.integrate(w)
         else:

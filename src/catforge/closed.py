@@ -96,7 +96,6 @@ class SolverConfig:
     t_end: float
     record_stride: int = 1
     t_mark: float | None = None
-    method: str = "rk4"
 
     def __post_init__(self):
         if self.dt <= 0:
@@ -105,8 +104,6 @@ class SolverConfig:
             raise ValueError("t_end must be positive")
         if self.record_stride < 1:
             raise ValueError("record_stride must be >= 1")
-        if self.method != "rk4":
-            raise ValueError("only fixed-step rk4 is available")
         if self.t_mark is not None and not 0.0 < self.t_mark <= self.t_end:
             raise ValueError("t_mark must lie in (0, t_end]")
 

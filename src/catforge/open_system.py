@@ -27,7 +27,7 @@ from enum import Enum
 
 import numpy as np
 
-from .closed import SolverAbort, SolverConfig, _segment_steps
+from .closed import TAIL_ABORT, SolverAbort, SolverConfig, _segment_steps
 from .model import DerivedModulation, SystemParams, derive, target_states
 from .trajectory import TrajectoryRecord
 
@@ -143,12 +143,18 @@ class _Generators:
     The packed state is the one-photon block {L,R}x{L,R} (2d x 2d) followed
     by the vacuum block VxV (d x d), each flattened row-major.  The kernels
     act on an S-sector matrix whose sectors 0 and 1 are L and R: the
-    Hamiltonian commutator through sector swaps and ladder shifts on its
+    Hamiltonian products through sector swaps and ladder shifts on its
     (S, d, S, d) view, the phonon jumps through shifted contiguous slices of
     its flat form, which is several times faster than dense matrix products
     or strided views at these dimensions.  rhs_lindblad applies the same
     kernels to the full three-sector matrix; its equivalence with the
     element-wise master equation is pinned by tests.
+
+    For a Hermitian one-photon block rho every term of the generator is a
+    half plus its adjoint: D o rho - i[H, rho] + J(rho) = Z + Z^H with
+    Z = (D/2) o rho - i H rho + J(rho)/2.  apply builds that block as Z + Z^H,
+    which needs only the row-side Hamiltonian product and leaves the block
+    exactly Hermitian; the damping and jump weights are halved once here.
     """
 
     def __init__(self, params: SystemParams, n_max: int):
@@ -156,17 +162,23 @@ class _Generators:
         self.d = d
         self.params = params
         self.s = np.sqrt(np.arange(1.0, d))  # b|p> = s[p-1] |p-1>
-        self.damp_one = _damping(params, d, (1.0, 1.0)).ravel()
-        self.damp_vac = _damping(params, d, (0.0,)).ravel()
-        self.jumps_one = self.jump_weights(2)
+        # complex weights: a float operand would be cast to complex on every call
+        self.half_damp_one = (0.5 * _damping(params, d, (1.0, 1.0))).ravel().astype(complex)
+        self.damp_vac = _damping(params, d, (0.0,)).ravel().astype(complex)
+        off, w_down, w_up = self.jump_weights(2)
+        self.half_jumps_one = (off, 0.5 * w_down, 0.5 * w_up)
         self.jumps_vac = self.jump_weights(1)
+        self.z = np.empty((2 * d, 2 * d), dtype=complex)  # Z of the one-photon block
+        self.z_flat = self.z.reshape(-1)
+        self.z_sectors = self.z.reshape(2, d, 2, d)
 
     def jump_weights(self, sectors: int) -> tuple[int, np.ndarray, np.ndarray]:
         """Flat-index offset and weights of the phonon jump terms on an S-sector matrix.
 
         gamma_m (n_th+1) b rho b^dag and gamma_m n_th b^dag rho b shift rho by
         one row and one column, which is S d + 1 in the row-major flat index;
-        the weights vanish where the shift would cross a sector edge.
+        the weights vanish where the shift would cross a sector edge.  They are
+        stored complex, so the products need no per-call cast.
         """
         p = self.params
         lower = np.tile(np.append(self.s, 0.0), sectors)  # <p|b|p+1>, zero on the top rung
@@ -174,23 +186,29 @@ class _Generators:
         off = sectors * self.d + 1
         w_down = (p.gamma_m * (p.n_th + 1.0) * (lower[:, None] * lower[None, :])).ravel()[:-off]
         w_up = (p.gamma_m * p.n_th * (raise_[:, None] * raise_[None, :])).ravel()[off:]
-        return off, w_down, w_up
+        return off, w_down.astype(complex), w_up.astype(complex)
 
-    def hamiltonian(self, t: float, z: complex, r: np.ndarray, out: np.ndarray):
-        """out += -i[H(t), r] on an (S, d, S, d) sector view, with
+    def couplings(self, t: float, z: complex) -> tuple[complex, np.ndarray, np.ndarray]:
+        """-i alpha(t) and the -i z, -i conj(z) radiation-pressure rungs of H(t)."""
+        p = self.params
+        a = 1j * p.xi * p.omega_0 * math.cos(p.omega_0 * t)
+        return a, (-1j * z) * self.s, (-1j * np.conj(z)) * self.s
+
+    def left_product(self, t: float, z: complex, r: np.ndarray, out: np.ndarray):
+        """out += -i H(t) r on an (S, d, S, d) sector view, with
 
         H = alpha(t) (|L><R| + |R><L|) (x) I  +  z Pi_R (x) b  +  conj(z) Pi_R (x) b^dag.
         """
-        p = self.params
-        a = 1j * p.xi * p.omega_0 * math.cos(p.omega_0 * t)  # -i alpha
-        # hopping: L<->R swap on rows (H rho) and columns (rho H)
-        out[:2] += a * r[1::-1]
-        out[:, :, :2] -= a * r[:, :, 1::-1]
-        # radiation pressure: phonon shifts on the R sector
-        zs = (-1j * z) * self.s
-        zcs = (-1j * np.conj(z)) * self.s
-        out[1, :-1] += zs[:, None, None] * r[1, 1:]
+        a, zs, zcs = self.couplings(t, z)
+        out[:2] += a * r[1::-1]  # hopping: L<->R swap on rows
+        out[1, :-1] += zs[:, None, None] * r[1, 1:]  # radiation pressure on the R rows
         out[1, 1:] += zcs[:, None, None] * r[1, :-1]
+
+    def hamiltonian(self, t: float, z: complex, r: np.ndarray, out: np.ndarray):
+        """out += -i[H(t), r] on an (S, d, S, d) sector view (H as in left_product)."""
+        self.left_product(t, z, r, out)
+        a, zs, zcs = self.couplings(t, z)
+        out[:, :, :2] -= a * r[:, :, 1::-1]
         out[:, :, 1, 1:] -= zs * r[:, :, 1, :-1]
         out[:, :, 1, :-1] -= zcs * r[:, :, 1, 1:]
 
@@ -208,18 +226,20 @@ class _Generators:
         if self.params.gamma_c:
             out_vac += self.params.gamma_c * (r[0, :, 0] + r[1, :, 1])
 
-    def apply(self, t: float, y: np.ndarray) -> np.ndarray:
-        """Interaction-picture time derivative of the packed state y at t."""
+    def apply(self, t: float, y: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """Write the interaction-picture time derivative of the packed state y
+        at t into out and return out.  y's one-photon block must be Hermitian."""
         p = self.params
         d = self.d
         k = 4 * d * d
-        out = np.empty_like(y)
-        one, out_one = y[:k], out[:k]
-        vac, out_vac = y[k:], out[k:]
+        one, vac, out_vac = y[:k], y[k:], out[k:]
         one4 = one.reshape(2, d, 2, d)
-        np.multiply(self.damp_one, one, out=out_one)
-        self.hamiltonian(t, -p.g0 * np.exp(-1j * p.omega_m * t), one4, out_one.reshape(2, d, 2, d))
-        self.phonon_jumps(self.jumps_one, one, out_one)
+        np.multiply(self.half_damp_one, one, out=self.z_flat)
+        self.left_product(t, -p.g0 * np.exp(-1j * p.omega_m * t), one4, self.z_sectors)
+        self.phonon_jumps(self.half_jumps_one, one, self.z_flat)
+        out_one = out[:k].reshape(2 * d, 2 * d)
+        np.conjugate(self.z.T, out=out_one)
+        out_one += self.z
         np.multiply(self.damp_vac, vac, out=out_vac)
         self.phonon_jumps(self.jumps_vac, vac, out_vac)
         self.photon_feed(one4, out_vac.reshape(d, d))
@@ -253,6 +273,7 @@ class OpenRun:
     min_eig_min: float
     herm_err_max: float
     cross_coherence_max: float
+    tail_max: float
 
 
 def mean_phonon_number(rho: SystemDensityMatrix) -> float:
@@ -292,9 +313,11 @@ def evolve_open(
     """Propagate the master equation, recording probabilities and fidelities.
 
     The initial density must have no one-photon/vacuum coherence: only the
-    one-photon and vacuum blocks are evolved.  Aborts when the trace drifts
-    by more than 1e-6 or an eigenvalue dips below -1e-6 (both checked at
-    record times; positivity is an O(dim^3) solve per block).
+    one-photon and vacuum blocks are evolved, each replaced by its
+    Hermitian part.  Aborts when the trace drifts by more than 1e-6, an
+    eigenvalue dips below -1e-6 or the top-two-level phonon population
+    exceeds 1e-6 (all checked at record times; positivity is an O(dim^3)
+    solve per block).
     """
     cfg.validate(params)
     if initial.trace_error() > 1e-8:
@@ -317,6 +340,7 @@ def evolve_open(
     eig_min = math.inf
     herm_max = 0.0
     cross_max = 0.0
+    tail_max = 0.0
 
     def lab_state(t: float, y: np.ndarray) -> SystemDensityMatrix:
         ph = np.exp(-1j * params.omega_m * t * n_ph)
@@ -326,14 +350,19 @@ def evolve_open(
         return SystemDensityMatrix(rho, t)
 
     def emit(t: float, y: np.ndarray):
-        nonlocal marked, trace_max, eig_min, herm_max, cross_max
+        nonlocal marked, trace_max, eig_min, herm_max, cross_max, tail_max
         st = lab_state(t, y)
         tr_err = st.trace_error()
         mineig = st.min_eigenvalue()
+        diag = np.real(np.diagonal(st.rho))
+        dsz = st.n_max + 1
+        # fock.tail_population's gauge: population of the top two phonon levels, all sectors
+        tail = float(np.sum(diag.reshape(3, dsz)[:, -2:]))
         trace_max = max(trace_max, tr_err)
         eig_min = min(eig_min, mineig)
         herm_max = max(herm_max, st.hermiticity_error())
         cross_max = max(cross_max, st.cross_sector_coherence())
+        tail_max = max(tail_max, tail)
         if tr_err > TRACE_ABORT:
             raise SolverAbort(
                 f"trace drift {tr_err:.3e} at t={t:g} exceeds {TRACE_ABORT:g}; reduce dt"
@@ -343,8 +372,11 @@ def evolve_open(
                 f"negative eigenvalue {mineig:.3e} at t={t:g} below {EIG_ABORT:g}; "
                 "reduce dt or increase n_max"
             )
-        diag = np.real(np.diagonal(st.rho))
-        dsz = st.n_max + 1
+        if tail > TAIL_ABORT:
+            raise SolverAbort(
+                f"phonon tail population {tail:.3e} at t={t:g}; increase n_max "
+                f"(current {st.n_max})"
+            )
         p_l = float(np.sum(diag[:dsz]))
         p_r = float(np.sum(diag[dsz : 2 * dsz]))
         p_v = float(np.sum(diag[2 * dsz :]))
@@ -367,7 +399,8 @@ def evolve_open(
             marked = st
         return st
 
-    y = np.concatenate([b.ravel() for b in blocks])
+    # apply's one-photon block Z + Z^H is the generator only on Hermitian input
+    y = np.concatenate([(0.5 * (b + b.conj().T)).ravel() for b in blocks])
     emit(0.0, y)
 
     bounds = [0.0]
@@ -375,15 +408,28 @@ def evolve_open(
         bounds.append(cfg.t_mark)
     bounds.append(cfg.t_end)
 
+    k1, k2, k3, k4, v = (np.empty_like(y) for _ in range(5))
     for t0, t1 in zip(bounds[:-1], bounds[1:]):
         n_steps, dt = _segment_steps(cfg.dt, t0, t1)
         for i in range(n_steps):
             t = t0 + i * dt
-            k1 = gen.apply(t, y)
-            k2 = gen.apply(t + dt / 2, y + dt / 2 * k1)
-            k3 = gen.apply(t + dt / 2, y + dt / 2 * k2)
-            k4 = gen.apply(t + dt, y + dt * k3)
-            y = y + dt / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
+            gen.apply(t, y, k1)
+            np.multiply(k1, dt / 2, out=v)
+            v += y
+            gen.apply(t + dt / 2, v, k2)
+            np.multiply(k2, dt / 2, out=v)
+            v += y
+            gen.apply(t + dt / 2, v, k3)
+            np.multiply(k3, dt, out=v)
+            v += y
+            gen.apply(t + dt, v, k4)
+            # y += dt/6 (k1 + 2 k2 + 2 k3 + k4)
+            k2 += k3
+            k2 *= 2
+            k1 += k2
+            k1 += k4
+            k1 *= dt / 6
+            y += k1
             t = t0 + (i + 1) * dt if i + 1 < n_steps else t1
             if (i + 1) % cfg.record_stride == 0 or i + 1 == n_steps:
                 emit(t, y)
@@ -400,6 +446,7 @@ def evolve_open(
         min_eig_min=eig_min,
         herm_err_max=herm_max,
         cross_coherence_max=cross_max,
+        tail_max=tail_max,
     )
 
 

@@ -259,6 +259,30 @@ def test_cli_exit_codes(tmp_path, monkeypatch):
     assert (tmp_path / "env-out" / "diagnostics.json").exists()
 
 
+def test_open_tail_guard_exit_3(tmp_path):
+    # without D[b^dag] heating the trace stays put, so only the tail guard sees n_max=4 is too small
+    out = tmp_path / "tail"
+    code = cli.main(["open", "--preset", "fig2", "--set", "n_max=4", "--set", "gamma_m=0", "--out", str(out)])
+    assert code == 3
+    diagnostics = json.loads((out / "diagnostics.json").read_text())
+    assert "phonon tail" in diagnostics["error"]
+
+
+def test_wigner_csv_coordinates(tmp_path):
+    # rows run over eta_re fastest; every cell is format_float of the grid value
+    out = tmp_path / "wig"
+    argv = ["wigner", "--preset", "figS5", "--set", "grid_extent=0.5", "--set", "grid_step=0.25"]
+    assert cli.main(argv + ["--out", str(out)]) == 0
+    grid = analysis.PhaseSpaceGrid.square(0.5, 0.25)
+    for tag in ("L", "R"):
+        lines = (out / f"wigner_{tag}.csv").read_text().splitlines()
+        assert lines[0] == "eta_re,eta_im,W"
+        coords = [line.rsplit(",", 1)[0] for line in lines[1:]]
+        assert coords == [
+            f"{format_float(re)},{format_float(im)}" for im in grid.im_axis for re in grid.re_axis
+        ]
+
+
 def test_non_finite_integers_exit_2(tmp_path, monkeypatch):
     # int() of inf/nan raises OverflowError/ValueError; these must be config errors
     monkeypatch.setenv(cli.OUT_ENV, str(tmp_path))

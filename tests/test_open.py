@@ -100,22 +100,62 @@ def test_block_generator_matches_full_generator():
     n_max = 4
     d = n_max + 1
     k = 2 * d
-    params = model.SystemParams(
-        omega_m=20.0, xi=XI, omega_0=9.878, omega_c=0.7, gamma_c=0.23, gamma_m=0.11, n_th=1.7
-    )
-    energy = params.omega_c * np.repeat([1.0, 1.0, 0.0], d) + params.omega_m * np.tile(np.arange(d), 3)
+    # gamma_m = 0 and n_th = 0 take the phonon jumps' skipped branches
+    for gamma_m, n_th in ((0.11, 1.7), (0.0, 1.7), (0.11, 0.0)):
+        params = model.SystemParams(
+            omega_m=20.0, xi=XI, omega_0=9.878, omega_c=0.7, gamma_c=0.23, gamma_m=gamma_m, n_th=n_th
+        )
+        energy = params.omega_c * np.repeat([1.0, 1.0, 0.0], d) + params.omega_m * np.tile(np.arange(d), 3)
+        gen = osys._Generators(params, n_max)
+        for seed, t in ((3, 0.0), (4, 0.37), (5, 2.9)):
+            rho_i = invariant_density(n_max, seed)
+            u = np.exp(1j * energy * t)
+            rho_lab = u.conj()[:, None] * rho_i * u[None, :]
+            lab = osys.rhs_lindblad(SystemDensityMatrix(rho_lab, t), params)
+            expected = 1j * (energy[:, None] - energy[None, :]) * rho_i + u[:, None] * lab * u.conj()[None, :]
+            y = np.concatenate([rho_i[:k, :k].ravel(), rho_i[k:, k:].ravel()])
+            got = gen.apply(t, y, np.empty_like(y))
+            assert np.max(np.abs(got[: k * k] - expected[:k, :k].ravel())) < 1e-14 * np.max(np.abs(expected))
+            assert np.max(np.abs(got[k * k :] - expected[k:, k:].ravel())) < 1e-14 * np.max(np.abs(expected))
+            assert np.max(np.abs(expected[:k, k:])) < 1e-14 * np.max(np.abs(expected))
+
+
+def test_generator_blocks_exactly_hermitian():
+    n_max = 6
+    d = n_max + 1
+    k = 2 * d
+    params = fig2_params(gamma_m=0.05, n_th=2.0)
     gen = osys._Generators(params, n_max)
-    for seed, t in ((3, 0.0), (4, 0.37), (5, 2.9)):
-        rho_i = invariant_density(n_max, seed)
-        u = np.exp(1j * energy * t)
-        rho_lab = u.conj()[:, None] * rho_i * u[None, :]
-        lab = osys.rhs_lindblad(SystemDensityMatrix(rho_lab, t), params)
-        expected = 1j * (energy[:, None] - energy[None, :]) * rho_i + u[:, None] * lab * u.conj()[None, :]
-        y = np.concatenate([rho_i[:k, :k].ravel(), rho_i[k:, k:].ravel()])
-        got = gen.apply(t, y)
-        assert np.max(np.abs(got[: k * k] - expected[:k, :k].ravel())) < 1e-14 * np.max(np.abs(expected))
-        assert np.max(np.abs(got[k * k :] - expected[k:, k:].ravel())) < 1e-14 * np.max(np.abs(expected))
-        assert np.max(np.abs(expected[:k, k:])) < 1e-14 * np.max(np.abs(expected))
+    rho = invariant_density(n_max, seed=9)
+    rho = 0.5 * (rho + rho.conj().T)  # exactly Hermitian
+    assert np.array_equal(rho, rho.conj().T)
+    y = np.concatenate([rho[:k, :k].ravel(), rho[k:, k:].ravel()])
+    for t in (0.0, 0.37, 2.9):
+        out = gen.apply(t, y, np.empty_like(y))
+        one = out[: k * k].reshape(k, k)
+        vac = out[k * k :].reshape(d, d)
+        assert np.array_equal(one, one.conj().T)
+        assert np.array_equal(vac, vac.conj().T)
+
+
+def test_anti_hermitian_initial_part_is_dropped():
+    # the solver evolves the Hermitian part of the initial blocks
+    n_max = 10
+    d = n_max + 1
+    params = fig2_params(gamma_m=0.05, n_th=2.0)
+    cfg = SolverConfig(dt=closed.default_dt(params, 64), t_end=0.3, record_stride=8)
+    low = np.tile(np.arange(d) < 4, 3)  # phonon levels 0-3 only, so the tail guard stays quiet
+    herm = invariant_density(n_max, seed=11) * np.outer(low, low)
+    herm /= np.trace(herm).real
+    rng = np.random.default_rng(12)
+    m = rng.normal(size=herm.shape) + 1j * rng.normal(size=herm.shape)
+    anti = 0.5e-11 * (m - m.conj().T)
+    anti[: 2 * d, 2 * d :] = 0.0
+    anti[2 * d :, : 2 * d] = 0.0
+    clean = osys.evolve_open(SystemDensityMatrix(herm), params, cfg)
+    noisy = osys.evolve_open(SystemDensityMatrix(herm + anti), params, cfg)
+    assert np.max(np.abs(anti)) > 1e-12
+    assert np.max(np.abs(noisy.final.rho - clean.final.rho)) < 1e-14
 
 
 def test_min_eigenvalue_blockwise():
@@ -242,6 +282,21 @@ def test_initial_validation():
         osys.evolve_open(SystemDensityMatrix(np.outer(amp, amp.conj())), params, cfg)
 
 
+def test_tail_guard_counts_every_sector():
+    # 2e-6 on the top phonon level of any one sector trips the 1e-6 guard at the first record
+    params = fig2_params()
+    cfg = SolverConfig(dt=1e-3, t_end=0.1)
+    d = 11
+    for sector in PhotonSector:
+        rho = osys.initial_density("left", d - 1).rho
+        rho[0, 0] -= 2e-6
+        top = sector.value * d + d - 1
+        rho[top, top] += 2e-6
+        with pytest.raises(closed.SolverAbort, match="phonon tail"):
+            osys.evolve_open(SystemDensityMatrix(rho), params, cfg)
+    assert osys.evolve_open(osys.initial_density("left", d - 1), params, cfg).tail_max < 1e-12
+
+
 def test_fig2_probabilities(fig2_run):
     # photon survival factors out of the hopping dynamics: P_L+P_R = e^{-gamma_c t}
     t = fig2_run.record.column("t")
@@ -266,6 +321,7 @@ def test_fig2_conservation(fig2_run):
     assert fig2_run.min_eig_min > -1e-8
     assert fig2_run.herm_err_max < 1e-10
     assert fig2_run.cross_coherence_max < 1e-12
+    assert fig2_run.tail_max < closed.TAIL_ABORT
 
 
 def test_gamma_c_independence_of_fidelity(gamma_c_runs):
