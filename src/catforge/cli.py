@@ -701,8 +701,6 @@ def _execute_single(config: RunConfig, out_dir: str, sweep_value: float | None =
         doc["invariants"] = {
             "trace_err_max": run_.trace_err_max,
             "min_eig_min": run_.min_eig_min,
-            "herm_err_max": run_.herm_err_max,
-            "cross_coherence_max": run_.cross_coherence_max,
             "tail_max": run_.tail_max,
         }
         doc["final"] = run_.record.row_at(res.t_end)

@@ -15,15 +15,22 @@ omega_m t} phases are restored exactly at record times.  The cavity frequency
 omega_c contributes only a global phase and is gauged to zero inside the
 solver.
 
-The solver steps one stacked vector y = [A; B] of length 2d (d = n_max + 1)
-with a preallocated 2d x 2d generator.  Its 4d - 2 nonzeros have three
-disjoint supports (the sector swap, B-lowering and B-raising); their time
-dependence is evaluated elementwise for a chunk of steps at a time and
-written into the matrix before each stage's matrix-vector product.
+The solver steps one stacked vector y = [A; B] of length 2d (d = n_max + 1).
+The generator's 4d - 2 nonzeros have three disjoint supports (the sector
+swap, B-lowering and B-raising); their time dependence is evaluated
+elementwise for a chunk of steps at a time, already scaled by each RK4
+stage's step fraction.  One store per step writes the four pre-scaled stage
+generators into a preallocated (4, 2d, 2d) array, so a step is that store,
+four stage products, one weighted combine of the stages and four adds.
+Records are read off the interaction-frame vector: populations, phonon
+number and the truncation tail from |y|^2, which the frame phases leave
+unchanged, and <x> with one global phase; a lab-frame state is built only
+for fidelities, kept states, the marked state and the final state.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 
@@ -150,9 +157,17 @@ def initial_state(kind: str, n_max: int) -> SinglePhotonState:
     return SinglePhotonState(a, b, 0.0)
 
 
-# Steps whose generator coefficients are evaluated together.  Their table holds
-# 3 stage times per step, so at n_max = 22 it takes 3 * 128 * 90 * 16 B = 0.55 MB.
+# Steps whose stage coefficients are tabulated together.  Their table holds the
+# 4 pre-scaled stage generators of each step, 4 (4d - 2) entries, so at
+# n_max = 22 it takes 128 * 4 * 90 * 16 B = 0.74 MB.
 _CHUNK = 128
+
+# RK4 stage times and step fractions, in units of the step h.  With the stages
+# pre-scaled to a1 = h/2 k1, a2 = h/2 k2, a3 = h k3 and a4 = h/6 k4, the update
+# h/6 (k1 + 2 k2 + 2 k3 + k4) is _RK4_WEIGHTS . [a1; a2; a3; a4].
+_STAGE_TIMES = np.array([0.0, 0.5, 0.5, 1.0])
+_STAGE_SCALES = np.array([1 / 2, 1 / 2, 1.0, 1 / 6])
+_RK4_WEIGHTS = np.array([1 / 3, 2 / 3, 1 / 3, 1.0], dtype=complex)
 
 
 def _generator_pattern(d: int) -> np.ndarray:
@@ -186,24 +201,55 @@ def _generator_coefficients(params: SystemParams, n_max: int, times: np.ndarray)
     return out
 
 
-def _interaction_rhs(params: SystemParams, n_max: int):
-    """Stage callable f(coef, y, out) for the frame-rotated amplitudes y = [A; B].
+def _stage_coefficients(params: SystemParams, n_max: int, ts: np.ndarray, h: float) -> np.ndarray:
+    """Pre-scaled stage-generator nonzeros for RK4 steps of size h starting at ts.
 
-    f writes one row of _generator_coefficients into a preallocated 2d x 2d
-    generator and stores its product with y in out, which it returns.  The
-    layout depends on n_max alone; params stays in the signature because the
-    benchmark tracer (perfbench/spans.py) wraps this factory by it.
+    One row per step: [h/2 c(t), h/2 c(t + h/2), h c(t + h/2), h/6 c(t + h)]
+    with c the _generator_coefficients row, 4 (4d - 2) entries.
+    """
+    c = _generator_coefficients(params, n_max, (ts[:, None] + h * _STAGE_TIMES).reshape(-1))
+    c = c.reshape(ts.size, 4, -1)
+    c *= (h * _STAGE_SCALES)[:, None]
+    return c.reshape(ts.size, -1)
+
+
+def _interaction_rhs(params: SystemParams, n_max: int):
+    """RK4 step kernel step(row, y, out) for the frame-rotated amplitudes y = [A; B].
+
+    One store writes a row of _stage_coefficients into four preallocated
+    2d x 2d stage generators G1..G4; the stages are a1 = G1 y,
+    a2 = G2 (y + a1), a3 = G3 (y + a2), a4 = G4 (y + a3), and out receives
+    y + w . [a1; a2; a3; a4] (_RK4_WEIGHTS) and is returned.  out must not
+    alias y.  The layout depends on n_max alone; the name and the params
+    argument stay because the benchmark tracer (perfbench/spans.py) wraps
+    this factory by them and counts the kernel's calls.
     """
     d = n_max + 1
-    gen = np.zeros((2 * d, 2 * d), dtype=complex)
-    flat = gen.reshape(-1)
-    nz = _generator_pattern(d)
+    n = 2 * d
+    gens = np.zeros((4, n, n), dtype=complex)
+    gflat = gens.reshape(-1)
+    gidx = (_generator_pattern(d) + n * n * np.arange(4)[:, None]).reshape(-1)
+    g1, g2, g3, g4 = gens
+    stages = np.empty((4, n), dtype=complex)
+    a1, a2, a3, a4 = stages
+    v = np.empty(n, dtype=complex)
 
-    def f(coef: np.ndarray, y: np.ndarray, out: np.ndarray) -> np.ndarray:
-        flat[nz] = coef
-        return np.matmul(gen, y, out=out)
+    # np.dot(..., out=) is the cheapest 2d x 2d product call (np.matmul costs
+    # about 30% more at 2d = 46, where every call is overhead-bound)
+    def step(row: np.ndarray, y: np.ndarray, out: np.ndarray) -> np.ndarray:
+        gflat[gidx] = row
+        np.dot(g1, y, out=a1)
+        np.add(y, a1, out=v)
+        np.dot(g2, v, out=a2)
+        np.add(y, a2, out=v)
+        np.dot(g3, v, out=a3)
+        np.add(y, a3, out=v)
+        np.dot(g4, v, out=a4)
+        np.dot(_RK4_WEIGHTS, stages, out=out)
+        out += y
+        return out
 
-    return f
+    return step
 
 
 def _segment_steps(dt_target: float, t0: float, t1: float) -> tuple[int, float]:
@@ -213,7 +259,11 @@ def _segment_steps(dt_target: float, t0: float, t1: float) -> tuple[int, float]:
 
 
 def observables(state: SinglePhotonState) -> dict:
-    """Photon populations, dimensionless displacement <x>/x0 and phonon number."""
+    """Photon populations, dimensionless displacement <x>/x0 and phonon number.
+
+    The reference for the record columns, which evolve_closed reads off the
+    interaction-frame vector without building the lab-frame state.
+    """
     a, b = state.a, state.b
     s = np.sqrt(np.arange(1.0, a.size))
     x = 2.0 * np.sum(s * (np.conj(a[:-1]) * a[1:] + np.conj(b[:-1]) * b[1:])).real
@@ -226,17 +276,35 @@ def observables(state: SinglePhotonState) -> dict:
     }
 
 
+def _target_vectors(
+    params: SystemParams, d: DerivedModulation, t: float, n_max: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Fock vectors of the cat-state targets phi_L, phi_R at time t."""
+    phi_l, phi_r = target_states(params, d, t)
+    return phi_l.fock_vector(n_max), phi_r.fock_vector(n_max)
+
+
+def _total_fidelity(state: SinglePhotonState, vl: np.ndarray, vr: np.ndarray) -> float:
+    amp = (np.vdot(state.a, vl) + np.vdot(state.b, vr)) / math.sqrt(2.0)
+    return float(abs(amp) ** 2)
+
+
+def _conditional_fidelities(
+    state: SinglePhotonState, vl: np.ndarray, vr: np.ndarray
+) -> tuple[float, float]:
+    psi_l, _, psi_r, _ = conditional_states(state)
+    f_l = abs(np.vdot(psi_l, vl)) ** 2 if psi_l is not None else math.nan
+    f_r = abs(np.vdot(psi_r, vr)) ** 2 if psi_r is not None else math.nan
+    return float(f_l), float(f_r)
+
+
 def fidelity_total(state: SinglePhotonState, params: SystemParams, d: DerivedModulation) -> float:
     """Overlap fidelity |<Psi(t)|psi_RWA(t)>|^2 against the analytic entangled state.
 
     Defined for the Bell-photon initial condition, for which the analytic
     state is (1/sqrt2)[|10> phi_L + |01> phi_R] up to a global phase.
     """
-    phi_l, phi_r = target_states(params, d, state.t)
-    vl = phi_l.fock_vector(state.n_max)
-    vr = phi_r.fock_vector(state.n_max)
-    amp = (np.vdot(state.a, vl) + np.vdot(state.b, vr)) / math.sqrt(2.0)
-    return float(abs(amp) ** 2)
+    return _total_fidelity(state, *_target_vectors(params, d, state.t, state.n_max))
 
 
 def conditional_states(state: SinglePhotonState, p_floor: float = 1e-12):
@@ -252,11 +320,7 @@ def fidelity_conditional(
     state: SinglePhotonState, params: SystemParams, d: DerivedModulation
 ) -> tuple[float, float]:
     """Fidelities of the collapsed states against the cat-state targets."""
-    phi_l, phi_r = target_states(params, d, state.t)
-    psi_l, p_l, psi_r, p_r = conditional_states(state)
-    f_l = abs(np.vdot(psi_l, phi_l.fock_vector(state.n_max))) ** 2 if psi_l is not None else math.nan
-    f_r = abs(np.vdot(psi_r, phi_r.fock_vector(state.n_max))) ** 2 if psi_r is not None else math.nan
-    return float(f_l), float(f_r)
+    return _conditional_fidelities(state, *_target_vectors(params, d, state.t, state.n_max))
 
 
 @dataclass
@@ -294,8 +358,15 @@ def evolve_closed(
 
     d = derive(params)
     n_max = initial.n_max
-    rhs = _interaction_rhs(params, n_max)
+    step = _interaction_rhs(params, n_max)
     m = np.arange(n_max + 1)
+    # record weights on p = |y|^2 and on the products conj(y_k) y_{k+1}; the
+    # frame phases e^{-i m omega_m t} drop out of |y|^2 and leave one global
+    # phase e^{-i omega_m t} on the ladder products (none across A_{n_max}, B_0)
+    n_weight = np.concatenate([m, m]).astype(float)
+    top = np.array([n_max - 1, n_max, 2 * n_max, 2 * n_max + 1])
+    sq = np.sqrt(np.arange(1.0, n_max + 1))
+    x_weight = np.concatenate([sq, [0.0], sq])
 
     record = TrajectoryRecord(CLOSED_COLUMNS)
     drift_max = 0.0
@@ -303,16 +374,18 @@ def evolve_closed(
     marked = None
     states: list[SinglePhotonState] = []
 
-    def lab_state(t, a, b) -> SinglePhotonState:
+    def lab_state(t, y) -> SinglePhotonState:
         ph = np.exp(-1j * m * params.omega_m * t)
-        return SinglePhotonState(a * ph, b * ph, t)
+        return SinglePhotonState(y[: n_max + 1] * ph, y[n_max + 1 :] * ph, t)
 
-    def emit(t, a, b):
+    def emit(t, y):
         nonlocal drift_max, tail_max, marked
-        st = lab_state(t, a, b)
-        drift = abs(st.norm_sq() - norm0)
+        p = np.abs(y) ** 2
+        n_l = float(p[: n_max + 1].sum())
+        n_r = float(p[n_max + 1 :].sum())
+        drift = abs(n_l + n_r - norm0)
         drift_max = max(drift_max, drift)
-        tail = st.tail_population()
+        tail = float(p[top].sum())
         tail_max = max(tail_max, tail)
         if drift > NORM_ABORT:
             raise SolverAbort(
@@ -322,63 +395,44 @@ def evolve_closed(
         if tail > TAIL_ABORT:
             raise SolverAbort(
                 f"phonon tail population {tail:.3e} at t={t:g}; increase n_max "
-                f"(current {st.n_max})"
+                f"(current {n_max})"
             )
-        obs = observables(st)
-        row = dict(t=t, **obs, P_L=obs["nL"], P_R=obs["nR"])
-        if compute_fidelities:
-            row["F"] = fidelity_total(st, params, d)
-            f_l, f_r = fidelity_conditional(st, params, d)
-            row["F_L"], row["F_R"] = f_l, f_r
+        x = 2.0 * (np.vdot(y[:-1] * x_weight, y[1:]) * cmath.exp(-1j * params.omega_m * t)).real
+        row = dict(t=t, nL=n_l, nR=n_r, x_over_x0=x, nb=float(n_weight @ p), P_L=n_l, P_R=n_r)
+        is_mark = cfg.t_mark is not None and abs(t - cfg.t_mark) < 1e-12
+        if compute_fidelities or keep_states or is_mark:
+            st = lab_state(t, y)
+            if compute_fidelities:
+                vl, vr = _target_vectors(params, d, t, n_max)
+                row["F"] = _total_fidelity(st, vl, vr)
+                row["F_L"], row["F_R"] = _conditional_fidelities(st, vl, vr)
+            if keep_states:
+                states.append(st)
+            if is_mark:
+                marked = st
         record.append(**row)
-        if keep_states:
-            states.append(st)
-        if cfg.t_mark is not None and abs(t - cfg.t_mark) < 1e-12:
-            marked = st
-        return st
 
     y = np.concatenate([initial.a, initial.b])
-    a, b = y[: n_max + 1], y[n_max + 1 :]  # views of the live state
-    t = 0.0
-    emit(t, a, b)
+    y_next = np.empty_like(y)
+    emit(0.0, y)
 
     bounds = [0.0]
     if cfg.t_mark is not None and cfg.t_mark < cfg.t_end:
         bounds.append(cfg.t_mark)
     bounds.append(cfg.t_end)
 
-    # Every BLAS call stays a single 2d x 2d matrix-vector product: OpenBLAS
-    # runs larger products on all cores for no wall-time gain at this size.
-    k1, k2, k3, k4, v = (np.empty_like(y) for _ in range(5))
+    # No BLAS call is larger than one 2d x 2d product: OpenBLAS runs larger
+    # products on all cores for no wall-time gain at this size.
     for t0, t1 in zip(bounds[:-1], bounds[1:]):
         n_steps, dt = _segment_steps(cfg.dt, t0, t1)
         for c0 in range(0, n_steps, _CHUNK):
             ts = t0 + np.arange(c0, min(c0 + _CHUNK, n_steps)) * dt
-            stage_t = np.stack([ts, ts + dt / 2, ts + dt], axis=1).reshape(-1)
-            coef = _generator_coefficients(params, n_max, stage_t).reshape(ts.size, 3, -1)
-            for i, (c_start, c_mid, c_end) in enumerate(coef, start=c0):
-                rhs(c_start, y, k1)
-                np.multiply(k1, dt / 2, out=v)
-                v += y
-                rhs(c_mid, v, k2)
-                np.multiply(k2, dt / 2, out=v)
-                v += y
-                rhs(c_mid, v, k3)
-                np.multiply(k3, dt, out=v)
-                v += y
-                rhs(c_end, v, k4)
-                # y += dt/6 (k1 + 2 k2 + 2 k3 + k4)
-                k2 += k3
-                k2 *= 2
-                k1 += k2
-                k1 += k4
-                k1 *= dt / 6
-                y += k1
-                t = t0 + (i + 1) * dt if i + 1 < n_steps else t1
+            for i, coef in enumerate(_stage_coefficients(params, n_max, ts, dt), start=c0):
+                y, y_next = step(coef, y, y_next), y
                 if (i + 1) % cfg.record_stride == 0 or i + 1 == n_steps:
-                    emit(t, a, b)
+                    emit(t0 + (i + 1) * dt if i + 1 < n_steps else t1, y)
 
-    final = lab_state(cfg.t_end, a, b)
+    final = lab_state(cfg.t_end, y)
     if cfg.t_mark is not None and cfg.t_mark == cfg.t_end:
         marked = final
     return ClosedRun(

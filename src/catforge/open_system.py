@@ -271,8 +271,6 @@ class OpenRun:
     marked: SystemDensityMatrix | None
     trace_err_max: float
     min_eig_min: float
-    herm_err_max: float
-    cross_coherence_max: float
     tail_max: float
 
 
@@ -338,8 +336,6 @@ def evolve_open(
     marked = None
     trace_max = 0.0
     eig_min = math.inf
-    herm_max = 0.0
-    cross_max = 0.0
     tail_max = 0.0
 
     def lab_state(t: float, y: np.ndarray) -> SystemDensityMatrix:
@@ -350,7 +346,7 @@ def evolve_open(
         return SystemDensityMatrix(rho, t)
 
     def emit(t: float, y: np.ndarray):
-        nonlocal marked, trace_max, eig_min, herm_max, cross_max, tail_max
+        nonlocal marked, trace_max, eig_min, tail_max
         st = lab_state(t, y)
         tr_err = st.trace_error()
         mineig = st.min_eigenvalue()
@@ -360,8 +356,6 @@ def evolve_open(
         tail = float(np.sum(diag.reshape(3, dsz)[:, -2:]))
         trace_max = max(trace_max, tr_err)
         eig_min = min(eig_min, mineig)
-        herm_max = max(herm_max, st.hermiticity_error())
-        cross_max = max(cross_max, st.cross_sector_coherence())
         tail_max = max(tail_max, tail)
         if tr_err > TRACE_ABORT:
             raise SolverAbort(
@@ -444,8 +438,6 @@ def evolve_open(
         marked=marked,
         trace_err_max=trace_max,
         min_eig_min=eig_min,
-        herm_err_max=herm_max,
-        cross_coherence_max=cross_max,
         tail_max=tail_max,
     )
 

@@ -43,17 +43,23 @@ def test_rhs_closed_matches_amplitude_equations():
         assert abs(db[m] - ref_b) < 1e-13
 
 
+def generator_matrix(params, n_max, t):
+    # the explicit 2d x 2d interaction-frame generator acting on [A; B]
+    d = n_max + 1
+    gen = np.zeros((2 * d, 2 * d), complex)
+    gen.flat[closed._generator_pattern(d)] = closed._generator_coefficients(params, n_max, np.array([t]))[0]
+    return gen
+
+
 def test_interaction_frame_consistency():
-    # the frame-rotated rhs must reproduce the lab-frame rhs exactly
+    # the frame-rotated generator must reproduce the lab-frame rhs exactly
     rng = np.random.default_rng(5)
     n_max = 8
     params = model.SystemParams(omega_m=20.0, xi=XI, omega_0=9.878)
     at = rng.normal(size=n_max + 1) + 1j * rng.normal(size=n_max + 1)
     bt = rng.normal(size=n_max + 1) + 1j * rng.normal(size=n_max + 1)
     t = 1.37
-    f = closed._interaction_rhs(params, n_max)
-    coef = closed._generator_coefficients(params, n_max, np.array([t]))[0]
-    k = f(coef, np.concatenate([at, bt]), np.empty(2 * (n_max + 1), complex))
+    k = generator_matrix(params, n_max, t) @ np.concatenate([at, bt])
     da_t, db_t = k[: n_max + 1], k[n_max + 1 :]
     m = np.arange(n_max + 1)
     ph = np.exp(-1j * m * params.omega_m * t)
@@ -62,6 +68,68 @@ def test_interaction_frame_consistency():
     # d/dt (ph * at) = ph * d(at)/dt - i m omega_m * (ph * at)
     assert np.max(np.abs((ph * da_t - 1j * m * params.omega_m * lab.a) - da_lab)) < 1e-12
     assert np.max(np.abs((ph * db_t - 1j * m * params.omega_m * lab.b) - db_lab)) < 1e-12
+
+
+def test_step_kernel_matches_textbook_rk4():
+    # one kernel call on a row of the chunked stage table against four explicit stages
+    rng = np.random.default_rng(7)
+    n_max = 10
+    params = model.SystemParams(omega_m=20.0, xi=XI, omega_0=9.878)
+    t0, h = 0.29, closed.default_dt(params)
+    step = closed._interaction_rhs(params, n_max)
+    y = rng.normal(size=2 * (n_max + 1)) + 1j * rng.normal(size=2 * (n_max + 1))
+    y /= np.linalg.norm(y)
+
+    def f(s, v):
+        return generator_matrix(params, n_max, s) @ v
+
+    # a chunk-interior step, the last step of the first chunk and the first of the second
+    for i in (37, closed._CHUNK - 1, closed._CHUNK):
+        c0 = i - i % closed._CHUNK
+        ts = t0 + np.arange(c0, c0 + closed._CHUNK) * h
+        row = closed._stage_coefficients(params, n_max, ts, h)[i - c0]
+        t = t0 + i * h
+        k1 = f(t, y)
+        k2 = f(t + h / 2, y + h / 2 * k1)
+        k3 = f(t + h / 2, y + h / 2 * k2)
+        k4 = f(t + h, y + h * k3)
+        ref = y + h / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
+        y_in = y.copy()
+        out = step(row, y, np.empty_like(y))
+        assert np.array_equal(y, y_in)
+        assert np.max(np.abs(out - ref)) < 1e-14
+
+
+def test_records_match_observables():
+    # the records read off the interaction-frame vector against the lab-frame state
+    rng = np.random.default_rng(13)
+    n_max = 14
+    m = np.arange(n_max + 1)
+    amp = (rng.normal(size=(2, n_max + 1)) + 1j * rng.normal(size=(2, n_max + 1))) * 0.3**m
+    amp /= np.linalg.norm(amp)
+    start = closed.SinglePhotonState(amp[0], amp[1], 0.0)
+    params = fig2_params(gamma_c=0.0, gamma_m=0.0, n_th=0.0, omega_c=3.1)
+    d = model.derive(params)
+    t_end = rng.uniform(0.5, 1.0)
+    cfg = SolverConfig(
+        dt=closed.default_dt(params), t_end=t_end, record_stride=7, t_mark=rng.uniform(0.1, 0.4)
+    )
+    run = closed.evolve_closed(start, params, cfg, compute_fidelities=True, keep_states=True)
+    assert len(run.states) == len(run.record) > 10
+    assert run.marked.t == cfg.t_mark and run.final.t == t_end
+    cols = {c: run.record.column(c) for c in closed.CLOSED_COLUMNS}
+    for i, st in enumerate(run.states):
+        obs = closed.observables(st)
+        f_l, f_r = closed.fidelity_conditional(st, params, d)
+        expect = dict(
+            t=st.t, **obs, P_L=obs["nL"], P_R=obs["nR"],
+            F=closed.fidelity_total(st, params, d), F_L=f_l, F_R=f_r,
+        )
+        for name, value in expect.items():
+            assert abs(cols[name][i] - value) < 1e-14, name
+    assert run.tail_max > 0
+    assert abs(run.norm_drift - max(abs(st.norm_sq() - start.norm_sq()) for st in run.states)) < 1e-14
+    assert abs(run.tail_max - max(st.tail_population() for st in run.states)) < 1e-14
 
 
 def test_closed_matches_solve_ivp():

@@ -319,8 +319,11 @@ def test_probability_monotonicity(fig2_run):
 def test_fig2_conservation(fig2_run):
     assert fig2_run.trace_err_max < 1e-8
     assert fig2_run.min_eig_min > -1e-8
-    assert fig2_run.herm_err_max < 1e-10
-    assert fig2_run.cross_coherence_max < 1e-12
+    # the evolved blocks carry no one-photon/vacuum coherence and stay Hermitian
+    # up to the rounding of the lab-frame phases
+    for st in (fig2_run.final, fig2_run.marked):
+        assert st.live_blocks() is not None
+        assert st.hermiticity_error() <= 1e-15
     assert fig2_run.tail_max < closed.TAIL_ABORT
 
 
