@@ -1,11 +1,13 @@
 """Command-line driver: parse run configurations, dispatch solver and
 tomography jobs, and write deterministic CSV/JSON outputs.
 
-Configs are flat key-value text documents (``key = value``, ``#`` comments).
-All internal computation is in units of g0; physical-unit configs
-(``units = physical``) are normalized at parse time.  Named presets bundle
+Configs are flat key-value text documents (``key = value``, ``#`` comments)
+whose keys are the fields of ``RunConfig``.  All internal computation is in
+units of g0; physical-unit configs (``units = physical``) are normalized at
+parse time.  Named presets bundle
 the figure-reproduction parameter sets; explicit keys override preset values
-and the override is logged and recorded in the manifest.
+and the override is logged and recorded in the manifest.  Every manifest
+carries the full ``RunConfig`` it ran, which ``config_from_manifest`` rebuilds.
 
 Exit codes: 0 success, 2 config error, 3 solver invariant abort.
 """
@@ -20,7 +22,7 @@ import math
 import os
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import MISSING, asdict, dataclass, field
 
 import numpy as np
 
@@ -107,41 +109,6 @@ def _as_initial(key, v):
 def _as_str(key, v):
     return str(v)
 
-
-KNOWN_KEYS = {
-    "mode": _as_choice(MODES),
-    "preset": _as_str,
-    "out": _as_str,
-    "units": _as_choice(("g0", "physical")),
-    "omega_c": _as_float,
-    "omega_m": _as_float,
-    "g0": _as_float,
-    "xi": _as_float,
-    "n0": _as_int,
-    "omega_0": _as_float,
-    "delta": _as_delta,
-    "gamma_c": _as_float,
-    "gamma_m": _as_float,
-    "n_th": _as_float,
-    "dt": _as_float,
-    "t_end": _as_t_end,
-    "record_stride": _as_int,
-    "n_max": _as_int,
-    "t_d": _as_float,
-    "initial": _as_initial,
-    "source": _as_choice(SOURCES),
-    "theta": _as_theta,
-    "grid_extent": _as_float,
-    "grid_step": _as_float,
-    "x_step": _as_float,
-    "sweep": _as_choice(SWEEPABLE),
-    "sweep_values": _as_float_list,
-    "xi_list": _as_float_list,
-    "delta_min": _as_float,
-    "delta_max": _as_float,
-    "delta_step": _as_float,
-    "workers": _as_int,
-}
 
 # Parameter sets for the bundled figure reproductions.  delta = "g" selects
 # the detuning equal to the effective coupling g0 J_{2 n0}(2 xi)/2; the
@@ -237,42 +204,60 @@ PRESETS = {
 }
 
 
+def _key(cast, default=None):
+    """A RunConfig field that is also the config key of its name, read by ``cast``."""
+    return field(default=default, metadata={"cast": cast})
+
+
 @dataclass(frozen=True)
 class RunConfig:
-    """Fully validated run description (rates already normalized to g0=1)."""
+    """Fully validated run description (rates already normalized to g0=1).
 
-    mode: str
-    omega_m: float | None = None
-    xi: float | None = None
-    omega_0: float | None = None
-    delta: float | str | None = None
-    g0: float = 1.0
-    omega_c: float = 0.0
-    n0: int = 1
-    gamma_c: float = 0.0
-    gamma_m: float = 0.0
-    n_th: float = 0.0
-    dt: float | None = None
-    t_end: float | str | None = None
-    record_stride: int | None = None
-    n_max: int | None = None
-    t_d: float | None = None
-    initial: str = "bell"
-    source: str = "open"
-    theta: float | str = "auto"
-    grid_extent: float = 4.5
-    grid_step: float = 0.05
-    x_step: float = 0.01
-    sweep_key: str | None = None
-    sweep_values: tuple[float, ...] | None = None
-    xi_list: tuple[float, ...] | None = None
-    delta_min: float | None = None
-    delta_max: float | None = None
-    delta_step: float | None = None
-    out_dir: str | None = None
-    preset: str | None = None
-    workers: int = 1
+    Every field but ``overrides`` is the config key of the same name, with its
+    caster and default; ``units`` is the one key read only at parse time.
+    """
+
+    mode: str = _key(_as_choice(MODES), MISSING)
+    omega_m: float | None = _key(_as_float)
+    xi: float | None = _key(_as_float)
+    omega_0: float | None = _key(_as_float)
+    delta: float | str | None = _key(_as_delta)
+    g0: float = _key(_as_float, 1.0)
+    omega_c: float = _key(_as_float, 0.0)
+    n0: int = _key(_as_int, 1)
+    gamma_c: float = _key(_as_float, 0.0)
+    gamma_m: float = _key(_as_float, 0.0)
+    n_th: float = _key(_as_float, 0.0)
+    dt: float | None = _key(_as_float)
+    t_end: float | str | None = _key(_as_t_end)
+    record_stride: int | None = _key(_as_int)
+    n_max: int | None = _key(_as_int)
+    t_d: float | None = _key(_as_float)
+    initial: str = _key(_as_initial, "bell")
+    source: str = _key(_as_choice(SOURCES), "open")
+    theta: float | str = _key(_as_theta, "auto")
+    grid_extent: float = _key(_as_float, 4.5)
+    grid_step: float = _key(_as_float, 0.05)
+    x_step: float = _key(_as_float, 0.01)
+    sweep: str | None = _key(_as_choice(SWEEPABLE))
+    sweep_values: tuple[float, ...] | None = _key(_as_float_list)
+    xi_list: tuple[float, ...] | None = _key(_as_float_list)
+    delta_min: float | None = _key(_as_float)
+    delta_max: float | None = _key(_as_float)
+    delta_step: float | None = _key(_as_float)
+    out: str | None = _key(_as_str)
+    preset: str | None = _key(_as_str)
+    workers: int = _key(_as_int, 1)
     overrides: dict = field(default_factory=dict)
+
+
+def _cast(key: str, val):
+    if key == "units":
+        return _as_choice(("g0", "physical"))(key, val)
+    f = RunConfig.__dataclass_fields__.get(key)
+    if f is None or "cast" not in f.metadata:
+        raise ConfigError(f"unknown key {key!r}")
+    return f.metadata["cast"](key, val)
 
 
 def _parse_document(text: str) -> dict:
@@ -285,11 +270,12 @@ def _parse_document(text: str) -> dict:
             raise ConfigError(f"line {lineno}: expected 'key = value', got {raw!r}")
         key, _, val = line.partition("=")
         key, val = key.strip(), val.strip()
-        if key not in KNOWN_KEYS:
-            raise ConfigError(f"line {lineno}: unknown key {key!r}")
         if key in values:
             raise ConfigError(f"line {lineno}: duplicate key {key!r}")
-        values[key] = KNOWN_KEYS[key](key, val)
+        try:
+            values[key] = _cast(key, val)
+        except ConfigError as exc:
+            raise ConfigError(f"line {lineno}: {exc}") from None
     return values
 
 
@@ -306,34 +292,23 @@ def parse_config(
     Precedence (lowest to highest): preset, document keys, --set overrides,
     explicit CLI mode/out/workers.  Unknown keys are errors.
     """
-    doc = _parse_document(text)
-    doc_preset = doc.pop("preset", None)
+    given = _parse_document(text)
+    doc_preset = given.pop("preset", None)
     if preset is None:
         preset = doc_preset
-    merged: dict = {}
     preset_vals: dict = {}
     if preset is not None:
         if preset not in PRESETS:
             raise ConfigError(f"unknown preset {preset!r} (have {sorted(PRESETS)})")
-        preset_vals = dict(PRESETS[preset])
-        merged.update(preset_vals)
-
-    logged_overrides = {}
-    for src in (doc, overrides or {}):
-        for key, val in src.items():
-            if key not in KNOWN_KEYS:
-                raise ConfigError(f"unknown key {key!r}")
-            val = KNOWN_KEYS[key](key, val)
-            if key in preset_vals and val != preset_vals[key]:
-                log.info("preset %s override: %s = %r (preset value %r)", preset, key, val, preset_vals[key])
-                logged_overrides[key] = val
-            merged[key] = val
-    if mode is not None:
-        merged["mode"] = _as_choice(MODES)("mode", mode)
-    if out is not None:
-        merged["out"] = out
-    if workers is not None:
-        merged["workers"] = workers
+        preset_vals = PRESETS[preset]
+    given.update((key, _cast(key, val)) for key, val in (overrides or {}).items())
+    logged_overrides = {k: v for k, v in given.items() if k in preset_vals and v != preset_vals[k]}
+    for key, val in logged_overrides.items():
+        log.info("preset %s override: %s = %r (preset value %r)", preset, key, val, preset_vals[key])
+    merged = {**preset_vals, **given}
+    for key, val in (("mode", mode), ("out", out), ("workers", workers)):
+        if val is not None:
+            merged[key] = _cast(key, val)
 
     if "mode" not in merged:
         raise ConfigError("missing required field: mode")
@@ -354,63 +329,37 @@ def parse_config(
         if isinstance(merged.get("t_end"), float):
             merged["t_end"] = merged["t_end"] * scale
         merged["g0"] = 1.0
+    merged["preset"] = preset
+    config = RunConfig(**merged, overrides=logged_overrides)
 
-    cfg_mode = merged["mode"]
-    required = []
-    if cfg_mode in ("closed", "open", "wigner", "quadrature", "detect-times"):
-        for key in ("omega_m", "xi"):
-            if key not in merged:
-                required.append(key)
-        if "omega_0" not in merged and "delta" not in merged:
+    members = _sweep_values(config)
+    if config.mode == "sweep":
+        needed = ("xi_list", "delta_min", "delta_max", "delta_step")
+        required = [k for k in needed if getattr(config, k) is None]
+    else:
+        required = [k for k in ("omega_m", "xi") if getattr(config, k) is None]
+        detuning_swept = members is not None and config.sweep in ("delta", "delta_over_g")
+        if config.omega_0 is None and config.delta is None and not detuning_swept:
             required.append("omega_0 (or delta)")
-        if cfg_mode in ("wigner", "quadrature") and "t_d" not in merged:
+        if config.mode in ("wigner", "quadrature") and config.t_d is None:
             required.append("t_d")
-    elif cfg_mode == "sweep":
-        for key in ("xi_list", "delta_min", "delta_max", "delta_step"):
-            if key not in merged:
-                required.append(key)
     if required:
-        raise ConfigError(f"missing required fields for mode={cfg_mode}: {', '.join(required)}")
-    if "omega_0" in merged and "delta" in merged:
+        raise ConfigError(f"missing required fields for mode={config.mode}: {', '.join(required)}")
+    if config.omega_0 is not None and config.delta is not None:
         raise ConfigError("give either omega_0 or delta, not both")
-
-    config = RunConfig(
-        mode=cfg_mode,
-        omega_m=merged.get("omega_m"),
-        xi=merged.get("xi"),
-        omega_0=merged.get("omega_0"),
-        delta=merged.get("delta"),
-        g0=merged.get("g0", 1.0),
-        omega_c=merged.get("omega_c", 0.0),
-        n0=merged.get("n0", 1),
-        gamma_c=merged.get("gamma_c", 0.0),
-        gamma_m=merged.get("gamma_m", 0.0),
-        n_th=merged.get("n_th", 0.0),
-        dt=merged.get("dt"),
-        t_end=merged.get("t_end"),
-        record_stride=merged.get("record_stride"),
-        n_max=merged.get("n_max"),
-        t_d=merged.get("t_d"),
-        initial=merged.get("initial", "bell"),
-        source=merged.get("source", "open"),
-        theta=merged.get("theta", "auto"),
-        grid_extent=merged.get("grid_extent", 4.5),
-        grid_step=merged.get("grid_step", 0.05),
-        x_step=merged.get("x_step", 0.01),
-        sweep_key=merged.get("sweep"),
-        sweep_values=merged.get("sweep_values"),
-        xi_list=merged.get("xi_list"),
-        delta_min=merged.get("delta_min"),
-        delta_max=merged.get("delta_max"),
-        delta_step=merged.get("delta_step"),
-        out_dir=merged.get("out"),
-        preset=preset,
-        workers=merged.get("workers", 1),
-        overrides=logged_overrides,
-    )
     if config.mode != "sweep":
-        _resolve(config)  # surface invariant violations (negative rates etc.) now
+        # surface invariant violations (negative rates etc.) now, at the first member of a sweep
+        _resolve(config, members[0] if members else None)
     return config
+
+
+def _sweep_values(config: RunConfig) -> tuple[float, ...] | None:
+    """The values a run fans out over, or None for a single job."""
+    if config.sweep is None or config.mode in ("sweep", "detect-times"):
+        return None
+    if not config.sweep_values:
+        raise ConfigError("sweep requires sweep_values")
+    return config.sweep_values
 
 
 @dataclass(frozen=True)
@@ -439,7 +388,7 @@ def _resolve(config: RunConfig, sweep_value: float | None = None) -> _Resolved:
     }
     delta_spec = config.delta
     if sweep_value is not None:
-        key = config.sweep_key
+        key = config.sweep
         if key == "delta":
             delta_spec = float(sweep_value)
         elif key == "delta_over_g":
@@ -540,12 +489,13 @@ def _manifest(path, doc: dict):
         fh.write("\n")
 
 
-def _base_manifest(config: RunConfig, res: _Resolved | None, mode: str) -> dict:
+def _base_manifest(config: RunConfig, res: _Resolved | None) -> dict:
     doc = {
         "catforge_version": __version__,
-        "mode": mode,
+        "mode": config.mode,
         "preset": config.preset,
         "overrides": dict(config.overrides),
+        "config": asdict(config),
     }
     if res is not None:
         doc["params"] = {
@@ -578,33 +528,24 @@ def _base_manifest(config: RunConfig, res: _Resolved | None, mode: str) -> dict:
     return doc
 
 
+def _tuples(v):
+    """JSON arrays back to the tuples a RunConfig holds, also inside overrides."""
+    if isinstance(v, list):
+        return tuple(v)
+    if isinstance(v, dict):
+        return {k: _tuples(x) for k, x in v.items()}
+    return v
+
+
 def config_from_manifest(path) -> RunConfig:
-    """Rebuild an equivalent RunConfig from a run manifest."""
+    """The RunConfig a manifest (or an abort's diagnostics.json) was written from.
+
+    A sweep member's manifest gives the whole sweep's config."""
     with open(path, encoding="ascii") as fh:
         doc = json.load(fh)
-    params = doc["params"]
-    solver = doc["solver"]
-    return RunConfig(
-        mode=doc["mode"],
-        omega_m=params["omega_m"],
-        xi=params["xi"],
-        omega_0=params["omega_0"],
-        g0=params["g0"],
-        omega_c=params["omega_c"],
-        n0=params["n0"],
-        gamma_c=params["gamma_c"],
-        gamma_m=params["gamma_m"],
-        n_th=params["n_th"],
-        dt=solver["dt"],
-        t_end=solver["t_end"],
-        record_stride=solver["record_stride"],
-        n_max=solver["n_max"],
-        t_d=doc.get("t_d", solver.get("t_mark")),
-        initial=doc.get("initial", "bell"),
-        source=doc.get("source", "open"),
-        theta=doc.get("theta", "auto"),
-        preset=doc.get("preset"),
-    )
+    if "config" not in doc:
+        raise ConfigError(f"{path}: no 'config' section (written before manifests carried their config)")
+    return RunConfig(**_tuples(doc["config"]))
 
 
 def _mechanical_states_at_td(config: RunConfig, res: _Resolved):
@@ -648,7 +589,7 @@ def _execute_single(config: RunConfig, out_dir: str, sweep_value: float | None =
             raise ConfigError(str(exc)) from None
         path = os.path.join(out_dir, "beta_max.csv")
         _write_csv(path, ("xi", "delta", "beta_max"), zip(*rows))
-        doc = _base_manifest(config, None, mode)
+        doc = _base_manifest(config, None)
         doc.update(
             xi_list=list(config.xi_list),
             delta_grid={"min": config.delta_min, "max": config.delta_max, "step": config.delta_step},
@@ -659,9 +600,9 @@ def _execute_single(config: RunConfig, out_dir: str, sweep_value: float | None =
         return doc
 
     res = _resolve(config, sweep_value)
-    doc = _base_manifest(config, res, mode)
+    doc = _base_manifest(config, res)
     if sweep_value is not None:
-        doc["sweep"] = {"key": config.sweep_key, "value": sweep_value}
+        doc["sweep"] = {"key": config.sweep, "value": sweep_value}
     outputs = []
 
     if mode == "detect-times":
@@ -756,19 +697,19 @@ def _sweep_label(key: str, value: float) -> str:
     return f"{key}={value:g}"
 
 
+def _out_root(config: RunConfig) -> str:
+    return config.out or os.environ.get(OUT_ENV) or DEFAULT_OUT
+
+
 def run(config: RunConfig) -> dict:
     """Execute a run configuration; returns the top-level manifest dict."""
-    out_root = config.out_dir or os.environ.get(OUT_ENV) or DEFAULT_OUT
-    if config.sweep_key is None or config.mode in ("sweep", "detect-times"):
+    out_root = _out_root(config)
+    values = _sweep_values(config)
+    if values is None:
         return _execute_single(config, out_root)
 
-    if not config.sweep_values:
-        raise ConfigError("sweep requires sweep_values")
     t_start = time.perf_counter()
-    jobs = [
-        (config, os.path.join(out_root, _sweep_label(config.sweep_key, v)), v)
-        for v in config.sweep_values
-    ]
+    jobs = [(config, os.path.join(out_root, _sweep_label(config.sweep, v)), v) for v in values]
     if config.workers > 1:
         with concurrent.futures.ProcessPoolExecutor(max_workers=config.workers) as pool:
             futures = [pool.submit(_execute_single, *job) for job in jobs]
@@ -776,14 +717,14 @@ def run(config: RunConfig) -> dict:
     else:
         docs = [_execute_single(*job) for job in jobs]
 
-    top = _base_manifest(config, None, config.mode)
-    top["sweep"] = {"key": config.sweep_key, "values": list(config.sweep_values)}
+    top = _base_manifest(config, None)
+    top["sweep"] = {"key": config.sweep, "values": list(values)}
     top["runs"] = [os.path.basename(j[1]) for j in jobs]
     if all("final" in d for d in docs):
-        columns = (config.sweep_key,) + tuple(docs[0]["final"].keys())
+        columns = (config.sweep,) + tuple(docs[0]["final"].keys())
         rows = [
             (v,) + tuple(d["final"][c] for c in columns[1:])
-            for v, d in zip(config.sweep_values, docs)
+            for v, d in zip(values, docs)
         ]
         _write_csv(os.path.join(out_root, "summary.csv"), columns, zip(*rows))
         top["outputs"] = ["summary.csv"]
@@ -825,10 +766,7 @@ def main(argv=None) -> int:
             if "=" not in item:
                 raise ConfigError(f"--set expects KEY=VALUE, got {item!r}")
             key, _, val = item.partition("=")
-            key = key.strip()
-            if key not in KNOWN_KEYS:
-                raise ConfigError(f"unknown key {key!r}")
-            overrides[key] = KNOWN_KEYS[key](key, val.strip())
+            overrides[key.strip()] = val.strip()
         config = parse_config(
             text,
             preset=args.preset,
@@ -844,11 +782,11 @@ def main(argv=None) -> int:
     try:
         run(config)
     except SolverAbort as exc:
-        out_root = config.out_dir or os.environ.get(OUT_ENV) or DEFAULT_OUT
+        out_root = _out_root(config)
         os.makedirs(out_root, exist_ok=True)
         _manifest(
             os.path.join(out_root, "diagnostics.json"),
-            {"error": str(exc), "mode": config.mode, "preset": config.preset},
+            {"error": str(exc), "mode": config.mode, "preset": config.preset, "config": asdict(config)},
         )
         print(f"catforge: solver abort: {exc}", file=sys.stderr)
         return 3

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 
@@ -215,6 +216,66 @@ def test_manifest_round_trip(tmp_path):
         assert key in manifest["params"]
 
 
+# per preset: settings that shorten the run, as --set strings; each differs
+# from its preset value, so it is logged in overrides
+SHORT_RUNS = {
+    "fig1a": {"delta_step": "0.05"},
+    "fig2": {"t_end": "0.2", "t_d": "0.1", "n_max": "6", "record_stride": "20"},
+    "fig2units": {"t_end": "6e-08", "t_d": "3e-08", "n_max": "6", "record_stride": "20"},
+    "fig3a": {"t_end": "0.2", "t_d": "0.1", "n_max": "6", "record_stride": "20", "sweep_values": "1e-4,1e-3"},
+    "fig3b": {"t_end": "0.2", "n_max": "6", "record_stride": "20", "sweep_values": "10"},
+    "figS1": {"t_end": "0.5", "n_max": "8", "record_stride": "20"},
+    "figS3": {"t_end": "0.3", "n_max": "8", "record_stride": "50", "sweep_values": "20,40"},
+    "figS4": {"t_end": "0.5", "n_max": "8", "record_stride": "20", "sweep_values": "0.5,1.0"},
+    "figS5": {"grid_extent": "1.0", "grid_step": "0.25"},
+}
+
+
+@pytest.mark.parametrize("preset", sorted(cli.PRESETS))
+def test_preset_config_round_trip(tmp_path, preset):
+    # run -> config_from_manifest -> rerun gives the same config and the same bytes
+    assert sorted(SHORT_RUNS) == sorted(cli.PRESETS)
+    mode = cli.PRESETS[preset]["mode"]
+    first, second = tmp_path / "first", tmp_path / "second"
+    argv = [mode, "--preset", preset, "--out", str(first)]
+    for key, val in SHORT_RUNS[preset].items():
+        argv += ["--set", f"{key}={val}"]
+    assert cli.main(argv) == 0
+    cfg = parse_config(preset=preset, mode=mode, overrides=SHORT_RUNS[preset], out=str(first))
+    assert cfg.overrides
+    back = cli.config_from_manifest(first / "manifest.json")
+    assert back == cfg
+    top = json.loads((first / "manifest.json").read_text())
+    for run_dir in top.get("runs", []):
+        # a member rebuilds the whole sweep
+        assert cli.config_from_manifest(first / run_dir / "manifest.json") == cfg
+
+    cli.run(dataclasses.replace(back, out=str(second)))
+    outputs = sorted(
+        p.relative_to(first).as_posix()
+        for p in first.rglob("*")
+        if p.suffix == ".csv" or p.name.startswith("snapshot_")
+    )
+    assert outputs
+    for name in outputs:
+        assert (first / name).read_bytes() == (second / name).read_bytes(), name
+
+
+def test_manifest_without_config_is_refused(tmp_path):
+    path = tmp_path / "manifest.json"
+    path.write_text(json.dumps({"mode": "open", "params": {}, "solver": {}}))
+    with pytest.raises(ConfigError, match="config"):
+        cli.config_from_manifest(path)
+
+
+def test_figS4_preset_runs(tmp_path):
+    # the delta_over_g sweep supplies the detuning; validation uses its first value
+    argv = ["closed", "--preset", "figS4", "--set", "sweep_values=0.5,1.0", "--set", "t_end=1"]
+    assert cli.main(argv + ["--out", str(tmp_path)]) == 0
+    for member in ("delta_over_g=0.5", "delta_over_g=1"):
+        assert (tmp_path / member / "trajectory.csv").exists()
+
+
 def test_sweep_summary_and_workers(tmp_path):
     cfg = parse_config(
         preset="fig3a",
@@ -256,7 +317,11 @@ def test_cli_exit_codes(tmp_path, monkeypatch):
         ["closed", "--preset", "fig2", "--set", "n_max=5", "--set", "t_end=4.0", "--set", "t_d=4.0"]
     )
     assert code == 3
-    assert (tmp_path / "env-out" / "diagnostics.json").exists()
+    # the abort's diagnostics rebuild the run that aborted
+    back = cli.config_from_manifest(tmp_path / "env-out" / "diagnostics.json")
+    assert back == parse_config(
+        preset="fig2", mode="closed", overrides={"n_max": "5", "t_end": "4.0", "t_d": "4.0"}
+    )
 
 
 def test_open_tail_guard_exit_3(tmp_path):
