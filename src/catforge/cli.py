@@ -290,18 +290,20 @@ def parse_config(
     """Merge preset defaults, a config document, and CLI overrides.
 
     Precedence (lowest to highest): preset, document keys, --set overrides,
-    explicit CLI mode/out/workers.  Unknown keys are errors.
+    explicit CLI mode/out/workers.  The preset argument names the preset,
+    else a ``preset`` key in the overrides, else one in the document.
+    Unknown keys are errors.
     """
     given = _parse_document(text)
-    doc_preset = given.pop("preset", None)
+    given.update((key, _cast(key, val)) for key, val in (overrides or {}).items())
+    given_preset = given.pop("preset", None)
     if preset is None:
-        preset = doc_preset
+        preset = given_preset
     preset_vals: dict = {}
     if preset is not None:
         if preset not in PRESETS:
             raise ConfigError(f"unknown preset {preset!r} (have {sorted(PRESETS)})")
         preset_vals = PRESETS[preset]
-    given.update((key, _cast(key, val)) for key, val in (overrides or {}).items())
     logged_overrides = {k: v for k, v in given.items() if k in preset_vals and v != preset_vals[k]}
     for key, val in logged_overrides.items():
         log.info("preset %s override: %s = %r (preset value %r)", preset, key, val, preset_vals[key])
@@ -323,6 +325,8 @@ def parse_config(
                 merged[key] = merged[key] / scale
         if isinstance(merged.get("delta"), float):
             merged["delta"] = merged["delta"] / scale
+        if merged.get("sweep") in ("gamma_c", "gamma_m", "omega_m", "delta") and "sweep_values" in merged:
+            merged["sweep_values"] = tuple(v / scale for v in merged["sweep_values"])
         for key in ("dt", "t_d"):
             if key in merged:
                 merged[key] = merged[key] * scale
@@ -333,19 +337,19 @@ def parse_config(
     config = RunConfig(**merged, overrides=logged_overrides)
 
     members = _sweep_values(config)
+    detuning_swept = members is not None and config.sweep in ("delta", "delta_over_g")
     if config.mode == "sweep":
         needed = ("xi_list", "delta_min", "delta_max", "delta_step")
         required = [k for k in needed if getattr(config, k) is None]
     else:
         required = [k for k in ("omega_m", "xi") if getattr(config, k) is None]
-        detuning_swept = members is not None and config.sweep in ("delta", "delta_over_g")
         if config.omega_0 is None and config.delta is None and not detuning_swept:
             required.append("omega_0 (or delta)")
         if config.mode in ("wigner", "quadrature") and config.t_d is None:
             required.append("t_d")
     if required:
         raise ConfigError(f"missing required fields for mode={config.mode}: {', '.join(required)}")
-    if config.omega_0 is not None and config.delta is not None:
+    if config.omega_0 is not None and (config.delta is not None or detuning_swept):
         raise ConfigError("give either omega_0 or delta, not both")
     if config.mode != "sweep":
         # surface invariant violations (negative rates etc.) now, at the first member of a sweep

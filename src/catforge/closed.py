@@ -48,6 +48,7 @@ __all__ = [
     "default_dt",
     "default_n_max",
     "initial_state",
+    "integrate",
     "evolve_closed",
     "observables",
     "fidelity_total",
@@ -258,6 +259,29 @@ def _segment_steps(dt_target: float, t0: float, t1: float) -> tuple[int, float]:
     return n, span / n
 
 
+def integrate(y: np.ndarray, cfg: SolverConfig, advance, emit) -> np.ndarray:
+    """Fixed-step driver over [0, cfg.t_end]; returns the last state.
+
+    The run is split at t_mark so a step lands on it.  advance(y, t0, dt, n)
+    is a generator yielding the state after each of a segment's n steps of
+    size dt from t0.  emit(t, y, is_mark) records the initial state, every
+    record_stride-th state of a segment and the segment's last, whose time is
+    the segment end itself; is_mark flags the record at t_mark.
+    """
+    emit(0.0, y, False)
+    bounds = [0.0]
+    if cfg.t_mark is not None and cfg.t_mark < cfg.t_end:
+        bounds.append(cfg.t_mark)
+    bounds.append(cfg.t_end)
+    for t0, t1 in zip(bounds[:-1], bounds[1:]):
+        n, dt = _segment_steps(cfg.dt, t0, t1)
+        for i, y in enumerate(advance(y, t0, dt, n), start=1):
+            if i % cfg.record_stride == 0 or i == n:
+                t = t0 + i * dt if i < n else t1
+                emit(t, y, cfg.t_mark is not None and abs(t - cfg.t_mark) < 1e-12)
+    return y
+
+
 def observables(state: SinglePhotonState) -> dict:
     """Photon populations, dimensionless displacement <x>/x0 and phonon number.
 
@@ -378,7 +402,7 @@ def evolve_closed(
         ph = np.exp(-1j * m * params.omega_m * t)
         return SinglePhotonState(y[: n_max + 1] * ph, y[n_max + 1 :] * ph, t)
 
-    def emit(t, y):
+    def emit(t, y, is_mark):
         nonlocal drift_max, tail_max, marked
         p = np.abs(y) ** 2
         n_l = float(p[: n_max + 1].sum())
@@ -399,7 +423,6 @@ def evolve_closed(
             )
         x = 2.0 * (np.vdot(y[:-1] * x_weight, y[1:]) * cmath.exp(-1j * params.omega_m * t)).real
         row = dict(t=t, nL=n_l, nR=n_r, x_over_x0=x, nb=float(n_weight @ p), P_L=n_l, P_R=n_r)
-        is_mark = cfg.t_mark is not None and abs(t - cfg.t_mark) < 1e-12
         if compute_fidelities or keep_states or is_mark:
             st = lab_state(t, y)
             if compute_fidelities:
@@ -412,32 +435,20 @@ def evolve_closed(
                 marked = st
         record.append(**row)
 
-    y = np.concatenate([initial.a, initial.b])
-    y_next = np.empty_like(y)
-    emit(0.0, y)
-
-    bounds = [0.0]
-    if cfg.t_mark is not None and cfg.t_mark < cfg.t_end:
-        bounds.append(cfg.t_mark)
-    bounds.append(cfg.t_end)
-
     # No BLAS call is larger than one 2d x 2d product: OpenBLAS runs larger
     # products on all cores for no wall-time gain at this size.
-    for t0, t1 in zip(bounds[:-1], bounds[1:]):
-        n_steps, dt = _segment_steps(cfg.dt, t0, t1)
-        for c0 in range(0, n_steps, _CHUNK):
-            ts = t0 + np.arange(c0, min(c0 + _CHUNK, n_steps)) * dt
-            for i, coef in enumerate(_stage_coefficients(params, n_max, ts, dt), start=c0):
+    def advance(y, t0, dt, n):
+        y_next = np.empty_like(y)
+        for c0 in range(0, n, _CHUNK):
+            ts = t0 + np.arange(c0, min(c0 + _CHUNK, n)) * dt
+            for coef in _stage_coefficients(params, n_max, ts, dt):
                 y, y_next = step(coef, y, y_next), y
-                if (i + 1) % cfg.record_stride == 0 or i + 1 == n_steps:
-                    emit(t0 + (i + 1) * dt if i + 1 < n_steps else t1, y)
+                yield y
 
-    final = lab_state(cfg.t_end, y)
-    if cfg.t_mark is not None and cfg.t_mark == cfg.t_end:
-        marked = final
+    y = integrate(np.concatenate([initial.a, initial.b]), cfg, advance, emit)
     return ClosedRun(
         record=record,
-        final=final,
+        final=lab_state(cfg.t_end, y),
         marked=marked,
         norm_drift=drift_max,
         tail_max=tail_max,

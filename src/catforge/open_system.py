@@ -27,7 +27,7 @@ from enum import Enum
 
 import numpy as np
 
-from .closed import TAIL_ABORT, SolverAbort, SolverConfig, _segment_steps
+from .closed import TAIL_ABORT, SolverAbort, SolverConfig, integrate
 from .model import DerivedModulation, SystemParams, derive, target_states
 from .trajectory import TrajectoryRecord
 
@@ -36,7 +36,6 @@ __all__ = [
     "SystemDensityMatrix",
     "OpenRun",
     "initial_density",
-    "rhs_lindblad",
     "evolve_open",
     "reduce_mechanical",
     "fidelity_open",
@@ -146,8 +145,9 @@ class _Generators:
     Hamiltonian products through sector swaps and ladder shifts on its
     (S, d, S, d) view, the phonon jumps through shifted contiguous slices of
     its flat form, which is several times faster than dense matrix products
-    or strided views at these dimensions.  rhs_lindblad applies the same
-    kernels to the full three-sector matrix; its equivalence with the
+    or strided views at these dimensions.  The test oracle rhs_lindblad
+    (tests/oracles.py) applies the same kernels, with the column-side
+    commutator, to the full three-sector matrix; its equivalence with the
     element-wise master equation is pinned by tests.
 
     For a Hermitian one-photon block rho every term of the generator is a
@@ -204,14 +204,6 @@ class _Generators:
         out[1, :-1] += zs[:, None, None] * r[1, 1:]  # radiation pressure on the R rows
         out[1, 1:] += zcs[:, None, None] * r[1, :-1]
 
-    def hamiltonian(self, t: float, z: complex, r: np.ndarray, out: np.ndarray):
-        """out += -i[H(t), r] on an (S, d, S, d) sector view (H as in left_product)."""
-        self.left_product(t, z, r, out)
-        a, zs, zcs = self.couplings(t, z)
-        out[:, :, :2] -= a * r[:, :, 1::-1]
-        out[:, :, 1, 1:] -= zs * r[:, :, 1, :-1]
-        out[:, :, 1, :-1] -= zcs * r[:, :, 1, 1:]
-
     def phonon_jumps(self, jumps: tuple[int, np.ndarray, np.ndarray], r: np.ndarray, out: np.ndarray):
         """out += gamma_m (n_th+1) b r b^dag + gamma_m n_th b^dag r b on a flat
         S-sector matrix, with jumps = jump_weights(S)."""
@@ -244,23 +236,6 @@ class _Generators:
         self.phonon_jumps(self.jumps_vac, vac, out_vac)
         self.photon_feed(one4, out_vac.reshape(d, d))
         return out
-
-
-def rhs_lindblad(rho: SystemDensityMatrix, params: SystemParams) -> np.ndarray:
-    """Lab-frame time derivative of the full density matrix at rho.t."""
-    gen = _Generators(params, rho.n_max)
-    d = gen.d
-    chi = (1.0, 1.0, 0.0)
-    energy = params.omega_c * np.repeat(chi, d) + params.omega_m * np.tile(np.arange(d), 3)
-    free_phase = 1j * (energy[None, :] - energy[:, None])
-    r = np.ascontiguousarray(rho.rho)
-    out = (_damping(params, d, chi) + free_phase) * r
-    r4 = r.reshape(3, d, 3, d)
-    out4 = out.reshape(3, d, 3, d)
-    gen.hamiltonian(rho.t, -params.g0, r4, out4)
-    gen.phonon_jumps(gen.jump_weights(3), r.ravel(), out.ravel())
-    gen.photon_feed(r4, out4[2, :, 2])
-    return out
 
 
 @dataclass
@@ -345,7 +320,7 @@ def evolve_open(
         rho[k:, k:] = ph[k:, None] * y[k * k :].reshape(dim - k, dim - k) * ph[k:].conj()[None, :]
         return SystemDensityMatrix(rho, t)
 
-    def emit(t: float, y: np.ndarray):
+    def emit(t: float, y: np.ndarray, is_mark: bool):
         nonlocal marked, trace_max, eig_min, tail_max
         st = lab_state(t, y)
         tr_err = st.trace_error()
@@ -389,23 +364,12 @@ def evolve_open(
         record.append(**row)
         if keep_snapshots:
             snapshots.append(st)
-        if cfg.t_mark is not None and abs(t - cfg.t_mark) < 1e-12:
+        if is_mark:
             marked = st
-        return st
 
-    # apply's one-photon block Z + Z^H is the generator only on Hermitian input
-    y = np.concatenate([(0.5 * (b + b.conj().T)).ravel() for b in blocks])
-    emit(0.0, y)
-
-    bounds = [0.0]
-    if cfg.t_mark is not None and cfg.t_mark < cfg.t_end:
-        bounds.append(cfg.t_mark)
-    bounds.append(cfg.t_end)
-
-    k1, k2, k3, k4, v = (np.empty_like(y) for _ in range(5))
-    for t0, t1 in zip(bounds[:-1], bounds[1:]):
-        n_steps, dt = _segment_steps(cfg.dt, t0, t1)
-        for i in range(n_steps):
+    def advance(y, t0, dt, n):
+        k1, k2, k3, k4, v = (np.empty_like(y) for _ in range(5))
+        for i in range(n):
             t = t0 + i * dt
             gen.apply(t, y, k1)
             np.multiply(k1, dt / 2, out=v)
@@ -424,17 +388,15 @@ def evolve_open(
             k1 += k4
             k1 *= dt / 6
             y += k1
-            t = t0 + (i + 1) * dt if i + 1 < n_steps else t1
-            if (i + 1) % cfg.record_stride == 0 or i + 1 == n_steps:
-                emit(t, y)
+            yield y
 
-    final = lab_state(cfg.t_end, y)
-    if cfg.t_mark is not None and cfg.t_mark == cfg.t_end:
-        marked = final
+    # apply's one-photon block Z + Z^H is the generator only on Hermitian input
+    y = np.concatenate([(0.5 * (b + b.conj().T)).ravel() for b in blocks])
+    y = integrate(y, cfg, advance, emit)
     return OpenRun(
         record=record,
         snapshots=snapshots,
-        final=final,
+        final=lab_state(cfg.t_end, y),
         marked=marked,
         trace_err_max=trace_max,
         min_eig_min=eig_min,

@@ -1,8 +1,10 @@
 """Independent reference implementations that only the tests use.
 
-Element-by-element displacement-operator formula, ladder matrices and the
-lab-frame amplitude equations of the closed problem; the library's
-vectorized and interaction-frame routines are checked against these.
+Element-by-element displacement-operator formula, ladder matrices, the
+lab-frame amplitude equations of the closed problem and the lab-frame
+Lindblad generator on the full three-sector density matrix; the library's
+vectorized, interaction-frame and live-block routines are checked against
+these.
 """
 
 from __future__ import annotations
@@ -14,6 +16,7 @@ import numpy as np
 from catforge.closed import SinglePhotonState
 from catforge.fock import _check_cutoff
 from catforge.model import SystemParams
+from catforge.open_system import SystemDensityMatrix, _damping, _Generators
 
 
 def destroy(n_max: int) -> np.ndarray:
@@ -79,3 +82,29 @@ def rhs_closed(state: SinglePhotonState, params: SystemParams) -> tuple[np.ndarr
     rp[1:] += s * b[:-1]  # sqrt(m)   B_{m-1}
     db += 1j * params.g0 * rp
     return da, db
+
+
+def hamiltonian(gen: _Generators, t: float, z: complex, r: np.ndarray, out: np.ndarray):
+    """out += -i[H(t), r] on an (S, d, S, d) sector view (H as in gen.left_product)."""
+    gen.left_product(t, z, r, out)
+    a, zs, zcs = gen.couplings(t, z)
+    out[:, :, :2] -= a * r[:, :, 1::-1]
+    out[:, :, 1, 1:] -= zs * r[:, :, 1, :-1]
+    out[:, :, 1, :-1] -= zcs * r[:, :, 1, 1:]
+
+
+def rhs_lindblad(rho: SystemDensityMatrix, params: SystemParams) -> np.ndarray:
+    """Lab-frame time derivative of the full density matrix at rho.t."""
+    gen = _Generators(params, rho.n_max)
+    d = gen.d
+    chi = (1.0, 1.0, 0.0)
+    energy = params.omega_c * np.repeat(chi, d) + params.omega_m * np.tile(np.arange(d), 3)
+    free_phase = 1j * (energy[None, :] - energy[:, None])
+    r = np.ascontiguousarray(rho.rho)
+    out = (_damping(params, d, chi) + free_phase) * r
+    r4 = r.reshape(3, d, 3, d)
+    out4 = out.reshape(3, d, 3, d)
+    hamiltonian(gen, rho.t, -params.g0, r4, out4)
+    gen.phonon_jumps(gen.jump_weights(3), r.ravel(), out.ravel())
+    gen.photon_feed(r4, out4[2, :, 2])
+    return out

@@ -12,6 +12,7 @@ from catforge import open_system as osys
 from catforge.analysis import PhaseSpaceGrid, QuadratureAxis
 from catforge.closed import SolverConfig
 
+import oracles
 from conftest import T_D, XI, coupling_g, fig2_params
 
 TD = T_D[20.0]
@@ -133,7 +134,7 @@ def test_criterion_6_oracle_equivalences(equivalence_runs):
 
     step_err = np.max(
         np.abs(
-            step(lambda r, tt: osys.rhs_lindblad(osys.SystemDensityMatrix(r, tt), small))
+            step(lambda r, tt: oracles.rhs_lindblad(osys.SystemDensityMatrix(r, tt), small))
             - step(lambda r, tt: element_equation_rhs(r, tt, small, 3))
         )
     )

@@ -72,6 +72,8 @@ def test_parse_errors():
         parse_config("mode = open\nomega_m = fast\n")
     with pytest.raises(ConfigError, match="not both"):
         parse_config("mode = open\nomega_m = 20\nxi = 1.5\nomega_0 = 9\ndelta = 0.2\n")
+    with pytest.raises(ConfigError, match="not both"):
+        parse_config(preset="figS4", overrides={"omega_0": "9.5"})
     with pytest.raises(ConfigError, match="non-negative"):
         parse_config("mode = open\nomega_m = 20\nxi = 1.5\ndelta = g\ngamma_c = -2\n")
     with pytest.raises(ConfigError, match="unknown preset"):
@@ -86,12 +88,28 @@ def test_typed_overrides_are_validated():
 
 def test_units_preset_matches_dimensionless_twin():
     a = cli._resolve(parse_config(preset="fig2"))
-    b = cli._resolve(parse_config(preset="fig2units"))
-    assert b.params.g0 == 1.0
-    for field_ in ("omega_c", "omega_m", "omega_0", "xi", "gamma_c", "gamma_m", "n_th"):
-        x, y = getattr(a.params, field_), getattr(b.params, field_)
-        assert abs(x - y) <= 1e-12 * max(1.0, abs(x)), field_
-    assert abs(a.t_mark - b.t_mark) <= 1e-12 * a.t_mark
+    # a swept rate is normalized like the rate it replaces: the member is fig2's gamma_m
+    swept = parse_config(preset="fig2units", overrides={"sweep": "gamma_m", "sweep_values": repr(2 * math.pi * 50.0)})
+    member = cli._resolve(swept, swept.sweep_values[0])
+    for b in (cli._resolve(parse_config(preset="fig2units")), member):
+        assert b.params.g0 == 1.0
+        for field_ in ("omega_c", "omega_m", "omega_0", "xi", "gamma_c", "gamma_m", "n_th"):
+            x, y = getattr(a.params, field_), getattr(b.params, field_)
+            assert abs(x - y) <= 1e-12 * max(1.0, abs(x)), field_
+        assert abs(a.t_mark - b.t_mark) <= 1e-12 * a.t_mark
+    assert abs(member.params.gamma_m - a.params.gamma_m) <= 1e-12 * a.params.gamma_m
+    # n_th has no unit
+    assert parse_config(preset="fig2units", overrides={"sweep": "n_th", "sweep_values": "5"}).sweep_values == (5.0,)
+
+
+def test_set_preset_selects_the_preset(tmp_path):
+    short = ["--set", "t_end=0.2", "--set", "t_d=0.1", "--set", "n_max=6", "--set", "record_stride=20"]
+    assert cli.main(["open", "--preset", "fig2", "--out", str(tmp_path / "flag")] + short) == 0
+    assert cli.main(["open", "--set", "preset=fig2", "--out", str(tmp_path / "set")] + short) == 0
+    names = sorted(p.name for p in (tmp_path / "flag").iterdir() if p.suffix == ".csv")
+    assert names
+    for name in names:
+        assert (tmp_path / "flag" / name).read_bytes() == (tmp_path / "set" / name).read_bytes(), name
 
 
 def test_scale_invariance_of_outputs(tmp_path):

