@@ -29,7 +29,7 @@ import numpy as np
 from . import __version__, analysis, closed, model, open_system
 from .closed import SolverAbort, SolverConfig
 from .model import SystemParams, derive
-from .trajectory import format_column
+from .trajectory import format_column, write_columns
 
 __all__ = ["ConfigError", "RunConfig", "parse_config", "config_from_manifest", "run", "main"]
 
@@ -81,22 +81,15 @@ def _as_float_list(key, v):
     return tuple(_as_float(key, p) for p in parts)
 
 
-def _as_delta(key, v):
-    if isinstance(v, str) and v.strip() == "g":
-        return "g"
-    return _as_float(key, v)
+def _as_float_or(*words):
+    """A caster that takes a number or one of the given words."""
 
+    def cast(key, v):
+        if isinstance(v, str) and v.strip() in words:
+            return v.strip()
+        return _as_float(key, v)
 
-def _as_t_end(key, v):
-    if isinstance(v, str) and v.strip() in ("pi/delta", "2pi/delta"):
-        return v.strip()
-    return _as_float(key, v)
-
-
-def _as_theta(key, v):
-    if isinstance(v, str) and v.strip() == "auto":
-        return "auto"
-    return _as_float(key, v)
+    return cast
 
 
 def _as_initial(key, v):
@@ -221,7 +214,7 @@ class RunConfig:
     omega_m: float | None = _key(_as_float)
     xi: float | None = _key(_as_float)
     omega_0: float | None = _key(_as_float)
-    delta: float | str | None = _key(_as_delta)
+    delta: float | str | None = _key(_as_float_or("g"))
     g0: float = _key(_as_float, 1.0)
     omega_c: float = _key(_as_float, 0.0)
     n0: int = _key(_as_int, 1)
@@ -229,13 +222,13 @@ class RunConfig:
     gamma_m: float = _key(_as_float, 0.0)
     n_th: float = _key(_as_float, 0.0)
     dt: float | None = _key(_as_float)
-    t_end: float | str | None = _key(_as_t_end)
+    t_end: float | str | None = _key(_as_float_or("pi/delta", "2pi/delta"))
     record_stride: int | None = _key(_as_int)
     n_max: int | None = _key(_as_int)
     t_d: float | None = _key(_as_float)
     initial: str = _key(_as_initial, "bell")
     source: str = _key(_as_choice(SOURCES), "open")
-    theta: float | str = _key(_as_theta, "auto")
+    theta: float | str = _key(_as_float_or("auto"), "auto")
     grid_extent: float = _key(_as_float, 4.5)
     grid_step: float = _key(_as_float, 0.05)
     x_step: float = _key(_as_float, 0.01)
@@ -477,16 +470,6 @@ def _load_initial_closed(kind: str, n_max: int) -> closed.SinglePhotonState:
     return closed.initial_state(kind, n_max)
 
 
-def _write_csv(path, header: tuple[str, ...], columns):
-    """A header line, then one line per row of the equal-length columns.
-
-    A column given as a list is taken as already formatted cells (str)."""
-    cells = [c if isinstance(c, list) else format_column(c) for c in columns]
-    lines = [",".join(header), *map(",".join, zip(*cells))]
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write("\n".join(lines) + "\n")
-
-
 def _manifest(path, doc: dict):
     with open(path, "w", encoding="ascii") as fh:
         json.dump(doc, fh, indent=2, sort_keys=True, default=float)
@@ -502,17 +485,7 @@ def _base_manifest(config: RunConfig, res: _Resolved | None) -> dict:
         "config": asdict(config),
     }
     if res is not None:
-        doc["params"] = {
-            "omega_c": res.params.omega_c,
-            "omega_m": res.params.omega_m,
-            "g0": res.params.g0,
-            "xi": res.params.xi,
-            "n0": res.params.n0,
-            "omega_0": res.params.omega_0,
-            "gamma_c": res.params.gamma_c,
-            "gamma_m": res.params.gamma_m,
-            "n_th": res.params.n_th,
-        }
+        doc["params"] = asdict(res.params)
         doc["derived"] = {
             "g": res.d.g,
             "delta": res.d.delta,
@@ -592,7 +565,7 @@ def _execute_single(config: RunConfig, out_dir: str, sweep_value: float | None =
         except ValueError as exc:
             raise ConfigError(str(exc)) from None
         path = os.path.join(out_dir, "beta_max.csv")
-        _write_csv(path, ("xi", "delta", "beta_max"), zip(*rows))
+        write_columns(path, ("xi", "delta", "beta_max"), zip(*rows))
         doc = _base_manifest(config, None)
         doc.update(
             xi_list=list(config.xi_list),
@@ -613,7 +586,7 @@ def _execute_single(config: RunConfig, out_dir: str, sweep_value: float | None =
         center = config.t_d if config.t_d is not None else math.pi / abs(res.d.delta)
         cands = analysis.detection_time_candidates(res.params, res.d, center)
         path = os.path.join(out_dir, "detection_times.csv")
-        _write_csv(path, ("t", "beta_abs"), zip(*cands))
+        write_columns(path, ("t", "beta_abs"), zip(*cands))
         outputs.append("detection_times.csv")
         doc["window_center"] = center
         doc["n_candidates"] = len(cands)
@@ -670,7 +643,7 @@ def _execute_single(config: RunConfig, out_dir: str, sweep_value: float | None =
                     else analysis.wigner_numeric(st, grid)
                 )
                 name = f"wigner_{tag}.csv"
-                _write_csv(os.path.join(out_dir, name), ("eta_re", "eta_im", "W"), (*eta_cells, w))
+                write_columns(os.path.join(out_dir, name), ("eta_re", "eta_im", "W"), (*eta_cells, w))
                 outputs.append(name)
                 doc[f"wigner_{tag}_integral"] = grid.integrate(w)
         else:
@@ -687,7 +660,7 @@ def _execute_single(config: RunConfig, out_dir: str, sweep_value: float | None =
                 # clamp tiny negative roundoff in emitted files only
                 emitted = np.where((p < 0) & (p > -1e-10), 0.0, p)
                 name = f"quadrature_{tag}.csv"
-                _write_csv(os.path.join(out_dir, name), ("x", "P"), (axis.x_values, emitted))
+                write_columns(os.path.join(out_dir, name), ("x", "P"), (axis.x_values, emitted))
                 outputs.append(name)
                 doc[f"quadrature_{tag}_integral"] = axis.integrate(p)
 
@@ -730,7 +703,7 @@ def run(config: RunConfig) -> dict:
             (v,) + tuple(d["final"][c] for c in columns[1:])
             for v, d in zip(values, docs)
         ]
-        _write_csv(os.path.join(out_root, "summary.csv"), columns, zip(*rows))
+        write_columns(os.path.join(out_root, "summary.csv"), columns, zip(*rows))
         top["outputs"] = ["summary.csv"]
     top["wall_time_s"] = time.perf_counter() - t_start
     top["members_wall_time_s"] = sum(d["wall_time_s"] for d in docs)

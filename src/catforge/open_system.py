@@ -11,8 +11,9 @@ truncated phonon ladder, and the master equation
 is applied through sector-block operators (photon loss maps the one-photon
 sectors into the vacuum sector).  Photon loss only feeds one-photon
 populations into the vacuum, so the one-photon/vacuum coherences start at
-zero and are never generated: the solver stores only the live blocks, the
-one-photon block {L,R}x{L,R} and the vacuum block VxV.  Propagation is
+zero and are never generated: a SystemDensityMatrix holds, and the solver
+evolves, only the one-photon block {L,R}x{L,R} and the vacuum block VxV, so
+such a coherence cannot be represented.  Propagation is
 fixed-step RK4 on the phonon-interaction-picture blocks, with the exact
 e^{-i omega_m (p-q) t} phases restored at record times; omega_c multiplies
 only the dropped coherences, so it does not enter the solver.
@@ -61,56 +62,71 @@ class PhotonSector(Enum):
 
 @dataclass
 class SystemDensityMatrix:
-    """Density matrix over {L,R,V} x phonon ladder, indexed sector-major."""
+    """Density matrix over {L,R,V} x phonon ladder with no one-photon/vacuum
+    coherence, held as its two diagonal blocks: the one-photon block
+    {L,R}x{L,R} (2d x 2d, sector-major) and the vacuum block VxV (d x d)."""
 
-    rho: np.ndarray
+    one: np.ndarray
+    vac: np.ndarray
     t: float = 0.0
 
     def __post_init__(self):
-        self.rho = np.asarray(self.rho, dtype=complex)
-        if self.rho.ndim != 2 or self.rho.shape[0] != self.rho.shape[1]:
-            raise ValueError("rho must be square")
-        if self.rho.shape[0] % 3:
-            raise ValueError("dimension must be 3*(n_max+1)")
+        self.one = np.asarray(self.one, dtype=complex)
+        self.vac = np.asarray(self.vac, dtype=complex)
+        d = self.vac.shape[0] if self.vac.ndim == 2 else -1
+        if self.vac.shape != (d, d) or self.one.shape != (2 * d, 2 * d):
+            raise ValueError("blocks must be 2d x 2d (one photon) and d x d (vacuum)")
+
+    @classmethod
+    def from_full(cls, rho, t: float = 0.0) -> SystemDensityMatrix:
+        """Split a sector-major 3d x 3d matrix; its one-photon/vacuum coherences must be zero."""
+        rho = np.asarray(rho, dtype=complex)
+        if rho.ndim != 2 or rho.shape[0] != rho.shape[1] or rho.shape[0] % 3:
+            raise ValueError("rho must be square, of dimension 3*(n_max+1)")
+        k = 2 * (rho.shape[0] // 3)
+        if np.any(rho[:k, k:]) or np.any(rho[k:, :k]):
+            raise ValueError("density matrix has a non-zero one-photon/vacuum coherence")
+        return cls(rho[:k, :k], rho[k:, k:], t)
+
+    @property
+    def rho(self) -> np.ndarray:
+        """The full sector-major 3d x 3d matrix, assembled anew on each access."""
+        zero = np.zeros((self.one.shape[0], self.vac.shape[0]))
+        return np.block([[self.one, zero], [zero.T, self.vac]])
 
     @property
     def n_max(self) -> int:
-        return self.rho.shape[0] // 3 - 1
+        return self.vac.shape[0] - 1
 
-    def block(self, row: PhotonSector, col: PhotonSector) -> np.ndarray:
+    def block(self, sector: PhotonSector) -> np.ndarray:
+        """The diagonal block of a sector."""
+        if sector is PhotonSector.V:
+            return self.vac
         d = self.n_max + 1
-        return self.rho[row.value * d : (row.value + 1) * d, col.value * d : (col.value + 1) * d]
+        rows = slice(sector.value * d, (sector.value + 1) * d)
+        return self.one[rows, rows]
+
+    def diagonal(self) -> np.ndarray:
+        """The diagonal of the full matrix: L, R, then V."""
+        return np.concatenate([np.diagonal(self.one), np.diagonal(self.vac)])
 
     def trace_error(self) -> float:
-        return float(abs(np.trace(self.rho).real - 1.0) + abs(np.trace(self.rho).imag))
+        tr = np.sum(self.diagonal())
+        return float(abs(tr.real - 1.0) + abs(tr.imag))
 
     def hermiticity_error(self) -> float:
-        return float(np.max(np.abs(self.rho - self.rho.conj().T)))
-
-    def live_blocks(self) -> tuple[np.ndarray, np.ndarray] | None:
-        """The one-photon block {L,R}x{L,R} and the vacuum block VxV, or None
-        when any one-photon/vacuum coherence is non-zero."""
-        k = 2 * (self.n_max + 1)
-        if np.any(self.rho[:k, k:]) or np.any(self.rho[k:, :k]):
-            return None
-        return self.rho[:k, :k], self.rho[k:, k:]
+        return float(max(np.max(np.abs(b - b.conj().T)) for b in (self.one, self.vac)))
 
     def min_eigenvalue(self) -> float:
         # a block-diagonal Hermitian matrix has the union of its blocks' spectra
-        blocks = self.live_blocks() or (self.rho,)
-        return float(min(np.linalg.eigvalsh(0.5 * (b + b.conj().T))[0] for b in blocks))
-
-    def cross_sector_coherence(self) -> float:
-        """Largest one-photon/vacuum coherence (exactly conserved at zero)."""
-        lv = np.max(np.abs(self.block(PhotonSector.L, PhotonSector.V)))
-        rv = np.max(np.abs(self.block(PhotonSector.R, PhotonSector.V)))
-        return float(max(lv, rv))
+        return float(min(np.linalg.eigvalsh(0.5 * (b + b.conj().T))[0] for b in (self.one, self.vac)))
 
 
 def initial_density(kind: str, n_max: int) -> SystemDensityMatrix:
     """Photon state 'left'/'right'/'bell'/'vacuum' with the phonon ground state."""
     d = n_max + 1
-    amp = np.zeros(3 * d, dtype=complex)
+    amp = np.zeros(2 * d, dtype=complex)
+    vac = np.zeros((d, d), dtype=complex)
     if kind == "left":
         amp[0] = 1.0
     elif kind == "right":
@@ -118,10 +134,10 @@ def initial_density(kind: str, n_max: int) -> SystemDensityMatrix:
     elif kind == "bell":
         amp[0] = amp[d] = 1.0 / math.sqrt(2.0)
     elif kind == "vacuum":
-        amp[2 * d] = 1.0
+        vac[0, 0] = 1.0
     else:
         raise ValueError(f"unknown initial state {kind!r}")
-    return SystemDensityMatrix(np.outer(amp, amp.conj()), 0.0)
+    return SystemDensityMatrix(np.outer(amp, amp.conj()), vac, 0.0)
 
 
 def _damping(params: SystemParams, d: int, chi: tuple[float, ...]) -> np.ndarray:
@@ -251,13 +267,13 @@ class OpenRun:
 
 def mean_phonon_number(rho: SystemDensityMatrix) -> float:
     d = rho.n_max + 1
-    diag = np.real(np.diagonal(rho.rho))
+    diag = np.real(rho.diagonal())
     return float(np.sum(np.tile(np.arange(d), 3) * diag))
 
 
 def reduce_mechanical(rho: SystemDensityMatrix, sector: PhotonSector) -> tuple[np.ndarray, float]:
     """Normalized reduced mechanical state and detection probability for a sector."""
-    blk = rho.block(sector, sector)
+    blk = rho.block(sector)
     p = float(np.trace(blk).real)
     if p < P_FLOOR:
         raise ValueError(f"sector {sector.name} probability {p:.3e} below {P_FLOOR:g}")
@@ -267,13 +283,17 @@ def reduce_mechanical(rho: SystemDensityMatrix, sector: PhotonSector) -> tuple[n
 def fidelity_open(
     rho: SystemDensityMatrix, params: SystemParams, d: DerivedModulation
 ) -> tuple[float, float]:
-    """Fidelities <phi_s|rho_M^(s)|phi_s> of the reduced states against the targets."""
-    phi_l, phi_r = target_states(params, d, rho.t)
+    """Fidelities <phi_s|rho_M^(s)|phi_s> of the reduced states against the
+    targets; NaN for a sector whose probability is at most P_FLOOR."""
     out = []
-    for sector, phi in ((PhotonSector.L, phi_l), (PhotonSector.R, phi_r)):
-        rho_m, _ = reduce_mechanical(rho, sector)
-        v = phi.fock_vector(rho.n_max)
-        out.append(float(np.real(np.vdot(v, rho_m @ v))))
+    for sector, phi in zip((PhotonSector.L, PhotonSector.R), target_states(params, d, rho.t)):
+        blk = rho.block(sector)
+        p = float(np.sum(np.diagonal(blk).real))
+        if p > P_FLOOR:
+            v = phi.fock_vector(rho.n_max)
+            out.append(float(np.real(np.vdot(v, blk @ v)) / p))
+        else:
+            out.append(math.nan)
     return out[0], out[1]
 
 
@@ -285,8 +305,7 @@ def evolve_open(
 ) -> OpenRun:
     """Propagate the master equation, recording probabilities and fidelities.
 
-    The initial density must have no one-photon/vacuum coherence: only the
-    one-photon and vacuum blocks are evolved, each replaced by its
+    The one-photon and vacuum blocks are evolved, each replaced by its
     Hermitian part.  Aborts when the trace drifts by more than 1e-6, an
     eigenvalue dips below -1e-6 or the top-two-level phonon population
     exceeds 1e-6 (all checked at record times; positivity is an O(dim^3)
@@ -297,15 +316,11 @@ def evolve_open(
         raise ValueError("initial density matrix must have unit trace")
     if initial.hermiticity_error() > 1e-10:
         raise ValueError("initial density matrix must be Hermitian")
-    blocks = initial.live_blocks()
-    if blocks is None:
-        raise ValueError("initial density matrix must have no one-photon/vacuum coherence")
 
     d = derive(params)
     gen = _Generators(params, initial.n_max)
-    dim = 3 * gen.d
     k = 2 * gen.d
-    n_ph = np.tile(np.arange(gen.d, dtype=float), 3)
+    n_ph = np.tile(np.arange(gen.d, dtype=float), 2)
     record = TrajectoryRecord(OPEN_COLUMNS)
     snapshots: list[SystemDensityMatrix] = []
     marked = None
@@ -315,17 +330,16 @@ def evolve_open(
 
     def lab_state(t: float, y: np.ndarray) -> SystemDensityMatrix:
         ph = np.exp(-1j * params.omega_m * t * n_ph)
-        rho = np.zeros((dim, dim), dtype=complex)
-        rho[:k, :k] = ph[:k, None] * y[: k * k].reshape(k, k) * ph[:k].conj()[None, :]
-        rho[k:, k:] = ph[k:, None] * y[k * k :].reshape(dim - k, dim - k) * ph[k:].conj()[None, :]
-        return SystemDensityMatrix(rho, t)
+        one = ph[:, None] * y[: k * k].reshape(k, k) * ph.conj()[None, :]
+        vac = ph[: gen.d, None] * y[k * k :].reshape(gen.d, gen.d) * ph[: gen.d].conj()[None, :]
+        return SystemDensityMatrix(one, vac, t)
 
     def emit(t: float, y: np.ndarray, is_mark: bool):
         nonlocal marked, trace_max, eig_min, tail_max
         st = lab_state(t, y)
         tr_err = st.trace_error()
         mineig = st.min_eigenvalue()
-        diag = np.real(np.diagonal(st.rho))
+        diag = np.real(st.diagonal())
         dsz = st.n_max + 1
         # fock.tail_population's gauge: population of the top two phonon levels, all sectors
         tail = float(np.sum(diag.reshape(3, dsz)[:, -2:]))
@@ -349,19 +363,11 @@ def evolve_open(
         p_l = float(np.sum(diag[:dsz]))
         p_r = float(np.sum(diag[dsz : 2 * dsz]))
         p_v = float(np.sum(diag[2 * dsz :]))
-        row = dict(
+        f_l, f_r = fidelity_open(st, params, d)
+        record.append(
             t=t, P_L=p_l, P_R=p_r, P_V=p_v, nb=mean_phonon_number(st),
-            trace_err=tr_err, min_eig=mineig,
+            F_L=f_l, F_R=f_r, trace_err=tr_err, min_eig=mineig,
         )
-        phi_l, phi_r = target_states(params, d, t)
-        for name, p, phi in (("F_L", p_l, phi_l), ("F_R", p_r, phi_r)):
-            if p > P_FLOOR:
-                v = phi.fock_vector(st.n_max)
-                blk = st.block(PhotonSector[name[-1]], PhotonSector[name[-1]])
-                row[name] = float(np.real(np.vdot(v, blk @ v)) / p)
-            else:
-                row[name] = math.nan
-        record.append(**row)
         if keep_snapshots:
             snapshots.append(st)
         if is_mark:
@@ -391,7 +397,7 @@ def evolve_open(
             yield y
 
     # apply's one-photon block Z + Z^H is the generator only on Hermitian input
-    y = np.concatenate([(0.5 * (b + b.conj().T)).ravel() for b in blocks])
+    y = np.concatenate([(0.5 * (b + b.conj().T)).ravel() for b in (initial.one, initial.vac)])
     y = integrate(y, cfg, advance, emit)
     return OpenRun(
         record=record,
@@ -405,13 +411,15 @@ def evolve_open(
 
 
 def write_snapshot(path, sdm: SystemDensityMatrix):
-    """Dump a density matrix as JSON: dim, time, row-major interleaved re/im."""
-    flat = sdm.rho.ravel()
+    """Dump a density matrix as JSON: dim, time, row-major interleaved re/im
+    of the full 3d x 3d matrix."""
+    rho = sdm.rho
+    flat = rho.ravel()
     data = np.empty(2 * flat.size)
     data[0::2] = flat.real
     data[1::2] = flat.imag
     doc = {
-        "dim": sdm.rho.shape[0],
+        "dim": rho.shape[0],
         "t": sdm.t,
         "layout": "row-major interleaved re/im",
         "data": data.tolist(),
@@ -426,4 +434,4 @@ def read_snapshot(path) -> SystemDensityMatrix:
     dim = int(doc["dim"])
     data = np.asarray(doc["data"], dtype=float)
     rho = (data[0::2] + 1j * data[1::2]).reshape(dim, dim)
-    return SystemDensityMatrix(rho, float(doc["t"]))
+    return SystemDensityMatrix.from_full(rho, float(doc["t"]))

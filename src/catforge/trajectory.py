@@ -6,7 +6,7 @@ import math
 
 import numpy as np
 
-__all__ = ["TrajectoryRecord", "format_column", "format_float"]
+__all__ = ["TrajectoryRecord", "format_column", "format_float", "write_columns"]
 
 
 def format_float(x) -> str:
@@ -23,6 +23,16 @@ def format_column(values) -> list[str]:
     """format_float over a whole column at once; None and NaN give empty cells."""
     cells = map(repr, np.asarray(values, dtype=float).ravel().tolist())
     return ["" if c == "nan" else c for c in cells]
+
+
+def write_columns(path, header: tuple[str, ...], columns):
+    """A header line, then one line per row of the equal-length columns.
+
+    A column given as a list is taken as already formatted cells (str)."""
+    cells = [c if isinstance(c, list) else format_column(c) for c in columns]
+    lines = [",".join(header), *map(",".join, zip(*cells))]
+    with open(path, "w", encoding="ascii") as fh:
+        fh.write("\n".join(lines) + "\n")
 
 
 class TrajectoryRecord:
@@ -52,12 +62,5 @@ class TrajectoryRecord:
             raise KeyError(f"no record at t={t} (closest {ts[i]})")
         return dict(zip(self.columns, self._rows[i]))
 
-    def to_csv(self) -> str:
-        lines = [",".join(self.columns)]
-        for row in self._rows:
-            lines.append(",".join(format_float(v) for v in row))
-        return "\n".join(lines) + "\n"
-
     def write_csv(self, path):
-        with open(path, "w", encoding="ascii") as fh:
-            fh.write(self.to_csv())
+        write_columns(path, self.columns, zip(*self._rows))

@@ -16,7 +16,7 @@ import numpy as np
 from catforge.closed import SinglePhotonState
 from catforge.fock import _check_cutoff
 from catforge.model import SystemParams
-from catforge.open_system import SystemDensityMatrix, _damping, _Generators
+from catforge.open_system import _damping, _Generators
 
 
 def destroy(n_max: int) -> np.ndarray:
@@ -93,18 +93,18 @@ def hamiltonian(gen: _Generators, t: float, z: complex, r: np.ndarray, out: np.n
     out[:, :, 1, :-1] -= zcs * r[:, :, 1, 1:]
 
 
-def rhs_lindblad(rho: SystemDensityMatrix, params: SystemParams) -> np.ndarray:
-    """Lab-frame time derivative of the full density matrix at rho.t."""
-    gen = _Generators(params, rho.n_max)
+def rhs_lindblad(rho: np.ndarray, t: float, params: SystemParams) -> np.ndarray:
+    """Lab-frame time derivative of the full sector-major density matrix rho at t."""
+    gen = _Generators(params, rho.shape[0] // 3 - 1)
     d = gen.d
     chi = (1.0, 1.0, 0.0)
     energy = params.omega_c * np.repeat(chi, d) + params.omega_m * np.tile(np.arange(d), 3)
     free_phase = 1j * (energy[None, :] - energy[:, None])
-    r = np.ascontiguousarray(rho.rho)
+    r = np.ascontiguousarray(rho, dtype=complex)
     out = (_damping(params, d, chi) + free_phase) * r
     r4 = r.reshape(3, d, 3, d)
     out4 = out.reshape(3, d, 3, d)
-    hamiltonian(gen, rho.t, -params.g0, r4, out4)
+    hamiltonian(gen, t, -params.g0, r4, out4)
     gen.phonon_jumps(gen.jump_weights(3), r.ravel(), out.ravel())
     gen.photon_feed(r4, out4[2, :, 2])
     return out

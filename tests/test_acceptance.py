@@ -134,7 +134,7 @@ def test_criterion_6_oracle_equivalences(equivalence_runs):
 
     step_err = np.max(
         np.abs(
-            step(lambda r, tt: oracles.rhs_lindblad(osys.SystemDensityMatrix(r, tt), small))
+            step(lambda r, tt: oracles.rhs_lindblad(r, tt, small))
             - step(lambda r, tt: element_equation_rhs(r, tt, small, 3))
         )
     )

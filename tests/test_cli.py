@@ -5,11 +5,12 @@ import math
 import numpy as np
 import pytest
 
-from catforge import analysis, cli, model
+from catforge import analysis, cli, closed, model
+from catforge import open_system as osys
 from catforge.cli import ConfigError, parse_config
-from catforge.trajectory import format_float
+from catforge.trajectory import TrajectoryRecord, format_float, write_columns
 
-from conftest import XI, coupling_g
+from conftest import XI, coupling_g, fig2_params
 
 
 def resolved_params(config, sweep_value=None):
@@ -159,7 +160,7 @@ def test_sweep_outputs_independent_of_workers(tmp_path):
 
 
 def test_csv_columns_match_per_cell_format(tmp_path):
-    # the column writer against format_float applied cell by cell
+    # the column writer and TrajectoryRecord against format_float applied cell by cell
     rows = [
         (0.1, None, -0.0),
         (math.nan, 1e-300, 1.0 / 3.0),
@@ -167,12 +168,17 @@ def test_csv_columns_match_per_cell_format(tmp_path):
         (np.nan, -1e-300, math.inf),
     ]
     expected = "a,b,c\n" + "".join(",".join(format_float(v) for v in row) + "\n" for row in rows)
-    cli._write_csv(tmp_path / "rows.csv", ("a", "b", "c"), zip(*rows))
+    write_columns(tmp_path / "rows.csv", ("a", "b", "c"), zip(*rows))
     assert (tmp_path / "rows.csv").read_bytes() == expected.encode("ascii")
     columns = [np.array([r[i] for r in rows], dtype=float) for i in range(3)]
-    cli._write_csv(tmp_path / "arrays.csv", ("a", "b", "c"), columns)
+    write_columns(tmp_path / "arrays.csv", ("a", "b", "c"), columns)
     assert (tmp_path / "arrays.csv").read_bytes() == expected.encode("ascii")
-    cli._write_csv(tmp_path / "empty.csv", ("t", "beta_abs"), zip(*[]))
+    record = TrajectoryRecord(("a", "b", "c"))
+    for a, b, c in rows:
+        record.append(a=a, b=b, c=c)
+    record.write_csv(tmp_path / "record.csv")
+    assert (tmp_path / "record.csv").read_bytes() == expected.encode("ascii")
+    write_columns(tmp_path / "empty.csv", ("t", "beta_abs"), zip(*[]))
     assert (tmp_path / "empty.csv").read_bytes() == b"t,beta_abs\n"
 
 
@@ -364,6 +370,26 @@ def test_wigner_csv_coordinates(tmp_path):
         assert coords == [
             f"{format_float(re)},{format_float(im)}" for im in grid.im_axis for re in grid.re_axis
         ]
+
+
+def test_open_source_tomography(tmp_path):
+    # wigner and quadrature with source=open read the L block of the open run's state at t_d
+    params = fig2_params()
+    cfg = closed.SolverConfig(dt=closed.default_dt(params, 128), t_end=0.1)
+    final = osys.evolve_open(osys.initial_density("bell", 6), params, cfg).final
+    rho_l, _ = osys.reduce_mechanical(final, osys.PhotonSector.L)
+    argv = ["--preset", "fig2", "--set", "t_d=0.1", "--set", "n_max=6"]
+    argv += ["--set", "grid_extent=1", "--set", "grid_step=0.5"]
+    assert cli.main(["wigner", *argv, "--out", str(tmp_path / "w")]) == 0
+    assert cli.main(["quadrature", *argv, "--out", str(tmp_path / "q")]) == 0
+    w = np.loadtxt(tmp_path / "w" / "wigner_L.csv", delimiter=",", skiprows=1)[:, 2]
+    expected_w = analysis.wigner_numeric(rho_l, analysis.PhaseSpaceGrid.square(1.0, 0.5))
+    assert np.max(np.abs(w - expected_w.ravel())) < 1e-12
+    beta = model.beta_of_t(model.derive(params), params.omega_m, 0.1)
+    axis = analysis.QuadratureAxis.around_cat(analysis.default_theta(beta), abs(beta), 0.01)
+    p = np.loadtxt(tmp_path / "q" / "quadrature_L.csv", delimiter=",", skiprows=1)[:, 1]
+    # the emitted file clamps negatives above -1e-10 to zero
+    assert np.max(np.abs(p - analysis.quadrature_numeric(rho_l, axis))) <= 1e-10
 
 
 def test_non_finite_integers_exit_2(tmp_path, monkeypatch):

@@ -81,7 +81,7 @@ def test_rhs_matches_element_equations():
     )
     rho = random_density(n_max)
     t = 0.37
-    mine = oracles.rhs_lindblad(SystemDensityMatrix(rho, t), params)
+    mine = oracles.rhs_lindblad(rho, t, params)
     ref = element_equation_rhs(rho, t, params, n_max)
     assert np.max(np.abs(mine - ref)) < 1e-12
 
@@ -112,7 +112,7 @@ def test_block_generator_matches_full_generator():
             rho_i = invariant_density(n_max, seed)
             u = np.exp(1j * energy * t)
             rho_lab = u.conj()[:, None] * rho_i * u[None, :]
-            lab = oracles.rhs_lindblad(SystemDensityMatrix(rho_lab, t), params)
+            lab = oracles.rhs_lindblad(rho_lab, t, params)
             expected = 1j * (energy[:, None] - energy[None, :]) * rho_i + u[:, None] * lab * u.conj()[None, :]
             y = np.concatenate([rho_i[:k, :k].ravel(), rho_i[k:, k:].ravel()])
             got = gen.apply(t, y, np.empty_like(y))
@@ -153,8 +153,8 @@ def test_anti_hermitian_initial_part_is_dropped():
     anti = 0.5e-11 * (m - m.conj().T)
     anti[: 2 * d, 2 * d :] = 0.0
     anti[2 * d :, : 2 * d] = 0.0
-    clean = osys.evolve_open(SystemDensityMatrix(herm), params, cfg)
-    noisy = osys.evolve_open(SystemDensityMatrix(herm + anti), params, cfg)
+    clean = osys.evolve_open(SystemDensityMatrix.from_full(herm), params, cfg)
+    noisy = osys.evolve_open(SystemDensityMatrix.from_full(herm + anti), params, cfg)
     assert np.max(np.abs(anti)) > 1e-12
     assert np.max(np.abs(noisy.final.rho - clean.final.rho)) < 1e-14
 
@@ -162,12 +162,12 @@ def test_anti_hermitian_initial_part_is_dropped():
 def test_min_eigenvalue_blockwise():
     shifted = invariant_density(5)
     shifted[12:, 12:] -= 0.5 * np.eye(6)  # lowest eigenvalue in the vacuum block
-    for rho in (invariant_density(5), shifted, random_density(5)):
-        sdm = SystemDensityMatrix(rho)
+    for rho in (invariant_density(5), shifted):
+        sdm = SystemDensityMatrix.from_full(rho)
         full = np.linalg.eigvalsh(0.5 * (rho + rho.conj().T))[0]
         assert abs(sdm.min_eigenvalue() - full) < 1e-14
-    assert SystemDensityMatrix(invariant_density(5)).live_blocks() is not None
-    assert SystemDensityMatrix(random_density(5)).live_blocks() is None
+    with pytest.raises(ValueError, match="coherence"):
+        SystemDensityMatrix.from_full(random_density(5))
 
 
 def test_open_rk4_order():
@@ -203,7 +203,7 @@ def test_rk4_step_matches_element_equations():
         k4 = rhs(rho + dt * k3, t + dt)
         return rho + dt / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
 
-    blocks = step(lambda r, tt: oracles.rhs_lindblad(SystemDensityMatrix(r, tt), params))
+    blocks = step(lambda r, tt: oracles.rhs_lindblad(r, tt, params))
     elements = step(lambda r, tt: element_equation_rhs(r, tt, params, n_max))
     assert np.max(np.abs(blocks - elements)) < 1e-12
 
@@ -248,6 +248,13 @@ def test_fidelity_open_matches_closed(equivalence_runs):
         assert abs(fc[1] - fo[1]) < 1e-6
 
 
+def test_fidelity_open_empty_sector_is_nan():
+    params = fig2_params()
+    f_l, f_r = osys.fidelity_open(osys.initial_density("left", 10), params, model.derive(params))
+    assert abs(f_l - 1.0) < 1e-12
+    assert math.isnan(f_r)
+
+
 def test_reduce_mechanical_trivia():
     rho0 = osys.initial_density("bell", 10)
     for sector in (PhotonSector.L, PhotonSector.R):
@@ -264,23 +271,24 @@ def test_invariant_accessors():
     assert rho0.trace_error() < 1e-15
     assert rho0.hermiticity_error() == 0.0
     assert rho0.min_eigenvalue() > -1e-15
-    assert rho0.cross_sector_coherence() == 0.0
     with pytest.raises(ValueError):
-        SystemDensityMatrix(np.zeros((7, 7)))
+        SystemDensityMatrix.from_full(np.zeros((7, 7)))
+    with pytest.raises(ValueError):
+        SystemDensityMatrix(np.zeros((4, 4)), np.zeros((3, 3)))
 
 
 def test_initial_validation():
     params = fig2_params()
     cfg = SolverConfig(dt=1e-3, t_end=0.1)
     bad = osys.initial_density("bell", 10)
-    bad.rho = bad.rho * 2.0
+    bad.one = bad.one * 2.0
     with pytest.raises(ValueError, match="trace"):
         osys.evolve_open(bad, params, cfg)
-    # a photon in superposition with the vacuum: L-V coherence the solver does not carry
+    # a photon in superposition with the vacuum: L-V coherence the state cannot hold
     amp = np.zeros(33, complex)
     amp[0] = amp[22] = 1 / math.sqrt(2)
     with pytest.raises(ValueError, match="coherence"):
-        osys.evolve_open(SystemDensityMatrix(np.outer(amp, amp.conj())), params, cfg)
+        SystemDensityMatrix.from_full(np.outer(amp, amp.conj()))
 
 
 def test_tail_guard_counts_every_sector():
@@ -294,7 +302,7 @@ def test_tail_guard_counts_every_sector():
         top = sector.value * d + d - 1
         rho[top, top] += 2e-6
         with pytest.raises(closed.SolverAbort, match="phonon tail"):
-            osys.evolve_open(SystemDensityMatrix(rho), params, cfg)
+            osys.evolve_open(SystemDensityMatrix.from_full(rho), params, cfg)
     assert osys.evolve_open(osys.initial_density("left", d - 1), params, cfg).tail_max < 1e-12
 
 
@@ -320,10 +328,8 @@ def test_probability_monotonicity(fig2_run):
 def test_fig2_conservation(fig2_run):
     assert fig2_run.trace_err_max < 1e-8
     assert fig2_run.min_eig_min > -1e-8
-    # the evolved blocks carry no one-photon/vacuum coherence and stay Hermitian
-    # up to the rounding of the lab-frame phases
+    # the evolved blocks stay Hermitian up to the rounding of the lab-frame phases
     for st in (fig2_run.final, fig2_run.marked):
-        assert st.live_blocks() is not None
         assert st.hermiticity_error() <= 1e-15
     assert fig2_run.tail_max < closed.TAIL_ABORT
 
@@ -377,7 +383,7 @@ def test_conditional_phonon_number(fig2_run):
 
 
 def test_snapshot_text(tmp_path):
-    sdm = SystemDensityMatrix(random_density(2), 0.25)
+    sdm = SystemDensityMatrix.from_full(invariant_density(2), 0.25)
     path = tmp_path / "snap.json"
     osys.write_snapshot(path, sdm)
     flat = sdm.rho.ravel()
@@ -386,6 +392,14 @@ def test_snapshot_text(tmp_path):
     data[1::2] = flat.imag
     doc = {"dim": 9, "t": 0.25, "layout": "row-major interleaved re/im", "data": data.tolist()}
     assert path.read_text(encoding="ascii") == json.dumps(doc)
+    # a snapshot is outside input: read_snapshot refuses a one-photon/vacuum coherence
+    flat = random_density(2).ravel()
+    data[0::2] = flat.real
+    data[1::2] = flat.imag
+    doc["data"] = data.tolist()
+    path.write_text(json.dumps(doc), encoding="ascii")
+    with pytest.raises(ValueError, match="coherence"):
+        osys.read_snapshot(path)
 
 
 def test_snapshot_round_trip(tmp_path, fig2_run):
