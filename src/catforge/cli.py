@@ -421,7 +421,7 @@ def _resolve(config: RunConfig, sweep_value: float | None = None) -> _Resolved:
     else:
         n_max = closed.default_n_max(params, d)
 
-    dt = config.dt if config.dt is not None else closed.default_dt(params, 128 if is_open else 256)
+    dt = config.dt if config.dt is not None else closed.default_dt(params, 64 if is_open else 256)
 
     t_end = config.t_end
     if config.mode in ("wigner", "quadrature"):

@@ -128,9 +128,12 @@ class SolverConfig:
 def default_dt(params: SystemParams, points_per_period: int = 256) -> float:
     """Step size resolving the fastest retained oscillation.
 
-    256 points per period keeps the RK4 norm drift of a detection-time-scale
-    run below 1e-8 (the conservation guard), comfortably past the 40-point
-    resolution floor.
+    Each solver has its own default, both comfortably past the 40-point
+    resolution floor.  Closed runs take 256 points per period, which keeps the
+    RK4 norm drift of a detection-time-scale run below 1e-8 (the conservation
+    guard).  Open runs take 64 (the CLI passes it): the open solver steps in the
+    hopping frame, where the modulated hopping is removed exactly, and there
+    64 points put a fig2 solve to t = 2 within about 2e-10 of a 1024-point one.
     """
     w_max = max(params.omega_m, params.omega_0 * (2 * params.n0 + 2))
     return (2.0 * math.pi / w_max) / points_per_period

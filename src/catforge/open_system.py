@@ -13,14 +13,29 @@ sectors into the vacuum sector).  Photon loss only feeds one-photon
 populations into the vacuum, so the one-photon/vacuum coherences start at
 zero and are never generated: a SystemDensityMatrix holds, and the solver
 evolves, only the one-photon block {L,R}x{L,R} and the vacuum block VxV, so
-such a coherence cannot be represented.  Propagation is
-fixed-step RK4 on the phonon-interaction-picture blocks, with the exact
-e^{-i omega_m (p-q) t} phases restored at record times; omega_c multiplies
-only the dropped coherences, so it does not enter the solver.
+such a coherence cannot be represented.
+
+Propagation is fixed-step RK4 in a frame that removes the two fastest terms
+exactly.  Both blocks are in the phonon interaction picture, and the
+one-photon block is also in the hopping frame phi = U_h^dag rho U_h with
+U_h(t) = exp(i xi sin(omega_0 t) sigma_x).  The modulated hopping
+xi omega_0 cos(omega_0 t)(|L><R| + h.c.) commutes with itself at all times
+and with every dissipator (photon loss is a uniform damping plus a feed from
+the photon partial trace, the phonon bath acts on the phonon alone), so the
+frame removes it and changes nothing else; the vacuum block is untouched.
+What remains varies on the slow coupling scales: at the open default of 64
+points per period of the fastest retained oscillation (closed.default_dt) a
+fig2 solve to t = 2 is within about 2e-10 of a 1024-point one.  Records read the trace, the phonon
+number, the truncation tail and the spectrum straight off the frame blocks,
+where they are unchanged; P_L, P_R and the fidelities rotate a 2 x 2 trace
+and the target vectors; only kept, marked and final states are rotated back
+to the lab frame.  omega_c multiplies only the dropped coherences, so it does
+not enter the solver.
 """
 
 from __future__ import annotations
 
+import cmath
 import json
 import math
 from dataclasses import dataclass
@@ -29,7 +44,7 @@ from enum import Enum
 import numpy as np
 
 from .closed import TAIL_ABORT, SolverAbort, SolverConfig, integrate
-from .model import DerivedModulation, SystemParams, derive, target_states
+from .model import DerivedModulation, SystemParams, derive, mu_of_t, target_states
 from .trajectory import TrajectoryRecord
 
 __all__ = [
@@ -152,19 +167,30 @@ def _damping(params: SystemParams, d: int, chi: tuple[float, ...]) -> np.ndarray
     )
 
 
-class _Generators:
-    """Interaction-picture Lindblad generator on the packed live blocks.
+def _hopping_rotation(params: SystemParams, t: float) -> tuple[float, float]:
+    """cos and sin of the hopping-frame angle theta(t) = -xi sin(omega_0 t),
+    with U_h(t) = exp(-i theta sigma_x) = cos theta - i sin theta sigma_x."""
+    theta = -0.5 * mu_of_t(params, t)
+    return math.cos(theta), math.sin(theta)
 
-    The packed state is the one-photon block {L,R}x{L,R} (2d x 2d) followed
-    by the vacuum block VxV (d x d), each flattened row-major.  The kernels
-    act on an S-sector matrix whose sectors 0 and 1 are L and R: the
-    Hamiltonian products through sector swaps and ladder shifts on its
-    (S, d, S, d) view, the phonon jumps through shifted contiguous slices of
-    its flat form, which is several times faster than dense matrix products
-    or strided views at these dimensions.  The test oracle rhs_lindblad
-    (tests/oracles.py) applies the same kernels, with the column-side
-    commutator, to the full three-sector matrix; its equivalence with the
-    element-wise master equation is pinned by tests.
+
+class _Generators:
+    """Lindblad generator on the packed live blocks in the hopping frame.
+
+    The packed state is the one-photon block phi (2d x 2d, sector-major)
+    followed by the vacuum block (d x d), each flattened row-major, in the
+    frame of the module docstring: U_h(t) = exp(-i theta(t) sigma_x) with
+    theta(t) = -xi sin(omega_0 t).  What is left of the Hamiltonian there is
+    the radiation pressure seen from the rotated right cavity, the rank-1
+    photon operator |r'><r'| with |r'> = U_h^dag |R> = (i sin theta, cos theta).
+
+    apply writes scale times the time derivative: evolve_open builds one
+    generator per segment with scale h/2, so the RK4 stages come out
+    pre-scaled and the weights are scaled once per segment.  The phonon
+    jumps act through shifted contiguous slices of the flat blocks, which is
+    several times faster than dense matrix products or strided views at
+    these dimensions.  tests/oracles.py holds an independent dense lab-frame
+    generator that pins these kernels.
 
     For a Hermitian one-photon block rho every term of the generator is a
     half plus its adjoint: D o rho - i[H, rho] + J(rho) = Z + Z^H with
@@ -173,23 +199,35 @@ class _Generators:
     exactly Hermitian; the damping and jump weights are halved once here.
     """
 
-    def __init__(self, params: SystemParams, n_max: int):
+    def __init__(self, params: SystemParams, n_max: int, scale: float = 1.0):
         d = n_max + 1
         self.d = d
         self.params = params
-        self.s = np.sqrt(np.arange(1.0, d))  # b|p> = s[p-1] |p-1>
+        self.scale = scale
         # complex weights: a float operand would be cast to complex on every call
-        self.half_damp_one = (0.5 * _damping(params, d, (1.0, 1.0))).ravel().astype(complex)
-        self.damp_vac = _damping(params, d, (0.0,)).ravel().astype(complex)
+        self.half_damp_one = (0.5 * scale * _damping(params, d, (1.0, 1.0))).ravel().astype(complex)
+        self.damp_vac = (scale * _damping(params, d, (0.0,))).ravel().astype(complex)
         off, w_down, w_up = self.jump_weights(2)
         self.half_jumps_one = (off, 0.5 * w_down, 0.5 * w_up)
         self.jumps_vac = self.jump_weights(1)
+        # b u and b^dag u on a (d, 2d) phonon-row matrix u, held in rows 1..d of
+        # u_pad so that both shifts read zero rows past the ladder's ends:
+        # (b u)[p] = sqrt(p+1) u[p+1] and (b^dag u)[p] = sqrt(p) u[p-1]; the
+        # weights fill whole rows, since row-broadcast products cost twice as much
+        self.lower = np.repeat(np.sqrt(np.arange(1.0, d + 1))[:, None], 2 * d, axis=1).astype(complex)
+        self.raise_ = np.repeat(np.sqrt(np.arange(float(d)))[:, None], 2 * d, axis=1).astype(complex)
+        self.u_pad = np.zeros((d + 2, 2 * d), dtype=complex)
+        self.u = self.u_pad[1:-1]
+        self.bu = np.empty((d, 2 * d), dtype=complex)
+        self.tmp = np.empty((d, 2 * d), dtype=complex)
+        self.tmp2 = np.empty((2, d, 2 * d), dtype=complex)
+        self.rows = np.empty((2, 1, 1), dtype=complex)
         self.z = np.empty((2 * d, 2 * d), dtype=complex)  # Z of the one-photon block
         self.z_flat = self.z.reshape(-1)
-        self.z_sectors = self.z.reshape(2, d, 2, d)
+        self.z_rows = self.z.reshape(2, d, 2 * d)
 
     def jump_weights(self, sectors: int) -> tuple[int, np.ndarray, np.ndarray]:
-        """Flat-index offset and weights of the phonon jump terms on an S-sector matrix.
+        """Flat-index offset and scaled weights of the phonon jump terms on an S-sector matrix.
 
         gamma_m (n_th+1) b rho b^dag and gamma_m n_th b^dag rho b shift rho by
         one row and one column, which is S d + 1 in the row-major flat index;
@@ -197,28 +235,37 @@ class _Generators:
         stored complex, so the products need no per-call cast.
         """
         p = self.params
-        lower = np.tile(np.append(self.s, 0.0), sectors)  # <p|b|p+1>, zero on the top rung
-        raise_ = np.tile(np.append(0.0, self.s), sectors)  # <p|b^dag|p-1>, zero on the ground rung
+        s = np.sqrt(np.arange(1.0, self.d))
+        lower = np.tile(np.append(s, 0.0), sectors)  # <p|b|p+1>, zero on the top rung
+        raise_ = np.tile(np.append(0.0, s), sectors)  # <p|b^dag|p-1>, zero on the ground rung
         off = sectors * self.d + 1
-        w_down = (p.gamma_m * (p.n_th + 1.0) * (lower[:, None] * lower[None, :])).ravel()[:-off]
-        w_up = (p.gamma_m * p.n_th * (raise_[:, None] * raise_[None, :])).ravel()[off:]
+        rate = self.scale * p.gamma_m
+        w_down = (rate * (p.n_th + 1.0) * (lower[:, None] * lower[None, :])).ravel()[:-off]
+        w_up = (rate * p.n_th * (raise_[:, None] * raise_[None, :])).ravel()[off:]
         return off, w_down.astype(complex), w_up.astype(complex)
 
-    def couplings(self, t: float, z: complex) -> tuple[complex, np.ndarray, np.ndarray]:
-        """-i alpha(t) and the -i z, -i conj(z) radiation-pressure rungs of H(t)."""
-        p = self.params
-        a = 1j * p.xi * p.omega_0 * math.cos(p.omega_0 * t)
-        return a, (-1j * z) * self.s, (-1j * np.conj(z)) * self.s
+    def left_product(self, t: float, r: np.ndarray, out: np.ndarray):
+        """out += -i H'(t) r on the (2, d, 2d) row view of the one-photon block, with
 
-    def left_product(self, t: float, z: complex, r: np.ndarray, out: np.ndarray):
-        """out += -i H(t) r on an (S, d, S, d) sector view, with
+        H' = |r'><r'| (x) (z b + conj(z) b^dag),  z = -g0 e^{-i omega_m t},
 
-        H = alpha(t) (|L><R| + |R><L|) (x) I  +  z Pi_R (x) b  +  conj(z) Pi_R (x) b^dag.
+        through u = <r'| r once, its two ladder rungs, and r'_s B(u) added to both rows.
         """
-        a, zs, zcs = self.couplings(t, z)
-        out[:2] += a * r[1::-1]  # hopping: L<->R swap on rows
-        out[1, :-1] += zs[:, None, None] * r[1, 1:]  # radiation pressure on the R rows
-        out[1, 1:] += zcs[:, None, None] * r[1, :-1]
+        p = self.params
+        cs, sn = _hopping_rotation(p, t)
+        z = -self.scale * p.g0 * cmath.exp(-1j * p.omega_m * t)
+        u, bu, tmp = self.u, self.bu, self.tmp
+        np.multiply(r[1], cs, out=u)  # u = cos(theta) r_R - i sin(theta) r_L
+        np.multiply(r[0], -1j * sn, out=tmp)
+        u += tmp
+        np.multiply(self.lower, self.u_pad[2:], out=bu)  # bu = z b u + conj(z) b^dag u
+        bu *= z
+        np.multiply(self.raise_, self.u_pad[:-2], out=tmp)
+        tmp *= z.conjugate()
+        bu += tmp
+        self.rows[:, 0, 0] = sn, -1j * cs  # -i r'
+        np.multiply(self.rows, bu, out=self.tmp2)
+        out += self.tmp2
 
     def phonon_jumps(self, jumps: tuple[int, np.ndarray, np.ndarray], r: np.ndarray, out: np.ndarray):
         """out += gamma_m (n_th+1) b r b^dag + gamma_m n_th b^dag r b on a flat
@@ -232,25 +279,24 @@ class _Generators:
     def photon_feed(self, r: np.ndarray, out_vac: np.ndarray):
         """out_vac += gamma_c (rho_LL + rho_RR): photon loss into the vacuum block."""
         if self.params.gamma_c:
-            out_vac += self.params.gamma_c * (r[0, :, 0] + r[1, :, 1])
+            out_vac += (self.scale * self.params.gamma_c) * (r[0, :, 0] + r[1, :, 1])
 
     def apply(self, t: float, y: np.ndarray, out: np.ndarray) -> np.ndarray:
-        """Write the interaction-picture time derivative of the packed state y
-        at t into out and return out.  y's one-photon block must be Hermitian."""
-        p = self.params
+        """Write scale times the hopping-frame time derivative of the packed
+        state y at t into out and return out.  y's one-photon block must be
+        Hermitian."""
         d = self.d
         k = 4 * d * d
         one, vac, out_vac = y[:k], y[k:], out[k:]
-        one4 = one.reshape(2, d, 2, d)
         np.multiply(self.half_damp_one, one, out=self.z_flat)
-        self.left_product(t, -p.g0 * np.exp(-1j * p.omega_m * t), one4, self.z_sectors)
+        self.left_product(t, one.reshape(2, d, 2 * d), self.z_rows)
         self.phonon_jumps(self.half_jumps_one, one, self.z_flat)
         out_one = out[:k].reshape(2 * d, 2 * d)
         np.conjugate(self.z.T, out=out_one)
         out_one += self.z
         np.multiply(self.damp_vac, vac, out=out_vac)
         self.phonon_jumps(self.jumps_vac, vac, out_vac)
-        self.photon_feed(one4, out_vac.reshape(d, d))
+        self.photon_feed(one.reshape(2, d, 2, d), out_vac.reshape(d, d))
         return out
 
 
@@ -305,11 +351,11 @@ def evolve_open(
 ) -> OpenRun:
     """Propagate the master equation, recording probabilities and fidelities.
 
-    The one-photon and vacuum blocks are evolved, each replaced by its
-    Hermitian part.  Aborts when the trace drifts by more than 1e-6, an
-    eigenvalue dips below -1e-6 or the top-two-level phonon population
-    exceeds 1e-6 (all checked at record times; positivity is an O(dim^3)
-    solve per block).
+    The one-photon and vacuum blocks are evolved in the hopping frame (see
+    the module docstring), each replaced by its Hermitian part.  Aborts when
+    the trace drifts by more than 1e-6, an eigenvalue dips below -1e-6 or the
+    top-two-level phonon population exceeds 1e-6 (all checked at record
+    times; positivity is an O(dim^3) solve per block).
     """
     cfg.validate(params)
     if initial.trace_error() > 1e-8:
@@ -318,9 +364,9 @@ def evolve_open(
         raise ValueError("initial density matrix must be Hermitian")
 
     d = derive(params)
-    gen = _Generators(params, initial.n_max)
-    k = 2 * gen.d
-    n_ph = np.tile(np.arange(gen.d, dtype=float), 2)
+    n = initial.n_max + 1
+    k = 2 * n
+    levels = np.arange(n)
     record = TrajectoryRecord(OPEN_COLUMNS)
     snapshots: list[SystemDensityMatrix] = []
     marked = None
@@ -329,20 +375,28 @@ def evolve_open(
     tail_max = 0.0
 
     def lab_state(t: float, y: np.ndarray) -> SystemDensityMatrix:
-        ph = np.exp(-1j * params.omega_m * t * n_ph)
-        one = ph[:, None] * y[: k * k].reshape(k, k) * ph.conj()[None, :]
-        vac = ph[: gen.d, None] * y[k * k :].reshape(gen.d, gen.d) * ph[: gen.d].conj()[None, :]
-        return SystemDensityMatrix(one, vac, t)
+        # rho = U_h phi U_h^dag, then the phonon phases e^{-i omega_m t (p - q)}; einsum
+        # loops in C, where a 2d x 2d matrix product would wake every BLAS thread
+        c, s = _hopping_rotation(params, t)
+        u_h = np.array([[c, -1j * s], [-1j * s, c]])
+        one = np.einsum("ab,bpcq,dc->apdq", u_h, y[: k * k].reshape(2, n, 2, n), u_h.conj())
+        ph = np.exp(-1j * params.omega_m * t * levels)
+        one = ph[None, :, None, None] * one * ph.conj()[None, None, None, :]
+        vac = ph[:, None] * y[k * k :].reshape(n, n) * ph.conj()[None, :]
+        return SystemDensityMatrix(one.reshape(k, k), vac, t)
 
     def emit(t: float, y: np.ndarray, is_mark: bool):
+        # the trace, the phonon diagonal summed over photon sectors and the
+        # spectrum are the same in the frame and in the lab, so the guards and
+        # nb read the frame blocks; only P_L, P_R and the fidelities rotate
         nonlocal marked, trace_max, eig_min, tail_max
-        st = lab_state(t, y)
-        tr_err = st.trace_error()
-        mineig = st.min_eigenvalue()
-        diag = np.real(st.diagonal())
-        dsz = st.n_max + 1
+        one = y[: k * k].reshape(k, k)
+        frame = SystemDensityMatrix(one, y[k * k :].reshape(n, n), t)
+        tr_err = frame.trace_error()
+        mineig = frame.min_eigenvalue()
+        diag = np.real(frame.diagonal())
         # fock.tail_population's gauge: population of the top two phonon levels, all sectors
-        tail = float(np.sum(diag.reshape(3, dsz)[:, -2:]))
+        tail = float(np.sum(diag.reshape(3, n)[:, -2:]))
         trace_max = max(trace_max, tr_err)
         eig_min = min(eig_min, mineig)
         tail_max = max(tail_max, tail)
@@ -358,45 +412,60 @@ def evolve_open(
         if tail > TAIL_ABORT:
             raise SolverAbort(
                 f"phonon tail population {tail:.3e} at t={t:g}; increase n_max "
-                f"(current {st.n_max})"
+                f"(current {n - 1})"
             )
-        p_l = float(np.sum(diag[:dsz]))
-        p_r = float(np.sum(diag[dsz : 2 * dsz]))
-        p_v = float(np.sum(diag[2 * dsz :]))
-        f_l, f_r = fidelity_open(st, params, d)
+        # photon populations: U_h tau U_h^dag with tau the phonon traces of the phi blocks
+        c, s = _hopping_rotation(params, t)
+        tau = np.trace(one.reshape(2, n, 2, n), axis1=1, axis2=3)
+        mix = 2.0 * c * s * tau[0, 1].imag
+        p_l = float(c * c * tau[0, 0].real + s * s * tau[1, 1].real - mix)
+        p_r = float(s * s * tau[0, 0].real + c * c * tau[1, 1].real + mix)
+        # <v_s| rho_ss |v_s> = <w_s| phi |w_s> with w_s = U_h^dag |s> (x) e^{i omega_m t b^dag b} v_s
+        conj_ph = np.exp(1j * params.omega_m * t * levels)
+        x_l, x_r = (conj_ph * phi.fock_vector(n - 1) for phi in target_states(params, d, t))
+        w_l = np.concatenate([c * x_l, 1j * s * x_l])
+        w_r = np.concatenate([1j * s * x_r, c * x_r])
+        f_l, f_r = (
+            float(np.real(np.vdot(w, one @ w)) / p) if p > P_FLOOR else math.nan
+            for w, p in ((w_l, p_l), (w_r, p_r))
+        )
         record.append(
-            t=t, P_L=p_l, P_R=p_r, P_V=p_v, nb=mean_phonon_number(st),
+            t=t, P_L=p_l, P_R=p_r, P_V=float(np.sum(diag[k:])), nb=mean_phonon_number(frame),
             F_L=f_l, F_R=f_r, trace_err=tr_err, min_eig=mineig,
         )
-        if keep_snapshots:
-            snapshots.append(st)
-        if is_mark:
-            marked = st
+        if keep_snapshots or is_mark:
+            st = lab_state(t, y)
+            if keep_snapshots:
+                snapshots.append(st)
+            if is_mark:
+                marked = st
 
-    def advance(y, t0, dt, n):
-        k1, k2, k3, k4, v = (np.empty_like(y) for _ in range(5))
-        for i in range(n):
+    def advance(y, t0, dt, n_steps):
+        # the generator writes h/2 times the derivative, so the stages come out
+        # pre-scaled, h/2 k1, h/2 k2, h k3 (doubled once) and h/2 k4, and their sum
+        # acc = h/2 (k1 + 2 k2 + 2 k3 + k4) makes the update y += acc/3
+        gen = _Generators(params, n - 1, dt / 2)
+        acc, a, v = (np.empty_like(y) for _ in range(3))
+        for i in range(n_steps):
             t = t0 + i * dt
-            gen.apply(t, y, k1)
-            np.multiply(k1, dt / 2, out=v)
-            v += y
-            gen.apply(t + dt / 2, v, k2)
-            np.multiply(k2, dt / 2, out=v)
-            v += y
-            gen.apply(t + dt / 2, v, k3)
-            np.multiply(k3, dt, out=v)
-            v += y
-            gen.apply(t + dt, v, k4)
-            # y += dt/6 (k1 + 2 k2 + 2 k3 + k4)
-            k2 += k3
-            k2 *= 2
-            k1 += k2
-            k1 += k4
-            k1 *= dt / 6
-            y += k1
+            gen.apply(t, y, acc)
+            np.add(y, acc, out=v)
+            gen.apply(t + dt / 2, v, a)
+            np.add(y, a, out=v)
+            acc += a
+            acc += a
+            gen.apply(t + dt / 2, v, a)
+            a += a
+            np.add(y, a, out=v)
+            acc += a
+            gen.apply(t + dt, v, a)
+            acc += a
+            acc *= 1 / 3
+            y += acc
             yield y
 
-    # apply's one-photon block Z + Z^H is the generator only on Hermitian input
+    # apply's one-photon block Z + Z^H is the generator only on Hermitian input;
+    # at t = 0 the hopping frame coincides with the lab frame
     y = np.concatenate([(0.5 * (b + b.conj().T)).ravel() for b in (initial.one, initial.vac)])
     y = integrate(y, cfg, advance, emit)
     return OpenRun(

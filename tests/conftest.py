@@ -20,7 +20,7 @@ def fig2_params(**overrides):
     return model.SystemParams.with_detuning(20.0, XI, coupling_g(), **kw)
 
 
-def open_run_to_td(params, n_max=30, ppp=128, stride=32):
+def open_run_to_td(params, n_max=30, ppp=64, stride=16):
     cfg = closed.SolverConfig(
         dt=closed.default_dt(params, ppp), t_end=T_D[20.0], record_stride=stride, t_mark=T_D[20.0]
     )

@@ -2,8 +2,9 @@
 
 Element-by-element displacement-operator formula, ladder matrices, the
 lab-frame amplitude equations of the closed problem and the lab-frame
-Lindblad generator on the full three-sector density matrix; the library's
-vectorized, interaction-frame and live-block routines are checked against
+Lindblad generator on the full three-sector density matrix, built from dense
+operators and sharing no kernel with the library; the library's vectorized,
+interaction-frame, hopping-frame and live-block routines are checked against
 these.
 """
 
@@ -16,7 +17,6 @@ import numpy as np
 from catforge.closed import SinglePhotonState
 from catforge.fock import _check_cutoff
 from catforge.model import SystemParams
-from catforge.open_system import _damping, _Generators
 
 
 def destroy(n_max: int) -> np.ndarray:
@@ -84,27 +84,55 @@ def rhs_closed(state: SinglePhotonState, params: SystemParams) -> tuple[np.ndarr
     return da, db
 
 
-def hamiltonian(gen: _Generators, t: float, z: complex, r: np.ndarray, out: np.ndarray):
-    """out += -i[H(t), r] on an (S, d, S, d) sector view (H as in gen.left_product)."""
-    gen.left_product(t, z, r, out)
-    a, zs, zcs = gen.couplings(t, z)
-    out[:, :, :2] -= a * r[:, :, 1::-1]
-    out[:, :, 1, 1:] -= zs * r[:, :, 1, :-1]
-    out[:, :, 1, :-1] -= zcs * r[:, :, 1, 1:]
+def lindblad_generator(params: SystemParams, n_max: int):
+    """Lab-frame generator rhs(rho, t) = d rho/dt of the full sector-major density matrix.
+
+    Dense operators on {L, R, V} (x) phonon ladder, one per term of the
+    master equation: the free energies, the hopping swap
+    -xi omega_0 cos(omega_0 t)(|L><R| + |R><L|), the radiation pressure
+    -g0 |R><R| (x) (b + b^dag) on the R rows and columns of the commutator,
+    photon loss |V><L|, |V><R| at gamma_c, and the thermal phonon bath.  The
+    anticommutators enter through H - (i/2) sum rate c^dag c; that of
+    D[b^dag] takes b b^dag = n + 1 on every level, as the element-wise
+    equations do.
+    """
+    d = n_max + 1
+    b = destroy(n_max)
+    num = number_op(n_max)
+    eye = np.eye(d)
+
+    def photon(i, j):
+        m = np.zeros((3, 3))
+        m[i, j] = 1.0
+        return m
+
+    def phonon(op):
+        return np.kron(np.eye(3), op)
+
+    g_c, g_m, nth = params.gamma_c, params.gamma_m, params.n_th
+    # (rate, jump operator, c^dag c in the anticommutator)
+    terms = [(g_c, np.kron(photon(2, s), eye), np.kron(photon(s, s), eye)) for s in (0, 1)]
+    terms.append((g_m * (nth + 1.0), phonon(b), phonon(num)))
+    terms.append((g_m * nth, phonon(b.conj().T), phonon(num + eye)))
+    h_static = (
+        params.omega_c * np.kron(photon(0, 0) + photon(1, 1), eye)
+        + params.omega_m * phonon(num)
+        - params.g0 * np.kron(photon(1, 1), b + b.conj().T)
+        - 0.5j * sum(rate * cdc for rate, _, cdc in terms)
+    )
+    swap = np.kron(photon(0, 1) + photon(1, 0), eye)
+    jumps = [(rate, c, c.conj().T) for rate, c, _ in terms if rate]
+
+    def rhs(rho: np.ndarray, t: float) -> np.ndarray:
+        h = h_static - params.xi * params.omega_0 * math.cos(params.omega_0 * t) * swap
+        out = -1j * (h @ rho - rho @ h.conj().T)
+        for rate, c, c_dag in jumps:
+            out += rate * (c @ rho @ c_dag)
+        return out
+
+    return rhs
 
 
 def rhs_lindblad(rho: np.ndarray, t: float, params: SystemParams) -> np.ndarray:
     """Lab-frame time derivative of the full sector-major density matrix rho at t."""
-    gen = _Generators(params, rho.shape[0] // 3 - 1)
-    d = gen.d
-    chi = (1.0, 1.0, 0.0)
-    energy = params.omega_c * np.repeat(chi, d) + params.omega_m * np.tile(np.arange(d), 3)
-    free_phase = 1j * (energy[None, :] - energy[:, None])
-    r = np.ascontiguousarray(rho, dtype=complex)
-    out = (_damping(params, d, chi) + free_phase) * r
-    r4 = r.reshape(3, d, 3, d)
-    out4 = out.reshape(3, d, 3, d)
-    hamiltonian(gen, t, -params.g0, r4, out4)
-    gen.phonon_jumps(gen.jump_weights(3), r.ravel(), out.ravel())
-    gen.photon_feed(r4, out4[2, :, 2])
-    return out
+    return lindblad_generator(params, rho.shape[0] // 3 - 1)(rho, t)

@@ -375,7 +375,7 @@ def test_wigner_csv_coordinates(tmp_path):
 def test_open_source_tomography(tmp_path):
     # wigner and quadrature with source=open read the L block of the open run's state at t_d
     params = fig2_params()
-    cfg = closed.SolverConfig(dt=closed.default_dt(params, 128), t_end=0.1)
+    cfg = closed.SolverConfig(dt=closed.default_dt(params, 64), t_end=0.1)
     final = osys.evolve_open(osys.initial_density("bell", 6), params, cfg).final
     rho_l, _ = osys.reduce_mechanical(final, osys.PhotonSector.L)
     argv = ["--preset", "fig2", "--set", "t_d=0.1", "--set", "n_max=6"]

@@ -96,11 +96,15 @@ def invariant_density(n_max, seed=7):
 
 
 def test_block_generator_matches_full_generator():
-    # interaction frame rho_I = U rho U^dag with U = exp(i H0 t), H0 = omega_c chi + omega_m n:
-    # d rho_I/dt = i[H0, rho_I] + U (d rho/dt) U^dag
+    # phonon interaction frame rho_I = U rho U^dag with U = exp(i H0 t), H0 = omega_c chi + omega_m n:
+    # d rho_I/dt = i[H0, rho_I] + U (d rho/dt) U^dag.  The one-photon block is then taken into the
+    # hopping frame phi = U_h^dag rho_I U_h, U_h = exp(-i theta sigma_x), theta = -xi sin(omega_0 t):
+    # d phi/dt = U_h^dag (d rho_I/dt) U_h + i alpha [sigma_x (x) I, phi], alpha = -xi omega_0 cos(omega_0 t);
+    # the vacuum block is untouched
     n_max = 4
     d = n_max + 1
     k = 2 * d
+    sigma_x = np.kron([[0.0, 1.0], [1.0, 0.0]], np.eye(d))
     # gamma_m = 0 and n_th = 0 take the phonon jumps' skipped branches
     for gamma_m, n_th in ((0.11, 1.7), (0.0, 1.7), (0.11, 0.0)):
         params = model.SystemParams(
@@ -109,16 +113,24 @@ def test_block_generator_matches_full_generator():
         energy = params.omega_c * np.repeat([1.0, 1.0, 0.0], d) + params.omega_m * np.tile(np.arange(d), 3)
         gen = osys._Generators(params, n_max)
         for seed, t in ((3, 0.0), (4, 0.37), (5, 2.9)):
-            rho_i = invariant_density(n_max, seed)
+            frame = invariant_density(n_max, seed)
+            phi = frame[:k, :k]
+            theta = -params.xi * math.sin(params.omega_0 * t)
+            u_h = math.cos(theta) * np.eye(k) - 1j * math.sin(theta) * sigma_x
+            rho_i = frame.copy()
+            rho_i[:k, :k] = u_h @ phi @ u_h.conj().T
             u = np.exp(1j * energy * t)
             rho_lab = u.conj()[:, None] * rho_i * u[None, :]
             lab = oracles.rhs_lindblad(rho_lab, t, params)
             expected = 1j * (energy[:, None] - energy[None, :]) * rho_i + u[:, None] * lab * u.conj()[None, :]
-            y = np.concatenate([rho_i[:k, :k].ravel(), rho_i[k:, k:].ravel()])
+            alpha = -params.xi * params.omega_0 * math.cos(params.omega_0 * t)
+            expected_one = u_h.conj().T @ expected[:k, :k] @ u_h + 1j * alpha * (sigma_x @ phi - phi @ sigma_x)
+            y = np.concatenate([phi.ravel(), frame[k:, k:].ravel()])
             got = gen.apply(t, y, np.empty_like(y))
-            assert np.max(np.abs(got[: k * k] - expected[:k, :k].ravel())) < 1e-14 * np.max(np.abs(expected))
-            assert np.max(np.abs(got[k * k :] - expected[k:, k:].ravel())) < 1e-14 * np.max(np.abs(expected))
-            assert np.max(np.abs(expected[:k, k:])) < 1e-14 * np.max(np.abs(expected))
+            scale = np.max(np.abs(expected))
+            assert np.max(np.abs(got[: k * k] - expected_one.ravel())) < 1e-14 * scale
+            assert np.max(np.abs(got[k * k :] - expected[k:, k:].ravel())) < 1e-14 * scale
+            assert np.max(np.abs(expected[:k, k:])) < 1e-14 * scale
 
 
 def test_generator_blocks_exactly_hermitian():
@@ -186,6 +198,32 @@ def test_open_rk4_order():
     assert 10.0 < e1 / e2 < 24.0
 
 
+def test_open_default_step_accuracy():
+    # the open default, 64 points per period in the hopping frame, against the lab-frame
+    # oracle's RK4 at a sixteenth of that step: fig2 rates at n_max = 6 to t = 0.5, gamma_m
+    # and n_th drawn from fig3a's and fig3b's ranges.  Measured 3.6e-10 on both draws; the
+    # phonon-frame solver this replaced was off by 3.0e-8 at 64 points and 1.9e-9 at 128
+    n_max, t_end = 6, 0.5
+    for seed in (0, 1):
+        rng = np.random.default_rng(seed)
+        params = fig2_params(gamma_m=rng.uniform(1e-4, 1e-3), n_th=rng.uniform(1.0, 10.0))
+        dt = closed.default_dt(params, 64)
+        cfg = SolverConfig(dt=dt, t_end=t_end, record_stride=10**6)
+        got = osys.evolve_open(osys.initial_density("bell", n_max), params, cfg).final.rho
+        rhs = oracles.lindblad_generator(params, n_max)
+        rho = osys.initial_density("bell", n_max).rho
+        steps = math.ceil(t_end / (dt / 16))
+        h = t_end / steps
+        for i in range(steps):
+            t = i * h
+            k1 = rhs(rho, t)
+            k2 = rhs(rho + h / 2 * k1, t + h / 2)
+            k3 = rhs(rho + h / 2 * k2, t + h / 2)
+            k4 = rhs(rho + h * k3, t + h)
+            rho = rho + h / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
+        assert np.max(np.abs(got - rho)) < 1e-9
+
+
 def test_rk4_step_matches_element_equations():
     # one full integrator step through both right-hand sides
     n_max = 3
@@ -246,6 +284,31 @@ def test_fidelity_open_matches_closed(equivalence_runs):
         fo = osys.fidelity_open(sdm, params, d)
         assert abs(fc[0] - fo[0]) < 1e-6
         assert abs(fc[1] - fo[1]) < 1e-6
+
+
+def test_record_row_matches_rotated_lab_state():
+    # records are read off the hopping-frame blocks; each row must equal the one computed
+    # from the explicitly rotated lab state (the kept snapshot) through the public readers
+    params = fig2_params(gamma_m=0.05, n_th=2.0)
+    d = model.derive(params)
+    cfg = SolverConfig(dt=closed.default_dt(params, 64), t_end=0.6, record_stride=23)
+    run = osys.evolve_open(osys.initial_density("bell", 8), params, cfg, keep_snapshots=True)
+    assert len(run.snapshots) == len(run.record) > 3
+    for i, st in enumerate(run.snapshots):
+        f_l, f_r = osys.fidelity_open(st, params, d)
+        expected = {
+            "t": st.t,
+            "P_L": np.trace(st.block(PhotonSector.L)).real,
+            "P_R": np.trace(st.block(PhotonSector.R)).real,
+            "P_V": np.trace(st.block(PhotonSector.V)).real,
+            "nb": osys.mean_phonon_number(st),
+            "F_L": f_l,
+            "F_R": f_r,
+            "trace_err": st.trace_error(),
+            "min_eig": st.min_eigenvalue(),
+        }
+        for col, want in expected.items():
+            assert abs(run.record.column(col)[i] - want) < 1e-14, col
 
 
 def test_fidelity_open_empty_sector_is_nan():
