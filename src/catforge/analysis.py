@@ -18,7 +18,7 @@ from .fock import (
     displacement_matrices,  # unused here; perfbench/spans.py wraps this module-level name
     oscillator_eigenfunctions,
 )
-from .model import CatState, DerivedModulation, SystemParams, beta_of_t, bessel_j
+from .model import CatState, DerivedModulation, SystemParams, beta_of_t, coupling
 
 __all__ = [
     "PhaseSpaceGrid",
@@ -67,11 +67,6 @@ class PhaseSpaceGrid:
     def mesh(self) -> np.ndarray:
         """Complex eta values, shape (n_im, n_re)."""
         return self.re_axis[None, :] + 1j * self.im_axis[:, None]
-
-    def cell_area(self) -> float:
-        dr = (self.re_max - self.re_min) / (self.n_re - 1)
-        di = (self.im_max - self.im_min) / (self.n_im - 1)
-        return dr * di
 
     def integrate(self, w: np.ndarray) -> float:
         """Trapezoid integral of a field over the grid."""
@@ -222,7 +217,7 @@ def sweep_beta_max(xi_list, delta_grid, n0: int = 1, g0: float = 1.0) -> list[tu
     """
     rows = []
     for xi in xi_list:
-        two_g = g0 * bessel_j(2 * n0, 2.0 * xi)
+        two_g = 2.0 * coupling(g0, xi, n0)
         for delta in delta_grid:
             if delta <= 0:
                 raise ValueError("delta grid must be positive")
@@ -238,60 +233,31 @@ def detection_time_candidates(
 ) -> list[tuple[float, float]]:
     """Times near the window center where the cat weights are equal.
 
-    Solves tan(mu(t)/2) = +-1, i.e. mu(t) = (k + 1/2) pi, by bisection on each
-    monotone branch of sin(omega_0 t).  Returns (t, |beta(t)|) pairs sorted in
+    Solves tan(mu(t)/2) = +-1, i.e. 2 xi sin(omega_0 t) = L for each level
+    L = +-(k + 1/2) pi, in closed form: omega_0 t = asin(L/2xi) or
+    pi - asin(L/2xi), modulo 2 pi.  Returns (t, |beta(t)|) pairs sorted in
     time; empty when 2 xi < pi/2 (equal weights unreachable).
     """
     if half_width is None:
         half_width = math.pi / params.omega_0
-    lo, hi = window_center - half_width, window_center + half_width
-    lo = max(lo, 0.0)
+    lo, hi = max(window_center - half_width, 0.0), window_center + half_width
+    w0, two_pi = params.omega_0, 2.0 * math.pi
 
     two_xi = 2.0 * params.xi
-    levels = []
+    phases = set()  # omega_0 t modulo 2 pi; a level at an extremum has one phase
     k = 0
     while (k + 0.5) * math.pi <= two_xi:
-        levels.append((k + 0.5) * math.pi)
-        levels.append(-(k + 0.5) * math.pi)
+        for level in ((k + 0.5) * math.pi, -(k + 0.5) * math.pi):
+            a = math.asin(level / two_xi)
+            phases.update((a % two_pi, (math.pi - a) % two_pi))
         k += 1
-    if not levels:
-        return []
-
-    def mu(t: float) -> float:
-        return two_xi * math.sin(params.omega_0 * t)
-
-    # extrema of sin(omega_0 t) bound the monotone branches
-    w0 = params.omega_0
-    j0 = math.floor((w0 * lo - math.pi / 2) / math.pi)
-    knots = [lo]
-    j = j0
-    while True:
-        tk = (math.pi / 2 + j * math.pi) / w0
-        if tk >= hi:
-            break
-        if tk > lo:
-            knots.append(tk)
-        j += 1
-    knots.append(hi)
 
     out = []
-    for a, b in zip(knots[:-1], knots[1:]):
-        fa, fb = mu(a), mu(b)
-        for level in levels:
-            if (fa - level) * (fb - level) > 0.0:
-                continue
-            x0, x1 = a, b
-            f0 = fa - level
-            for _ in range(200):
-                xm = 0.5 * (x0 + x1)
-                fm = mu(xm) - level
-                if fm == 0.0 or (x1 - x0) < 1e-14:
-                    break
-                if (f0 < 0) == (fm < 0):
-                    x0, f0 = xm, fm
-                else:
-                    x1 = xm
-            t = 0.5 * (x0 + x1)
+    for phase in phases:
+        first = math.ceil((w0 * lo - phase) / two_pi)
+        last = math.floor((w0 * hi - phase) / two_pi)
+        for m in range(first, last + 1):
+            t = (phase + two_pi * m) / w0
             out.append((t, abs(beta_of_t(d, params.omega_m, t))))
     out.sort()
     return out

@@ -22,7 +22,7 @@ import math
 import os
 import sys
 import time
-from dataclasses import MISSING, asdict, dataclass, field
+from dataclasses import MISSING, asdict, dataclass, field, fields
 
 import numpy as np
 
@@ -197,9 +197,12 @@ PRESETS = {
 }
 
 
-def _key(cast, default=None):
-    """A RunConfig field that is also the config key of its name, read by ``cast``."""
-    return field(default=default, metadata={"cast": cast})
+def _key(cast, default=None, dim=0):
+    """A RunConfig field that is also the config key of its name, read by ``cast``.
+
+    ``dim`` is the power of g0 in the key's unit: 1 for a rate, -1 for a time.
+    """
+    return field(default=default, metadata={"cast": cast, "dim": dim})
 
 
 @dataclass(frozen=True)
@@ -207,25 +210,25 @@ class RunConfig:
     """Fully validated run description (rates already normalized to g0=1).
 
     Every field but ``overrides`` is the config key of the same name, with its
-    caster and default; ``units`` is the one key read only at parse time.
+    caster, default and unit; ``units`` is the one key read only at parse time.
     """
 
     mode: str = _key(_as_choice(MODES), MISSING)
-    omega_m: float | None = _key(_as_float)
+    omega_m: float | None = _key(_as_float, dim=1)
     xi: float | None = _key(_as_float)
-    omega_0: float | None = _key(_as_float)
-    delta: float | str | None = _key(_as_float_or("g"))
-    g0: float = _key(_as_float, 1.0)
-    omega_c: float = _key(_as_float, 0.0)
+    omega_0: float | None = _key(_as_float, dim=1)
+    delta: float | str | None = _key(_as_float_or("g"), dim=1)
+    g0: float = _key(_as_float, 1.0, dim=1)
+    omega_c: float = _key(_as_float, 0.0, dim=1)
     n0: int = _key(_as_int, 1)
-    gamma_c: float = _key(_as_float, 0.0)
-    gamma_m: float = _key(_as_float, 0.0)
+    gamma_c: float = _key(_as_float, 0.0, dim=1)
+    gamma_m: float = _key(_as_float, 0.0, dim=1)
     n_th: float = _key(_as_float, 0.0)
-    dt: float | None = _key(_as_float)
-    t_end: float | str | None = _key(_as_float_or("pi/delta", "2pi/delta"))
+    dt: float | None = _key(_as_float, dim=-1)
+    t_end: float | str | None = _key(_as_float_or("pi/delta", "2pi/delta"), dim=-1)
     record_stride: int | None = _key(_as_int)
     n_max: int | None = _key(_as_int)
-    t_d: float | None = _key(_as_float)
+    t_d: float | None = _key(_as_float, dim=-1)
     initial: str = _key(_as_initial, "bell")
     source: str = _key(_as_choice(SOURCES), "open")
     theta: float | str = _key(_as_float_or("auto"), "auto")
@@ -235,22 +238,35 @@ class RunConfig:
     sweep: str | None = _key(_as_choice(SWEEPABLE))
     sweep_values: tuple[float, ...] | None = _key(_as_float_list)
     xi_list: tuple[float, ...] | None = _key(_as_float_list)
-    delta_min: float | None = _key(_as_float)
-    delta_max: float | None = _key(_as_float)
-    delta_step: float | None = _key(_as_float)
+    delta_min: float | None = _key(_as_float, dim=1)
+    delta_max: float | None = _key(_as_float, dim=1)
+    delta_step: float | None = _key(_as_float, dim=1)
     out: str | None = _key(_as_str)
     preset: str | None = _key(_as_str)
     workers: int = _key(_as_int, 1)
     overrides: dict = field(default_factory=dict)
 
 
-def _cast(key: str, val):
-    if key == "units":
-        return _as_choice(("g0", "physical"))(key, val)
+def _field_meta(key: str) -> dict:
     f = RunConfig.__dataclass_fields__.get(key)
     if f is None or "cast" not in f.metadata:
         raise ConfigError(f"unknown key {key!r}")
-    return f.metadata["cast"](key, val)
+    return f.metadata
+
+
+def _cast(key: str, val):
+    if key == "units":
+        return _as_choice(("g0", "physical"))(key, val)
+    return _field_meta(key)["cast"](key, val)
+
+
+def _in_g0_units(val, dim: int, scale: float):
+    """A value in rad/s (dim 1) or s (dim -1) stated in units of g0 = scale."""
+    if dim == 0 or isinstance(val, str):  # pi/delta, delta = g: already in g0 units
+        return val
+    if isinstance(val, tuple):
+        return tuple(_in_g0_units(v, dim, scale) for v in val)
+    return val / scale if dim > 0 else val * scale
 
 
 def _parse_document(text: str) -> dict:
@@ -308,24 +324,16 @@ def parse_config(
     if "mode" not in merged:
         raise ConfigError("missing required field: mode")
 
-    units = merged.pop("units", "g0")
-    if units == "physical":
+    if merged.pop("units", "g0") == "physical":
         scale = merged.get("g0")
-        if scale is None:
-            raise ConfigError("units=physical requires an explicit g0")
-        for key in ("omega_c", "omega_m", "omega_0", "gamma_c", "gamma_m"):
-            if key in merged:
-                merged[key] = merged[key] / scale
-        if isinstance(merged.get("delta"), float):
-            merged["delta"] = merged["delta"] / scale
-        if merged.get("sweep") in ("gamma_c", "gamma_m", "omega_m", "delta") and "sweep_values" in merged:
-            merged["sweep_values"] = tuple(v / scale for v in merged["sweep_values"])
-        for key in ("dt", "t_d"):
-            if key in merged:
-                merged[key] = merged[key] * scale
-        if isinstance(merged.get("t_end"), float):
-            merged["t_end"] = merged["t_end"] * scale
-        merged["g0"] = 1.0
+        if scale is None or not 0.0 < scale < math.inf:
+            raise ConfigError("units=physical requires an explicit positive, finite g0")
+        # sweep_values take the unit of the swept key; delta_over_g has none
+        swept = merged.get("sweep")
+        swept_dim = _field_meta(swept)["dim"] if swept in RunConfig.__dataclass_fields__ else 0
+        for key, val in merged.items():
+            dim = swept_dim if key == "sweep_values" else _field_meta(key)["dim"]
+            merged[key] = _in_g0_units(val, dim, scale)
     merged["preset"] = preset
     config = RunConfig(**merged, overrides=logged_overrides)
 
@@ -373,40 +381,25 @@ class _Resolved:
 
 
 def _resolve(config: RunConfig, sweep_value: float | None = None) -> _Resolved:
-    raw = {
-        "omega_m": config.omega_m,
-        "xi": config.xi,
-        "g0": config.g0,
-        "omega_c": config.omega_c,
-        "n0": config.n0,
-        "gamma_c": config.gamma_c,
-        "gamma_m": config.gamma_m,
-        "n_th": config.n_th,
-    }
-    delta_spec = config.delta
+    kw = {f.name: getattr(config, f.name) for f in fields(SystemParams)}
+    delta = config.delta
     if sweep_value is not None:
-        key = config.sweep
-        if key == "delta":
-            delta_spec = float(sweep_value)
-        elif key == "delta_over_g":
-            g = raw["g0"] * model.bessel_j(2 * config.n0, 2.0 * raw["xi"]) / 2.0
-            delta_spec = float(sweep_value) * g
-        elif key in raw:
-            raw[key] = float(sweep_value)
-        else:
-            raise ConfigError(f"cannot sweep {key!r}")
-
-    if config.omega_0 is not None:
-        omega_0 = config.omega_0
-    else:
-        if delta_spec == "g":
-            delta = raw["g0"] * model.bessel_j(2 * config.n0, 2.0 * raw["xi"]) / 2.0
-        else:
-            delta = float(delta_spec)
-        omega_0 = (raw["omega_m"] - delta) / (2 * config.n0)
+        if config.sweep in kw:
+            kw[config.sweep] = float(sweep_value)
+        else:  # delta, or delta_over_g in units of g
+            delta = float(sweep_value)
 
     try:
-        params = SystemParams(omega_0=omega_0, **raw)
+        if kw["omega_0"] is not None:
+            params = SystemParams(**kw)
+        else:
+            g = model.coupling(kw["g0"], kw["xi"], kw["n0"])
+            if delta == "g":
+                delta = g
+            elif config.sweep == "delta_over_g" and sweep_value is not None:
+                delta *= g
+            del kw["omega_0"]
+            params = SystemParams.with_detuning(delta=delta, **kw)
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
     d = derive(params)
@@ -414,6 +407,8 @@ def _resolve(config: RunConfig, sweep_value: float | None = None) -> _Resolved:
     is_open = config.mode == "open" or (
         config.mode in ("wigner", "quadrature") and config.source == "open"
     )
+    if is_open and config.initial.startswith("file:"):
+        raise ConfigError("initial=file:PATH is read only by the closed solver")
     if config.n_max is not None:
         n_max = config.n_max
     elif is_open:
@@ -456,18 +451,30 @@ def _solver_config(res: _Resolved) -> SolverConfig:
 
 
 def _load_initial_closed(kind: str, n_max: int) -> closed.SinglePhotonState:
-    if kind.startswith("file:"):
+    if not kind.startswith("file:"):
+        return closed.initial_state(kind, n_max)
+    try:
         with open(kind[5:], encoding="ascii") as fh:
             doc = json.load(fh)
         a = np.asarray(doc["a_re"], dtype=float) + 1j * np.asarray(doc["a_im"], dtype=float)
         b = np.asarray(doc["b_re"], dtype=float) + 1j * np.asarray(doc["b_im"], dtype=float)
-        if a.size != n_max + 1:
-            raise ConfigError(f"initial file has {a.size} amplitudes, n_max+1={n_max + 1}")
         state = closed.SinglePhotonState(a, b, 0.0)
-        if abs(state.norm_sq() - 1.0) > 1e-9:
-            raise ConfigError("initial amplitudes are not normalized")
-        return state
-    return closed.initial_state(kind, n_max)
+    except (OSError, ValueError, KeyError, TypeError) as exc:
+        raise ConfigError(f"initial file {kind[5:]!r}: {exc!r}") from None
+    if state.n_max != n_max:
+        raise ConfigError(f"initial file has {a.size} amplitudes, n_max+1={n_max + 1}")
+    if abs(state.norm_sq() - 1.0) > 1e-9:
+        raise ConfigError("initial amplitudes are not normalized")
+    return state
+
+
+def _evolve(solver: str, config: RunConfig, res: _Resolved, **kw):
+    """Run the closed or open solver from the config's initial state."""
+    if solver == "closed":
+        state = _load_initial_closed(config.initial, res.n_max)
+        return closed.evolve_closed(state, res.params, _solver_config(res), **kw)
+    rho0 = open_system.initial_density(config.initial, res.n_max)
+    return open_system.evolve_open(rho0, res.params, _solver_config(res), **kw)
 
 
 def _manifest(path, doc: dict):
@@ -535,18 +542,14 @@ def _mechanical_states_at_td(config: RunConfig, res: _Resolved):
     if config.source == "analytic":
         phi_l, phi_r = model.target_states(res.params, res.d, t_d)
         return phi_l, phi_r, model.beta_of_t(res.d, res.params.omega_m, t_d)
-    cfg = SolverConfig(dt=res.dt, t_end=t_d, record_stride=res.record_stride)
+    # res runs these modes to t_end = t_d
     if config.source == "closed":
-        run_ = closed.evolve_closed(
-            _load_initial_closed(config.initial, res.n_max), res.params, cfg, compute_fidelities=False
-        )
+        run_ = _evolve("closed", config, res, compute_fidelities=False)
         psi_l, _, psi_r, _ = closed.conditional_states(run_.final)
         rho_l = np.outer(psi_l, psi_l.conj())
         rho_r = np.outer(psi_r, psi_r.conj())
     else:
-        run_ = open_system.evolve_open(
-            open_system.initial_density(config.initial, res.n_max), res.params, cfg
-        )
+        run_ = _evolve("open", config, res)
         rho_l, _ = open_system.reduce_mechanical(run_.final, open_system.PhotonSector.L)
         rho_r, _ = open_system.reduce_mechanical(run_.final, open_system.PhotonSector.R)
     return rho_l, rho_r, model.beta_of_t(res.d, res.params.omega_m, t_d)
@@ -558,31 +561,24 @@ def _execute_single(config: RunConfig, out_dir: str, sweep_value: float | None =
     t_start = time.perf_counter()
     mode = config.mode
 
+    res = None if mode == "sweep" else _resolve(config, sweep_value)
+    doc = _base_manifest(config, res)
+    if sweep_value is not None:
+        doc["sweep"] = {"key": config.sweep, "value": sweep_value}
+    outputs = []
+
     if mode == "sweep":
         deltas = np.arange(config.delta_min, config.delta_max + config.delta_step / 2, config.delta_step)
         try:
             rows = analysis.sweep_beta_max(config.xi_list, deltas, config.n0, config.g0)
         except ValueError as exc:
             raise ConfigError(str(exc)) from None
-        path = os.path.join(out_dir, "beta_max.csv")
-        write_columns(path, ("xi", "delta", "beta_max"), zip(*rows))
-        doc = _base_manifest(config, None)
-        doc.update(
-            xi_list=list(config.xi_list),
-            delta_grid={"min": config.delta_min, "max": config.delta_max, "step": config.delta_step},
-            outputs=["beta_max.csv"],
-            wall_time_s=time.perf_counter() - t_start,
-        )
-        _manifest(os.path.join(out_dir, "manifest.json"), doc)
-        return doc
+        write_columns(os.path.join(out_dir, "beta_max.csv"), ("xi", "delta", "beta_max"), zip(*rows))
+        outputs.append("beta_max.csv")
+        doc["xi_list"] = list(config.xi_list)
+        doc["delta_grid"] = {"min": config.delta_min, "max": config.delta_max, "step": config.delta_step}
 
-    res = _resolve(config, sweep_value)
-    doc = _base_manifest(config, res)
-    if sweep_value is not None:
-        doc["sweep"] = {"key": config.sweep, "value": sweep_value}
-    outputs = []
-
-    if mode == "detect-times":
+    elif mode == "detect-times":
         center = config.t_d if config.t_d is not None else math.pi / abs(res.d.delta)
         cands = analysis.detection_time_candidates(res.params, res.d, center)
         path = os.path.join(out_dir, "detection_times.csv")
@@ -591,36 +587,26 @@ def _execute_single(config: RunConfig, out_dir: str, sweep_value: float | None =
         doc["window_center"] = center
         doc["n_candidates"] = len(cands)
 
-    elif mode == "closed":
-        state = _load_initial_closed(config.initial, res.n_max)
-        run_ = closed.evolve_closed(state, res.params, _solver_config(res))
+    elif mode in ("closed", "open"):
+        run_ = _evolve(mode, config, res)
         run_.record.write_csv(os.path.join(out_dir, "trajectory.csv"))
         outputs.append("trajectory.csv")
+        if mode == "closed":
+            doc["invariants"] = {"norm_drift": run_.norm_drift, "tail_max": run_.tail_max}
+        else:
+            for name, rho in (("snapshot_final.json", run_.final), ("snapshot_t_d.json", run_.marked)):
+                if rho is not None:
+                    open_system.write_snapshot(os.path.join(out_dir, name), rho)
+                    outputs.append(name)
+            doc["invariants"] = {
+                "trace_err_max": run_.trace_err_max,
+                "min_eig_min": run_.min_eig_min,
+                "tail_max": run_.tail_max,
+            }
         doc["initial"] = config.initial
-        doc["invariants"] = {"norm_drift": run_.norm_drift, "tail_max": run_.tail_max}
         if res.t_mark is not None:
             doc["t_d"] = res.t_mark
             doc["at_t_d"] = run_.record.row_at(res.t_mark)
-        doc["final"] = run_.record.row_at(res.t_end)
-
-    elif mode == "open":
-        rho0 = open_system.initial_density(config.initial, res.n_max)
-        run_ = open_system.evolve_open(rho0, res.params, _solver_config(res))
-        run_.record.write_csv(os.path.join(out_dir, "trajectory.csv"))
-        outputs.append("trajectory.csv")
-        open_system.write_snapshot(os.path.join(out_dir, "snapshot_final.json"), run_.final)
-        outputs.append("snapshot_final.json")
-        if run_.marked is not None:
-            open_system.write_snapshot(os.path.join(out_dir, "snapshot_t_d.json"), run_.marked)
-            outputs.append("snapshot_t_d.json")
-            doc["t_d"] = res.t_mark
-            doc["at_t_d"] = run_.record.row_at(res.t_mark)
-        doc["initial"] = config.initial
-        doc["invariants"] = {
-            "trace_err_max": run_.trace_err_max,
-            "min_eig_min": run_.min_eig_min,
-            "tail_max": run_.tail_max,
-        }
         doc["final"] = run_.record.row_at(res.t_end)
 
     elif mode in ("wigner", "quadrature"):
@@ -670,10 +656,6 @@ def _execute_single(config: RunConfig, out_dir: str, sweep_value: float | None =
     return doc
 
 
-def _sweep_label(key: str, value: float) -> str:
-    return f"{key}={value:g}"
-
-
 def _out_root(config: RunConfig) -> str:
     return config.out or os.environ.get(OUT_ENV) or DEFAULT_OUT
 
@@ -686,7 +668,7 @@ def run(config: RunConfig) -> dict:
         return _execute_single(config, out_root)
 
     t_start = time.perf_counter()
-    jobs = [(config, os.path.join(out_root, _sweep_label(config.sweep, v)), v) for v in values]
+    jobs = [(config, os.path.join(out_root, f"{config.sweep}={v:g}"), v) for v in values]
     if config.workers > 1:
         with concurrent.futures.ProcessPoolExecutor(max_workers=config.workers) as pool:
             futures = [pool.submit(_execute_single, *job) for job in jobs]
@@ -752,11 +734,6 @@ def main(argv=None) -> int:
             out=args.out,
             workers=args.workers,
         )
-    except ConfigError as exc:
-        print(f"catforge: config error: {exc}", file=sys.stderr)
-        return 2
-
-    try:
         run(config)
     except SolverAbort as exc:
         out_root = _out_root(config)

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -27,6 +27,7 @@ __all__ = [
     "DerivedModulation",
     "CatState",
     "bessel_j",
+    "coupling",
     "derive",
     "beta_of_t",
     "mu_of_t",
@@ -79,20 +80,6 @@ class SystemParams:
     def with_detuning(cls, omega_m: float, xi: float, delta: float, n0: int = 1, **kw) -> "SystemParams":
         """Build params from a target detuning: omega_0 = (omega_m - delta)/(2 n0)."""
         return cls(omega_m=omega_m, xi=xi, omega_0=(omega_m - delta) / (2 * n0), n0=n0, **kw)
-
-    def normalized(self) -> "SystemParams":
-        """Rescale all rates to units of g0 (g0 becomes exactly 1)."""
-        s = self.g0
-        return replace(
-            self,
-            omega_m=self.omega_m / s,
-            xi=self.xi,
-            omega_0=self.omega_0 / s,
-            g0=1.0,
-            omega_c=self.omega_c / s,
-            gamma_c=self.gamma_c / s,
-            gamma_m=self.gamma_m / s,
-        )
 
     @property
     def rwa_regime_ok(self) -> bool:
@@ -154,9 +141,14 @@ def bessel_j(order: int, z: float) -> float:
     return sign * out / total
 
 
+def coupling(g0: float, xi: float, n0: int) -> float:
+    """Effective coupling g = g0 J_{2 n0}(2 xi)/2 of the modulated hopping."""
+    return g0 * bessel_j(2 * n0, 2.0 * xi) / 2.0
+
+
 def derive(params: SystemParams) -> DerivedModulation:
     """Effective coupling g, detuning delta, and peak displacement 2g/|delta|."""
-    g = params.g0 * bessel_j(2 * params.n0, 2.0 * params.xi) / 2.0
+    g = coupling(params.g0, params.xi, params.n0)
     delta = params.omega_m - 2.0 * params.n0 * params.omega_0
     beta_max = math.inf if delta == 0.0 else 2.0 * g / abs(delta)
     return DerivedModulation(g=g, delta=delta, beta_max=beta_max)
@@ -222,7 +214,9 @@ class CatState:
     def fock_vector(self, n_max: int) -> np.ndarray:
         """Normalized Fock-space expansion on the truncated ladder."""
         c = coherent_coeffs(self.beta, n_max)
-        cm = coherent_coeffs(-self.beta, n_max)
+        # the expansion of -beta: c_n changes sign with odd n
+        cm = c.copy()
+        cm[1::2] = -c[1::2]
         return (self.weight_plus * c + self.weight_minus * cm) / math.sqrt(self.norm_sq())
 
 

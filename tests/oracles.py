@@ -136,3 +136,11 @@ def lindblad_generator(params: SystemParams, n_max: int):
 def rhs_lindblad(rho: np.ndarray, t: float, params: SystemParams) -> np.ndarray:
     """Lab-frame time derivative of the full sector-major density matrix rho at t."""
     return lindblad_generator(params, rho.shape[0] // 3 - 1)(rho, t)
+
+
+def sign_change_times(f, lo: float, hi: float, n: int) -> np.ndarray:
+    """Midpoints of the cells of an n-cell grid on [lo, hi] across which f changes sign."""
+    t = np.linspace(lo, hi, n + 1)
+    positive = f(t) > 0.0
+    cells = np.nonzero(positive[:-1] != positive[1:])[0]
+    return 0.5 * (t[cells] + t[cells + 1])

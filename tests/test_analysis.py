@@ -7,6 +7,7 @@ from catforge import analysis, closed, fock, model
 from catforge import open_system as osys
 from catforge.analysis import PhaseSpaceGrid, QuadratureAxis
 
+import oracles
 from conftest import T_D, XI, fig2_params
 
 
@@ -206,6 +207,27 @@ def test_detection_time_candidates_contain_reference_values():
             mu = model.mu_of_t(params, t)
             assert abs(abs(math.tan(mu / 2)) - 1.0) < 1e-10
             assert abs(beta_abs - abs(model.beta_of_t(d, wm, t))) < 1e-12
+
+
+def test_detection_time_candidates_complete():
+    # every equal-weight root in the window once: the candidates against a dense
+    # sign-change scan of 2 xi sin(omega_0 t) - L at each level L = +-(k + 1/2) pi
+    rng = np.random.default_rng(5)
+    n = 100_000
+    for _ in range(40):
+        xi = rng.uniform(0.5, 6.0)
+        params = model.SystemParams.with_detuning(rng.uniform(5.0, 100.0), xi, rng.uniform(0.05, 1.0))
+        center, half = rng.uniform(0.0, 30.0), rng.uniform(0.1, 3.0)
+        lo, hi = max(center - half, 0.0), center + half
+        levels = [s * (k + 0.5) * math.pi for k in range(4) for s in (1, -1) if (k + 0.5) * math.pi <= 2 * xi]
+        scan = np.sort(np.concatenate([np.empty(0)] + [
+            oracles.sign_change_times(lambda t: 2 * xi * np.sin(params.omega_0 * t) - level, lo, hi, n)
+            for level in levels
+        ]))
+        cands = analysis.detection_time_candidates(params, model.derive(params), center, half)
+        ts = np.array([t for t, _ in cands])
+        assert ts.size == scan.size
+        assert np.max(np.abs(ts - scan), initial=0.0) <= (hi - lo) / n
 
 
 def test_detection_times_unreachable_weights():

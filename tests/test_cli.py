@@ -79,6 +79,9 @@ def test_parse_errors():
         parse_config("mode = open\nomega_m = 20\nxi = 1.5\ndelta = g\ngamma_c = -2\n")
     with pytest.raises(ConfigError, match="unknown preset"):
         parse_config(preset="fig9")
+    for g0 in ("0", "-1", "inf", "nan"):
+        with pytest.raises(ConfigError, match="finite g0"):
+            parse_config(preset="fig2units", overrides={"g0": g0})
 
 
 def test_typed_overrides_are_validated():
@@ -99,6 +102,11 @@ def test_units_preset_matches_dimensionless_twin():
             assert abs(x - y) <= 1e-12 * max(1.0, abs(x)), field_
         assert abs(a.t_mark - b.t_mark) <= 1e-12 * a.t_mark
     assert abs(member.params.gamma_m - a.params.gamma_m) <= 1e-12 * a.params.gamma_m
+    # a time override is given in seconds
+    dt = a.dt / 2
+    stepped = cli._resolve(parse_config(preset="fig2units", overrides={"dt": repr(dt / (2 * math.pi * 500e3))}))
+    assert abs(stepped.dt - dt) <= 1e-12 * dt
+    assert stepped.record_stride == cli._resolve(parse_config(preset="fig2", overrides={"dt": dt})).record_stride
     # n_th has no unit
     assert parse_config(preset="fig2units", overrides={"sweep": "n_th", "sweep_values": "5"}).sweep_values == (5.0,)
 
@@ -191,6 +199,19 @@ def test_fig1a_sweep_matches_formula(tmp_path):
         assert bm == model.bessel_j(2, 2 * xi) / delta
     # the delta = g operating point gives exactly |beta|_max = 2
     assert analysis.sweep_beta_max([XI], [coupling_g()])[0][2] == 2.0
+
+
+def test_fig1a_physical_units_matches_dimensionless(tmp_path):
+    # the delta grid of the sweep mode is a rate: stated in rad/s it is normalized by g0
+    g0 = 2 * math.pi * 500e3
+    grid = {key: repr(cli.PRESETS["fig1a"][key] * g0) for key in ("delta_min", "delta_max", "delta_step")}
+    cli.run(parse_config(preset="fig1a", out=str(tmp_path / "g0")))
+    cli.run(parse_config(
+        preset="fig1a", overrides={"units": "physical", "g0": repr(g0), **grid}, out=str(tmp_path / "physical")
+    ))
+    a, b = (np.loadtxt(tmp_path / tag / "beta_max.csv", delimiter=",", skiprows=1) for tag in ("g0", "physical"))
+    assert a.shape == b.shape
+    assert np.max(np.abs(b - a) / np.abs(a)) <= 1e-12
 
 
 def test_sweep_rejects_nonpositive_delta(tmp_path, monkeypatch):
@@ -431,3 +452,27 @@ def test_initial_from_file(tmp_path):
     )
     doc = cli.run(cfg)
     assert abs(doc["final"]["nL"] + doc["final"]["nR"] - 1.0) < 1e-9
+
+
+def test_initial_file_refused_by_open_solver(tmp_path, monkeypatch):
+    # only the closed solver reads amplitudes from a file
+    monkeypatch.setenv(cli.OUT_ENV, str(tmp_path / "out"))
+    path = tmp_path / "init.json"
+    path.write_text("{}")
+    initial = ["--set", f"initial=file:{path}"]
+    assert cli.main(["open", "--preset", "fig2", *initial]) == 2
+    for mode in ("wigner", "quadrature"):
+        assert cli.main([mode, "--preset", "fig2", "--set", "source=open", *initial]) == 2
+    assert not (tmp_path / "out").exists()
+
+
+def test_initial_file_errors_exit_2(tmp_path, monkeypatch):
+    # a missing, malformed or incomplete amplitude file is a config error, not a traceback
+    monkeypatch.setenv(cli.OUT_ENV, str(tmp_path / "out"))
+    (tmp_path / "bad.json").write_text("{not json")
+    (tmp_path / "partial.json").write_text(json.dumps({"a_re": [1.0], "a_im": [0.0]}))
+    (tmp_path / "list.json").write_text("[1, 2]")
+    short = ["--set", "t_end=0.1", "--set", "n_max=4"]
+    for name in ("missing.json", "bad.json", "partial.json", "list.json"):
+        argv = ["closed", "--preset", "fig2", "--set", f"initial=file:{tmp_path / name}", *short]
+        assert cli.main(argv) == 2, name

@@ -5,6 +5,7 @@ import pytest
 from scipy import special
 
 from catforge import model
+from catforge.fock import coherent_coeffs
 
 from conftest import XI, coupling_g, fig2_params
 
@@ -165,7 +166,6 @@ def test_target_states_vacuum_at_t0():
 
 def test_target_states_yurke_stoler_at_td():
     from catforge.analysis import detection_time_candidates
-    from catforge.fock import coherent_coeffs
 
     params = fig2_params()
     d = model.derive(params)
@@ -195,6 +195,23 @@ def test_target_states_normalized():
         assert abs(np.vdot(v, v).real - 1.0) < 1e-10
 
 
+def test_fock_vector_matches_two_expansions():
+    # the -beta expansion is the beta one with odd entries negated: bit for bit
+    # at complex beta; at real or imaginary beta only zero signs may differ
+    rng = np.random.default_rng(12)
+    for i in range(400):
+        re, im = rng.normal(scale=3.0, size=2)
+        beta = complex(re, im) if i % 4 else complex(re, 0.0)
+        n_max = int(rng.integers(1, 80))
+        wp, wm = complex(*rng.normal(size=2)), complex(*rng.normal(size=2))
+        cat = model.CatState(beta, wp, wm)
+        two = (wp * coherent_coeffs(beta, n_max) + wm * coherent_coeffs(-beta, n_max)) / math.sqrt(cat.norm_sq())
+        v = cat.fock_vector(n_max)
+        assert np.array_equal(v, two)
+        if i % 4:
+            assert v.tobytes() == two.tobytes()
+
+
 def test_cat_norm_positive_guard():
     # |beta> - |beta'> with beta'=beta collapses to zero norm
     cat = model.CatState(0.0, 1.0, -1.0)
@@ -206,22 +223,3 @@ def test_success_probability():
     assert model.success_probability_estimate(fig2_params(gamma_c=0.0)) == 1.0
     assert abs(model.success_probability_estimate(fig2_params(gamma_c=0.2)) - 0.081) < 1e-3
     assert abs(model.success_probability_estimate(fig2_params(gamma_c=0.1)) - 0.285) < 1e-3
-
-
-def test_normalized_rescaling():
-    two_pi = 2 * math.pi
-    phys = model.SystemParams(
-        omega_m=two_pi * 10e6,
-        xi=XI,
-        omega_0=(two_pi * 10e6 - coupling_g() * two_pi * 500e3) / 2,
-        g0=two_pi * 500e3,
-        gamma_c=two_pi * 100e3,
-        gamma_m=two_pi * 50.0,
-        n_th=4.0,
-    )
-    norm = phys.normalized()
-    ref = fig2_params()
-    assert norm.g0 == 1.0
-    for field in ("omega_m", "omega_0", "gamma_c", "gamma_m", "n_th", "xi"):
-        a, b = getattr(norm, field), getattr(ref, field)
-        assert abs(a - b) <= 1e-12 * max(1.0, abs(b)), field
