@@ -142,16 +142,19 @@ def wigner_numeric(rho_m: np.ndarray, grid: PhaseSpaceGrid) -> np.ndarray:
     the main diagonal), so any matrix gives the full-trace value; and
     lam_k^a = sqrt(k! a! / (k+a)!) L_k^a(x) by its normalized three-term
     recurrence in k.  No displacement matrix and no factorial is formed.
+    The recurrence runs once per distinct radius x (a symmetric grid repeats
+    each several times) and s_a is gathered back to the grid points.
     """
     rho_m = np.asarray(rho_m, dtype=complex)
     dim = rho_m.shape[0]
     z = 2.0 * grid.mesh().ravel()
-    x = np.abs(z) ** 2
+    x, at = np.unique(np.abs(z) ** 2, return_inverse=True)
     parity = np.where(np.arange(dim) % 2, -1.0, 1.0)
     total = np.zeros(z.size)
     q = np.ones(z.size, dtype=complex)
-    lam, lam_prev, lam_next = np.empty((3, z.size))
-    s_re, s_im, tmp = np.empty((3, z.size))
+    lam, lam_prev, lam_next = np.empty((3, x.size))
+    s_re, s_im, tmp = np.empty((3, x.size))
+    g_re, g_im = np.empty((2, z.size))
     for a in range(dim):
         if a:
             q *= z
@@ -177,11 +180,13 @@ def wigner_numeric(rho_m: np.ndarray, grid: PhaseSpaceGrid) -> np.ndarray:
             np.multiply(lam, c[k + 1].imag, out=tmp)
             s_im += tmp
         # Re[q_a s_a]
-        s_re *= q.real
-        s_im *= q.imag
-        total += s_re
-        total -= s_im
-    total *= np.exp(-0.5 * x)
+        np.take(s_re, at, out=g_re)
+        g_re *= q.real
+        np.take(s_im, at, out=g_im)
+        g_im *= q.imag
+        total += g_re
+        total -= g_im
+    total *= np.exp(-0.5 * x)[at]
     total *= 2.0 / math.pi
     return total.reshape(grid.n_im, grid.n_re)
 

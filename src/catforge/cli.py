@@ -416,7 +416,7 @@ def _resolve(config: RunConfig, sweep_value: float | None = None) -> _Resolved:
     else:
         n_max = closed.default_n_max(params, d)
 
-    dt = config.dt if config.dt is not None else closed.default_dt(params, 64 if is_open else 256)
+    dt = config.dt if config.dt is not None else closed.default_dt(params, 64 if is_open else 128)
 
     t_end = config.t_end
     if config.mode in ("wigner", "quadrature"):
@@ -718,8 +718,11 @@ def main(argv=None) -> int:
     try:
         text = ""
         if args.config:
-            with open(args.config, encoding="utf-8") as fh:
-                text = fh.read()
+            try:
+                with open(args.config, encoding="utf-8") as fh:
+                    text = fh.read()
+            except OSError as exc:
+                raise ConfigError(f"--config {args.config!r}: {exc.strerror or exc}") from None
         overrides = {}
         for item in args.set:
             if "=" not in item:

@@ -8,24 +8,34 @@ amplitudes obey
     dB_m/dt = -i(omega_c + m omega_m) B_m + i xi omega_0 cos(omega_0 t) A_m
               + i g0 [sqrt(m+1) B_{m+1} + sqrt(m) B_{m-1}]
 
-with hard truncation at m = n_max.  Propagation is fixed-step RK4 in the
-interaction picture of the free Hamiltonian (amplitudes A_m e^{i m omega_m t}),
-where the solution varies on the slow coupling scales; the fast e^{-i m
-omega_m t} phases are restored exactly at record times.  The cavity frequency
-omega_c contributes only a global phase and is gauged to zero inside the
-solver.
+with hard truncation at m = n_max.  Propagation is fixed-step RK4 in a frame
+that removes the two fastest terms exactly: the interaction picture of the
+phonon energy (amplitudes A_m e^{i m omega_m t}) and the hopping frame
+phi = U_h^dag psi with U_h(t) = exp(i xi sin(omega_0 t) sigma_x) on the
+photon pair.  The modulated hopping xi omega_0 cos(omega_0 t)(|L><R| + h.c.),
+the largest term (about 15 at fig2), commutes with itself at all times, so
+the frame removes it and leaves the generator
 
-The solver steps one stacked vector y = [A; B] of length 2d (d = n_max + 1).
-The generator's 4d - 2 nonzeros have three disjoint supports (the sector
-swap, B-lowering and B-raising); their time dependence is evaluated
-elementwise for a chunk of steps at a time, already scaled by each RK4
-stage's step fraction.  One store per step writes the four pre-scaled stage
-generators into a preallocated (4, 2d, 2d) array, so a step is that store,
-four stage products, one weighted combine of the stages and four adds.
-Records are read off the interaction-frame vector: populations, phonon
-number and the truncation tail from |y|^2, which the frame phases leave
-unchanged, and <x> with one global phase; a lab-frame state is built only
-for fidelities, kept states, the marked state and the final state.
+    d phi/dt = i g0 |r'><r'| (x) X(t) phi,
+    |r'> = U_h^dag |R> = (-i sin alpha, cos alpha),  alpha = xi sin(omega_0 t),
+    X(t) = e^{-i omega_m t} b + e^{i omega_m t} b^dag,
+
+which varies on the slow coupling scales.  The cavity frequency omega_c
+contributes only a global phase and is gauged to zero inside the solver.
+
+The generator is rank-1 in photon space, so each RK4 stage is r'_k (x) x_k
+with a phonon vector x_k of length d = n_max + 1, and a step works on
+d-element operands.  The state y = [phi_L; phi_R] and the stages x1..x4 are
+the rows of one (6, d) buffer.  The stage matrices, projections and combine
+weights are evaluated for a chunk of steps at a time, already scaled by each
+RK4 stage's step fraction; one store per step writes a step's row into the
+kernel's memory, and the step is then four projections, four d x d products
+and one combine into the other buffer: ten numpy calls.  Records are read
+off the frame state: the norm, the truncation tail, the phonon number and
+<x> are traces over the photon pair, unchanged by either frame (<x> up to one
+global phase); nL and nR rotate the 2 x 2 photon trace, and the fidelities
+take the targets into the frame.  A lab-frame state is built only for kept
+states, the marked state and the final state.
 """
 
 from __future__ import annotations
@@ -59,6 +69,7 @@ __all__ = [
 CLOSED_COLUMNS = ("t", "nL", "nR", "x_over_x0", "nb", "P_L", "P_R", "F", "F_L", "F_R")
 
 NORM_ABORT = 1e-6
+P_FLOOR = 1e-12
 TAIL_ABORT = 1e-6
 
 
@@ -125,15 +136,16 @@ class SolverConfig:
             )
 
 
-def default_dt(params: SystemParams, points_per_period: int = 256) -> float:
+def default_dt(params: SystemParams, points_per_period: int = 128) -> float:
     """Step size resolving the fastest retained oscillation.
 
-    Each solver has its own default, both comfortably past the 40-point
-    resolution floor.  Closed runs take 256 points per period, which keeps the
-    RK4 norm drift of a detection-time-scale run below 1e-8 (the conservation
-    guard).  Open runs take 64 (the CLI passes it): the open solver steps in the
-    hopping frame, where the modulated hopping is removed exactly, and there
-    64 points put a fig2 solve to t = 2 within about 2e-10 of a 1024-point one.
+    Both solvers step in the hopping frame, where the modulated hopping is
+    removed exactly, and both defaults are comfortably past the 40-point
+    resolution floor.  Closed runs take 128 points per period (the default):
+    a Bell solve to the detection time is within 2.5e-10 (omega_m = 20) and
+    5e-11 (omega_m = 100) of a 2048-point one, and the norm drift stays far
+    below the conservation guard.  Open runs take 64 (the CLI passes it),
+    which puts a fig2 solve to t = 2 within about 2e-10 of a 1024-point one.
     """
     w_max = max(params.omega_m, params.omega_0 * (2 * params.n0 + 2))
     return (2.0 * math.pi / w_max) / points_per_period
@@ -161,9 +173,9 @@ def initial_state(kind: str, n_max: int) -> SinglePhotonState:
     return SinglePhotonState(a, b, 0.0)
 
 
-# Steps whose stage coefficients are tabulated together.  Their table holds the
-# 4 pre-scaled stage generators of each step, 4 (4d - 2) entries, so at
-# n_max = 22 it takes 128 * 4 * 90 * 16 B = 0.74 MB.
+# Steps whose stage tables are built together.  A step's row holds the four
+# stage matrices' 8 (d - 1) ladder entries and 18 photon coefficients, so at
+# n_max = 22 a chunk's table takes 128 * 194 * 16 B = 0.40 MB.
 _CHUNK = 128
 
 # RK4 stage times and step fractions, in units of the step h.  With the stages
@@ -171,87 +183,109 @@ _CHUNK = 128
 # h/6 (k1 + 2 k2 + 2 k3 + k4) is _RK4_WEIGHTS . [a1; a2; a3; a4].
 _STAGE_TIMES = np.array([0.0, 0.5, 0.5, 1.0])
 _STAGE_SCALES = np.array([1 / 2, 1 / 2, 1.0, 1 / 6])
-_RK4_WEIGHTS = np.array([1 / 3, 2 / 3, 1 / 3, 1.0], dtype=complex)
+_RK4_WEIGHTS = np.array([1 / 3, 2 / 3, 1 / 3, 1.0])
 
 
-def _generator_pattern(d: int) -> np.ndarray:
-    """Flat indices of the generator's nonzeros in the 2d x 2d matrix acting on [A; B].
+def _hopping_angle(params: SystemParams, t):
+    """alpha(t) = xi sin(omega_0 t), with U_h(t) = exp(i alpha sigma_x)."""
+    return params.xi * np.sin(params.omega_0 * t)
 
-    In order: the sector swap (A_m <- B_m, then B_m <- A_m), B-lowering
-    (B_m <- B_{m+1}) and B-raising (B_{m+1} <- B_m); the supports are disjoint.
+
+def _kernel_layout(d: int) -> np.ndarray:
+    """Flat indices of a stage-table row's entries in the kernel's memory.
+
+    The memory holds the four d x d stage matrices, the projection rows
+    p1..p4 (lengths 2..5, over the buffer rows y_L, y_R, x1, x2, x3) and the
+    2 x 6 combine matrix.  A row fills, stage by stage, the lowering (m, m+1)
+    and raising (m+1, m) entries; then the L entries of p1..p4, their R
+    entries, the overlaps (last entries of p2 and p4), and the stage columns
+    of the combine's L row and R row.  The other entries are constant zeros
+    and ones.
     """
-    n = 2 * d
-    m = np.arange(d)
-    swap = np.concatenate([m * n + d + m, (d + m) * n + m])
-    lowering = (d + m[:-1]) * n + d + m[:-1] + 1
-    raising = (d + m[1:]) * n + d + m[:-1]
-    return np.concatenate([swap, lowering, raising])
+    m = np.arange(d - 1)
+    ladder = np.concatenate([m * d + m + 1, (m + 1) * d + m])
+    base = 4 * d * d
+    return np.concatenate([
+        (ladder + d * d * np.arange(4)[:, None]).reshape(-1),
+        base + np.array([0, 2, 5, 9, 1, 3, 6, 10, 4, 13]),
+        base + 14 + np.array([2, 3, 4, 5, 8, 9, 10, 11]),
+    ])
 
 
-def _generator_coefficients(params: SystemParams, n_max: int, times: np.ndarray) -> np.ndarray:
-    """Generator nonzeros at each time, one row per time, in _generator_pattern order.
+def _stage_table(params: SystemParams, n_max: int, ts: np.ndarray, h: float) -> np.ndarray:
+    """Stage-table rows, in _kernel_layout order, for RK4 steps of size h starting at ts.
 
-    The swap entries carry i xi omega_0 cos(omega_0 t); B-lowering carries
-    i g0 sqrt(m+1) e^{-i omega_m t} and B-raising its e^{+i omega_m t} partner.
+    At the stage times t_k = t + c_k h, with alpha_k the hopping angle and
+    |r'_k> = (-i sin alpha_k, cos alpha_k), a row holds: the stage matrices
+    s_k h i g0 X(t_k) (lowering entries i g0 sqrt(m+1) e^{-i omega_m t_k},
+    raising entries their e^{+i omega_m t_k} partners, times the step
+    fraction s_k h); the projections <r'_k| = (i sin alpha_k, cos alpha_k)
+    with the overlaps <r'_2|r'_1> = cos(alpha_2 - alpha_1) and
+    <r'_4|r'_3> = cos(alpha_4 - alpha_3) (<r'_3|r'_2> = 1); and the combine
+    columns w_k r'_k.  8 (d - 1) + 18 entries.
     """
     d = n_max + 1
-    out = np.empty((times.size, 4 * d - 2), dtype=complex)
-    hop = 1j * params.g0 * np.sqrt(np.arange(1.0, d))
-    ph = np.exp(-1j * params.omega_m * times)[:, None]
-    xw = params.xi * params.omega_0
-    out[:, : 2 * d] = (1j * xw * np.cos(params.omega_0 * times))[:, None]
-    np.multiply(ph, hop, out=out[:, 2 * d : 3 * d - 1])
-    np.multiply(ph.conj(), hop, out=out[:, 3 * d - 1 :])
+    k = 8 * (d - 1)
+    t = ts[:, None] + h * _STAGE_TIMES
+    out = np.empty((ts.size, k + 18), dtype=complex)
+    low = np.exp(-1j * params.omega_m * t) * (1j * params.g0 * h * _STAGE_SCALES)
+    rungs = np.stack([low, -low.conj()], axis=2)[..., None]
+    np.multiply(rungs, np.sqrt(np.arange(1.0, d)), out=out[:, :k].reshape(ts.size, 4, 2, d - 1))
+    alpha = _hopping_angle(params, t)
+    proj = out[:, k:]
+    np.multiply(1j, np.sin(alpha), out=proj[:, 0:4])
+    proj[:, 4:8] = np.cos(alpha)
+    proj[:, 8:10] = np.cos(alpha[:, 1::2] - alpha[:, ::2])
+    np.multiply(proj[:, 0:4], -_RK4_WEIGHTS, out=proj[:, 10:14])
+    np.multiply(proj[:, 4:8], _RK4_WEIGHTS, out=proj[:, 14:18])
     return out
 
 
-def _stage_coefficients(params: SystemParams, n_max: int, ts: np.ndarray, h: float) -> np.ndarray:
-    """Pre-scaled stage-generator nonzeros for RK4 steps of size h starting at ts.
-
-    One row per step: [h/2 c(t), h/2 c(t + h/2), h c(t + h/2), h/6 c(t + h)]
-    with c the _generator_coefficients row, 4 (4d - 2) entries.
-    """
-    c = _generator_coefficients(params, n_max, (ts[:, None] + h * _STAGE_TIMES).reshape(-1))
-    c = c.reshape(ts.size, 4, -1)
-    c *= (h * _STAGE_SCALES)[:, None]
-    return c.reshape(ts.size, -1)
+def _row_views(buf: np.ndarray) -> tuple:
+    """The views of a (6, d) step buffer [y_L; y_R; x1; x2; x3; x4] that the
+    kernel reads and writes: its leading 2, 3, 4, 5 and 6 rows, then x1..x4."""
+    return (buf[:2], buf[:3], buf[:4], buf[:5], buf, buf[2], buf[3], buf[4], buf[5])
 
 
 def _interaction_rhs(params: SystemParams, n_max: int):
-    """RK4 step kernel step(row, y, out) for the frame-rotated amplitudes y = [A; B].
+    """RK4 step kernel step(row, a, b) for the hopping-frame amplitudes.
 
-    One store writes a row of _stage_coefficients into four preallocated
-    2d x 2d stage generators G1..G4; the stages are a1 = G1 y,
-    a2 = G2 (y + a1), a3 = G3 (y + a2), a4 = G4 (y + a3), and out receives
-    y + w . [a1; a2; a3; a4] (_RK4_WEIGHTS) and is returned.  out must not
-    alias y.  The layout depends on n_max alone; the name and the params
-    argument stay because the benchmark tracer (perfbench/spans.py) wraps
-    this factory by them and counts the kernel's calls.
+    a and b are the _row_views of two (6, d) buffers; the state y = [phi_L;
+    phi_R] is their first two rows.  The generator i g0 |r'><r'| (x) X(t) is
+    rank-1 in photon space, so stage k is r'_k (x) x_k with
+    x_k = s_k h i g0 X(t_k) u_k and u_k = <r'_k|y + <r'_k|r'_{k-1}> x_{k-1}.
+    One store writes a _stage_table row into the kernel's memory; then each
+    stage is a projection u_k = p_k . [y; x1..x_{k-1}] and a d x d product into
+    a's row x_k, and one (2 x 6) . (6 x d) combine writes
+    y + sum_k w_k r'_k (x) x_k into b's first two rows.  b is returned.  The
+    name and the params argument stay because the benchmark tracer
+    (perfbench/spans.py) wraps this factory by them and counts the kernel's
+    calls.
     """
     d = n_max + 1
-    n = 2 * d
-    gens = np.zeros((4, n, n), dtype=complex)
-    gflat = gens.reshape(-1)
-    gidx = (_generator_pattern(d) + n * n * np.arange(4)[:, None]).reshape(-1)
-    g1, g2, g3, g4 = gens
-    stages = np.empty((4, n), dtype=complex)
-    a1, a2, a3, a4 = stages
-    v = np.empty(n, dtype=complex)
+    mem = np.zeros(4 * d * d + 26, dtype=complex)
+    m1, m2, m3, m4 = mem[: 4 * d * d].reshape(4, d, d)
+    p1, p2, p3, p4, comb = np.split(mem[4 * d * d :], [2, 5, 9, 14])
+    comb = comb.reshape(2, 6)
+    p3[3] = comb[0, 0] = comb[1, 1] = 1.0
+    idx = _kernel_layout(d)
+    u = np.empty(d, dtype=complex)
 
-    # np.dot(..., out=) is the cheapest 2d x 2d product call (np.matmul costs
-    # about 30% more at 2d = 46, where every call is overhead-bound)
-    def step(row: np.ndarray, y: np.ndarray, out: np.ndarray) -> np.ndarray:
-        gflat[gidx] = row
-        np.dot(g1, y, out=a1)
-        np.add(y, a1, out=v)
-        np.dot(g2, v, out=a2)
-        np.add(y, a2, out=v)
-        np.dot(g3, v, out=a3)
-        np.add(y, a3, out=v)
-        np.dot(g4, v, out=a4)
-        np.dot(_RK4_WEIGHTS, stages, out=out)
-        out += y
-        return out
+    # ndarray.dot(..., out=) is the cheapest product call: at these sizes every
+    # call is overhead-bound, and np.dot's dispatch costs more than the product
+    def step(row: np.ndarray, a: tuple, b: tuple) -> tuple:
+        mem[idx] = row
+        y2, y3, y4, y5, y6, x1, x2, x3, x4 = a
+        p1.dot(y2, out=u)
+        m1.dot(u, out=x1)
+        p2.dot(y3, out=u)
+        m2.dot(u, out=x2)
+        p3.dot(y4, out=u)
+        m3.dot(u, out=x3)
+        p4.dot(y5, out=u)
+        m4.dot(u, out=x4)
+        comb.dot(y6, out=b[0])
+        return b
 
     return step
 
@@ -306,23 +340,15 @@ def observables(state: SinglePhotonState) -> dict:
 def _target_vectors(
     params: SystemParams, d: DerivedModulation, t: float, n_max: int
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Fock vectors of the cat-state targets phi_L, phi_R at time t."""
-    phi_l, phi_r = target_states(params, d, t)
-    return phi_l.fock_vector(n_max), phi_r.fock_vector(n_max)
+    """Fock vectors of the cat-state targets phi_L, phi_R at time t.
 
-
-def _total_fidelity(state: SinglePhotonState, vl: np.ndarray, vr: np.ndarray) -> float:
-    amp = (np.vdot(state.a, vl) + np.vdot(state.b, vr)) / math.sqrt(2.0)
-    return float(abs(amp) ** 2)
-
-
-def _conditional_fidelities(
-    state: SinglePhotonState, vl: np.ndarray, vr: np.ndarray
-) -> tuple[float, float]:
-    psi_l, _, psi_r, _ = conditional_states(state)
-    f_l = abs(np.vdot(psi_l, vl)) ** 2 if psi_l is not None else math.nan
-    f_r = abs(np.vdot(psi_r, vr)) ** 2 if psi_r is not None else math.nan
-    return float(f_l), float(f_r)
+    phi_R is phi_L with beta -> -beta, so its expansion is phi_L's with the
+    odd entries negated: one expansion serves both.
+    """
+    v_l = target_states(params, d, t)[0].fock_vector(n_max)
+    v_r = v_l.copy()
+    v_r[1::2] = -v_l[1::2]
+    return v_l, v_r
 
 
 def fidelity_total(state: SinglePhotonState, params: SystemParams, d: DerivedModulation) -> float:
@@ -331,10 +357,12 @@ def fidelity_total(state: SinglePhotonState, params: SystemParams, d: DerivedMod
     Defined for the Bell-photon initial condition, for which the analytic
     state is (1/sqrt2)[|10> phi_L + |01> phi_R] up to a global phase.
     """
-    return _total_fidelity(state, *_target_vectors(params, d, state.t, state.n_max))
+    vl, vr = _target_vectors(params, d, state.t, state.n_max)
+    amp = (np.vdot(state.a, vl) + np.vdot(state.b, vr)) / math.sqrt(2.0)
+    return float(abs(amp) ** 2)
 
 
-def conditional_states(state: SinglePhotonState, p_floor: float = 1e-12):
+def conditional_states(state: SinglePhotonState, p_floor: float = P_FLOOR):
     """Collapsed mechanical states and probabilities for left/right detection."""
     p_l = float(np.sum(np.abs(state.a) ** 2))
     p_r = float(np.sum(np.abs(state.b) ** 2))
@@ -346,8 +374,13 @@ def conditional_states(state: SinglePhotonState, p_floor: float = 1e-12):
 def fidelity_conditional(
     state: SinglePhotonState, params: SystemParams, d: DerivedModulation
 ) -> tuple[float, float]:
-    """Fidelities of the collapsed states against the cat-state targets."""
-    return _conditional_fidelities(state, *_target_vectors(params, d, state.t, state.n_max))
+    """Fidelities of the collapsed states against the cat-state targets; NaN
+    for a sector whose probability is at most P_FLOOR."""
+    vl, vr = _target_vectors(params, d, state.t, state.n_max)
+    psi_l, _, psi_r, _ = conditional_states(state)
+    f_l = abs(np.vdot(psi_l, vl)) ** 2 if psi_l is not None else math.nan
+    f_r = abs(np.vdot(psi_r, vr)) ** 2 if psi_r is not None else math.nan
+    return float(f_l), float(f_r)
 
 
 @dataclass
@@ -387,9 +420,10 @@ def evolve_closed(
     n_max = initial.n_max
     step = _interaction_rhs(params, n_max)
     m = np.arange(n_max + 1)
-    # record weights on p = |y|^2 and on the products conj(y_k) y_{k+1}; the
-    # frame phases e^{-i m omega_m t} drop out of |y|^2 and leave one global
-    # phase e^{-i omega_m t} on the ladder products (none across A_{n_max}, B_0)
+    # record weights on the flattened state [phi_L; phi_R]: the norm, the tail,
+    # nb and <x> are traces over the photon pair, which neither U_h nor the
+    # phonon phases change, except one global phase e^{-i omega_m t} on the
+    # ladder products conj(y_k) y_{k+1} (none across phi_L[n_max], phi_R[0])
     n_weight = np.concatenate([m, m]).astype(float)
     top = np.array([n_max - 1, n_max, 2 * n_max, 2 * n_max + 1])
     sq = np.sqrt(np.arange(1.0, n_max + 1))
@@ -402,15 +436,19 @@ def evolve_closed(
     states: list[SinglePhotonState] = []
 
     def lab_state(t, y) -> SinglePhotonState:
+        # psi = U_h phi, then the phonon phases e^{-i m omega_m t}
+        alpha = _hopping_angle(params, t)
+        c, s = math.cos(alpha), math.sin(alpha)
         ph = np.exp(-1j * m * params.omega_m * t)
-        return SinglePhotonState(y[: n_max + 1] * ph, y[n_max + 1 :] * ph, t)
+        return SinglePhotonState((c * y[0] + 1j * s * y[1]) * ph, (1j * s * y[0] + c * y[1]) * ph, t)
 
     def emit(t, y, is_mark):
         nonlocal drift_max, tail_max, marked
-        p = np.abs(y) ** 2
-        n_l = float(p[: n_max + 1].sum())
-        n_r = float(p[n_max + 1 :].sum())
-        drift = abs(n_l + n_r - norm0)
+        flat = y.reshape(-1)
+        p = np.abs(flat) ** 2
+        p_l = float(p[: n_max + 1].sum())
+        p_r = float(p[n_max + 1 :].sum())
+        drift = abs(p_l + p_r - norm0)
         drift_max = max(drift_max, drift)
         tail = float(p[top].sum())
         tail_max = max(tail_max, tail)
@@ -424,31 +462,45 @@ def evolve_closed(
                 f"phonon tail population {tail:.3e} at t={t:g}; increase n_max "
                 f"(current {n_max})"
             )
-        x = 2.0 * (np.vdot(y[:-1] * x_weight, y[1:]) * cmath.exp(-1j * params.omega_m * t)).real
+        # photon populations: U_h tau U_h^dag with tau the 2 x 2 phonon trace of phi
+        alpha = _hopping_angle(params, t)
+        c, s = math.cos(alpha), math.sin(alpha)
+        mix = 2.0 * c * s * float(np.vdot(y[0], y[1]).imag)
+        n_l = c * c * p_l + s * s * p_r - mix
+        n_r = s * s * p_l + c * c * p_r + mix
+        x = 2.0 * (np.vdot(flat[:-1] * x_weight, flat[1:]) * cmath.exp(-1j * params.omega_m * t)).real
         row = dict(t=t, nL=n_l, nR=n_r, x_over_x0=x, nb=float(n_weight @ p), P_L=n_l, P_R=n_r)
-        if compute_fidelities or keep_states or is_mark:
+        if compute_fidelities:
+            # <v_s|psi_s> with psi = P U_h phi, P the phonon phases: o[s, p] = <P^dag v_s|phi_p>
+            w = np.stack(_target_vectors(params, d, t, n_max)) * np.exp(1j * params.omega_m * t * m)
+            o = np.dot(w.conj(), y.T)
+            amp_l = c * o[0, 0] + 1j * s * o[0, 1]
+            amp_r = 1j * s * o[1, 0] + c * o[1, 1]
+            row["F"] = abs(amp_l + amp_r) ** 2 / 2.0
+            row["F_L"] = abs(amp_l) ** 2 / n_l if n_l > P_FLOOR else math.nan
+            row["F_R"] = abs(amp_r) ** 2 / n_r if n_r > P_FLOOR else math.nan
+        if keep_states or is_mark:
             st = lab_state(t, y)
-            if compute_fidelities:
-                vl, vr = _target_vectors(params, d, t, n_max)
-                row["F"] = _total_fidelity(st, vl, vr)
-                row["F_L"], row["F_R"] = _conditional_fidelities(st, vl, vr)
             if keep_states:
                 states.append(st)
             if is_mark:
                 marked = st
         record.append(**row)
 
-    # No BLAS call is larger than one 2d x 2d product: OpenBLAS runs larger
+    # No BLAS call is larger than one d x d product: OpenBLAS runs larger
     # products on all cores for no wall-time gain at this size.
     def advance(y, t0, dt, n):
-        y_next = np.empty_like(y)
+        bufs = np.empty((2, 6, n_max + 1), dtype=complex)
+        bufs[0, :2] = y
+        a, b = _row_views(bufs[0]), _row_views(bufs[1])
         for c0 in range(0, n, _CHUNK):
             ts = t0 + np.arange(c0, min(c0 + _CHUNK, n)) * dt
-            for coef in _stage_coefficients(params, n_max, ts, dt):
-                y, y_next = step(coef, y, y_next), y
-                yield y
+            for row in _stage_table(params, n_max, ts, dt):
+                a, b = step(row, a, b), a
+                yield a[0]
 
-    y = integrate(np.concatenate([initial.a, initial.b]), cfg, advance, emit)
+    # at t = 0 the hopping and phonon frames coincide with the lab frame
+    y = integrate(np.stack([initial.a, initial.b]), cfg, advance, emit)
     return ClosedRun(
         record=record,
         final=lab_state(cfg.t_end, y),

@@ -43,7 +43,7 @@ from enum import Enum
 
 import numpy as np
 
-from .closed import TAIL_ABORT, SolverAbort, SolverConfig, integrate
+from .closed import TAIL_ABORT, SolverAbort, SolverConfig, _target_vectors, integrate
 from .model import DerivedModulation, SystemParams, derive, mu_of_t, target_states
 from .trajectory import TrajectoryRecord
 
@@ -422,7 +422,7 @@ def evolve_open(
         p_r = float(s * s * tau[0, 0].real + c * c * tau[1, 1].real + mix)
         # <v_s| rho_ss |v_s> = <w_s| phi |w_s> with w_s = U_h^dag |s> (x) e^{i omega_m t b^dag b} v_s
         conj_ph = np.exp(1j * params.omega_m * t * levels)
-        x_l, x_r = (conj_ph * phi.fock_vector(n - 1) for phi in target_states(params, d, t))
+        x_l, x_r = (conj_ph * v for v in _target_vectors(params, d, t, n - 1))
         w_l = np.concatenate([c * x_l, 1j * s * x_l])
         w_r = np.concatenate([1j * s * x_r, c * x_r])
         f_l, f_r = (

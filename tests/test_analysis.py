@@ -96,6 +96,46 @@ def test_wigner_numeric_matches_analytic():
     assert np.max(np.abs(w_num - w_ana)) < 1e-6
 
 
+def wigner_per_point(rho, z):
+    # wigner_numeric's recurrence and sums run over every point of z, with the
+    # same floating-point operations in the same order
+    dim = rho.shape[0]
+    x = np.abs(z) ** 2
+    parity = np.where(np.arange(dim) % 2, -1.0, 1.0)
+    total = np.zeros(z.size)
+    q = np.ones(z.size, dtype=complex)
+    for a in range(dim):
+        if a:
+            q = q * z * (1.0 / math.sqrt(a))
+            c = np.diagonal(rho, a) + np.conj(np.diagonal(rho, -a))
+        else:
+            c = np.diagonal(rho).copy()
+        c *= parity[: dim - a]
+        lam, lam_prev = np.ones(z.size), None
+        s_re, s_im = np.full(z.size, c[0].real), np.full(z.size, c[0].imag)
+        for k in range(dim - a - 1):
+            lam_next = (2 * k + 1 + a - x) * lam
+            if k:
+                lam_next -= lam_prev * math.sqrt(k * (k + a))
+            lam_next *= 1.0 / math.sqrt((k + 1) * (k + 1 + a))
+            lam_prev, lam = lam, lam_next
+            s_re += lam * c[k + 1].real
+            s_im += lam * c[k + 1].imag
+        total += s_re * q.real
+        total -= s_im * q.imag
+    return total * np.exp(-0.5 * x) * (2.0 / math.pi)
+
+
+def test_wigner_numeric_unique_radii_bit_identical():
+    # one recurrence per distinct radius on the figS5 grid, gathered back per
+    # point, equals the recurrence run at every point
+    rng = np.random.default_rng(23)
+    grid = PhaseSpaceGrid.square(4.5, 0.05)
+    rho = rng.normal(size=(23, 23)) + 1j * rng.normal(size=(23, 23))
+    ref = wigner_per_point(rho, 2.0 * grid.mesh().ravel()).reshape(grid.n_im, grid.n_re)
+    assert np.array_equal(analysis.wigner_numeric(rho, grid), ref)
+
+
 def test_wigner_numeric_matches_displacement_oracle():
     # the diagonal-by-diagonal sum against the full trace over D(2 eta) matrices;
     # random non-Hermitian inputs exercise both triangles of rho separately

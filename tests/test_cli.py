@@ -357,6 +357,9 @@ def test_cli_exit_codes(tmp_path, monkeypatch):
     monkeypatch.setenv(cli.OUT_ENV, str(tmp_path / "env-out"))
     assert cli.main(["open", "--set", "bogus=1"]) == 2
     assert cli.main(["open", "--preset", "fig2", "--set", "gamma_c=-1"]) == 2
+    # an unreadable --config (missing, or a directory) is a config error, not a traceback
+    for path in (tmp_path / "nonexistent.cfg", tmp_path):
+        assert cli.main(["open", "--config", str(path)]) == 2
     # undersized phonon ladder trips the truncation guard -> exit 3
     code = cli.main(
         ["closed", "--preset", "fig2", "--set", "n_max=5", "--set", "t_end=4.0", "--set", "t_d=4.0"]

@@ -2,13 +2,14 @@ import math
 
 import numpy as np
 import pytest
+from scipy.linalg import expm
 
 from catforge import closed, model
 from catforge import open_system as osys
 from catforge.closed import SolverAbort, SolverConfig
 
 import oracles
-from conftest import XI, coupling_g, fig2_params
+from conftest import T_D, XI, coupling_g, fig2_params
 
 
 def free_params(**kw):
@@ -44,61 +45,74 @@ def test_rhs_closed_matches_amplitude_equations():
         assert abs(db[m] - ref_b) < 1e-13
 
 
-def generator_matrix(params, n_max, t):
-    # the explicit 2d x 2d interaction-frame generator acting on [A; B]
-    d = n_max + 1
-    gen = np.zeros((2 * d, 2 * d), complex)
-    gen.flat[closed._generator_pattern(d)] = closed._generator_coefficients(params, n_max, np.array([t]))[0]
-    return gen
+def hopping_generator(params, n_max, t):
+    # the explicit 2d x 2d hopping-frame generator i g0 |r'><r'| (x) X(t) acting on
+    # [phi_L; phi_R], with |r'> = U_h^dag |R> and X(t) = e^{-i omega_m t} b + h.c.
+    b = oracles.destroy(n_max)
+    x = np.exp(-1j * params.omega_m * t) * b
+    x += x.conj().T
+    r = hopping_unitary(params, t).conj().T @ np.array([0.0, 1.0])
+    return 1j * params.g0 * np.kron(np.outer(r, r.conj()), x)
+
+
+def hopping_unitary(params, t):
+    # U_h(t) = exp(i xi sin(omega_0 t) sigma_x) on the photon pair (L, R)
+    sigma_x = np.array([[0.0, 1.0], [1.0, 0.0]])
+    return expm(1j * params.xi * math.sin(params.omega_0 * t) * sigma_x)
 
 
 def test_interaction_frame_consistency():
-    # the frame-rotated generator must reproduce the lab-frame rhs exactly
+    # the hopping-frame generator must reproduce the lab-frame rhs exactly
     rng = np.random.default_rng(5)
     n_max = 8
+    d = n_max + 1
     params = model.SystemParams(omega_m=20.0, xi=XI, omega_0=9.878)
-    at = rng.normal(size=n_max + 1) + 1j * rng.normal(size=n_max + 1)
-    bt = rng.normal(size=n_max + 1) + 1j * rng.normal(size=n_max + 1)
+    phi = rng.normal(size=2 * d) + 1j * rng.normal(size=2 * d)
     t = 1.37
-    k = generator_matrix(params, n_max, t) @ np.concatenate([at, bt])
-    da_t, db_t = k[: n_max + 1], k[n_max + 1 :]
-    m = np.arange(n_max + 1)
+    u_h = np.kron(hopping_unitary(params, t), np.eye(d))
+    m = np.tile(np.arange(d), 2)
     ph = np.exp(-1j * m * params.omega_m * t)
-    lab = closed.SinglePhotonState(ph * at, ph * bt, t)
-    da_lab, db_lab = oracles.rhs_closed(lab, params)
-    # d/dt (ph * at) = ph * d(at)/dt - i m omega_m * (ph * at)
-    assert np.max(np.abs((ph * da_t - 1j * m * params.omega_m * lab.a) - da_lab)) < 1e-12
-    assert np.max(np.abs((ph * db_t - 1j * m * params.omega_m * lab.b) - db_lab)) < 1e-12
+    lab = ph * (u_h @ phi)
+    # d/dt [P U_h phi] = -i m omega_m P U_h phi + P (d U_h/dt) phi + P U_h G phi
+    hop = params.xi * params.omega_0 * math.cos(params.omega_0 * t)
+    swap = np.kron(np.array([[0.0, 1.0], [1.0, 0.0]]), np.eye(d))
+    dlab = -1j * m * params.omega_m * lab + ph * (1j * hop * swap @ u_h @ phi)
+    dlab += ph * (u_h @ hopping_generator(params, n_max, t) @ phi)
+    da_lab, db_lab = oracles.rhs_closed(closed.SinglePhotonState(lab[:d], lab[d:], t), params)
+    assert np.max(np.abs(dlab - np.concatenate([da_lab, db_lab]))) < 1e-12
 
 
 def test_step_kernel_matches_textbook_rk4():
     # one kernel call on a row of the chunked stage table against four explicit stages
     rng = np.random.default_rng(7)
     n_max = 10
+    d = n_max + 1
     params = model.SystemParams(omega_m=20.0, xi=XI, omega_0=9.878)
     t0, h = 0.29, closed.default_dt(params)
     step = closed._interaction_rhs(params, n_max)
-    y = rng.normal(size=2 * (n_max + 1)) + 1j * rng.normal(size=2 * (n_max + 1))
+    y = rng.normal(size=2 * d) + 1j * rng.normal(size=2 * d)
     y /= np.linalg.norm(y)
 
     def f(s, v):
-        return generator_matrix(params, n_max, s) @ v
+        return hopping_generator(params, n_max, s) @ v
 
     # a chunk-interior step, the last step of the first chunk and the first of the second
     for i in (37, closed._CHUNK - 1, closed._CHUNK):
         c0 = i - i % closed._CHUNK
         ts = t0 + np.arange(c0, c0 + closed._CHUNK) * h
-        row = closed._stage_coefficients(params, n_max, ts, h)[i - c0]
+        row = closed._stage_table(params, n_max, ts, h)[i - c0]
         t = t0 + i * h
         k1 = f(t, y)
         k2 = f(t + h / 2, y + h / 2 * k1)
         k3 = f(t + h / 2, y + h / 2 * k2)
         k4 = f(t + h, y + h * k3)
         ref = y + h / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
-        y_in = y.copy()
-        out = step(row, y, np.empty_like(y))
-        assert np.array_equal(y, y_in)
-        assert np.max(np.abs(out - ref)) < 1e-14
+        bufs = rng.normal(size=(2, 6, d)) + 1j * rng.normal(size=(2, 6, d))
+        bufs[0, :2] = y.reshape(2, d)
+        out = step(row, closed._row_views(bufs[0]), closed._row_views(bufs[1]))
+        assert np.array_equal(bufs[0, :2].reshape(-1), y)
+        assert np.shares_memory(out[0], bufs[1])
+        assert np.max(np.abs(out[0].reshape(-1) - ref)) < 1e-14
 
 
 def test_records_match_observables():
@@ -248,6 +262,18 @@ def test_norm_conservation_at_default_step():
     assert run.tail_max < 1e-6
 
 
+def test_closed_default_step_accuracy(closed_runs):
+    # a Bell run to t_d at the default 128 points per period against 2048 points:
+    # measured 2.5e-10 (omega_m = 20) and 4.7e-11 (omega_m = 100)
+    for wm in (20.0, 100.0):
+        params, _, run = closed_runs[wm]
+        cfg = SolverConfig(dt=closed.default_dt(params, 2048), t_end=T_D[wm], record_stride=10**9)
+        ref = closed.evolve_closed(closed.initial_state("bell", 22), params, cfg).final
+        assert run.marked.t == ref.t
+        err = np.max(np.abs(np.concatenate([run.marked.a - ref.a, run.marked.b - ref.b])))
+        assert err < 1e-9, wm
+
+
 def test_rk4_order():
     params = fig2_params(gamma_c=0.0, gamma_m=0.0, n_th=0.0)
     t_end = 1.0
@@ -278,12 +304,18 @@ def test_step_size_validation():
 
 
 def test_norm_abort_diagnostic():
-    # the coarsest admissible step accumulates visible drift on a long run
-    params = fig2_params(gamma_c=0.0, gamma_m=0.0, n_th=0.0)
+    # the coarsest admissible step accumulates visible drift on a long run: at
+    # omega_m = 4 g0 it drifts 1.4e-5 over 4 pi/delta, the default step 4.3e-8
+    params = model.SystemParams.with_detuning(4.0, XI, coupling_g())
     d = model.derive(params)
-    cfg = SolverConfig(dt=closed.default_dt(params, 40), t_end=4 * math.pi / d.delta, record_stride=64)
+
+    def run(ppp):
+        cfg = SolverConfig(dt=closed.default_dt(params, ppp), t_end=4 * math.pi / d.delta, record_stride=64)
+        return closed.evolve_closed(closed.initial_state("bell", 22), params, cfg)
+
     with pytest.raises(SolverAbort, match="reduce dt"):
-        closed.evolve_closed(closed.initial_state("bell", 22), params, cfg)
+        run(40)
+    assert run(128).norm_drift < 1e-7
 
 
 def test_tail_abort_diagnostic():
@@ -321,6 +353,21 @@ def test_hopping_population_approximation(closed_runs):
     assert np.max(np.abs(n_r - approx)) < 0.05
     # fidelity columns stay empty for non-Bell preparations
     assert np.all(np.isnan(run.record.column("F")))
+
+
+def test_target_vectors_flip_matches_two_expansions():
+    # phi_R's vector is phi_L's with odd entries negated: equal to expanding
+    # phi_R itself except for the signs of zero parts (np.array_equal)
+    rng = np.random.default_rng(31)
+    for _ in range(200):
+        params = model.SystemParams.with_detuning(rng.uniform(10.0, 100.0), XI, rng.uniform(0.5, 2.0) * coupling_g())
+        d = model.derive(params)
+        t = rng.uniform(0.0, 2 * math.pi / d.delta)
+        n_max = int(rng.integers(1, 60))
+        phi_l, phi_r = model.target_states(params, d, t)
+        v_l, v_r = closed._target_vectors(params, d, t, n_max)
+        assert v_l.tobytes() == phi_l.fock_vector(n_max).tobytes()
+        assert np.array_equal(v_r, phi_r.fock_vector(n_max))
 
 
 def test_fidelity_trivia(closed_runs):
