@@ -53,6 +53,8 @@ class PhaseSpaceGrid:
 
     @classmethod
     def square(cls, extent: float, step: float) -> "PhaseSpaceGrid":
+        if not (step > 0 and math.isfinite(extent)):
+            raise ValueError("grid step must be positive and grid extent finite")
         n = int(round(2 * extent / step)) + 1
         return cls(-extent, extent, -extent, extent, n, n)
 
@@ -89,6 +91,8 @@ class QuadratureAxis:
 
     @classmethod
     def around_cat(cls, theta: float, beta_abs: float, step: float = 0.01) -> "QuadratureAxis":
+        if not step > 0:
+            raise ValueError("x step must be positive")
         # lobes sit at +-sqrt(2)|beta|; 6 units of margin buries the Gaussian tails
         half = math.sqrt(2.0) * beta_abs + 6.0
         n = int(round(2 * half / step)) + 1

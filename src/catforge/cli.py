@@ -353,8 +353,9 @@ def parse_config(
     if config.omega_0 is not None and (config.delta is not None or detuning_swept):
         raise ConfigError("give either omega_0 or delta, not both")
     if config.mode != "sweep":
-        # surface invariant violations (negative rates etc.) now, at the first member of a sweep
-        _resolve(config, members[0] if members else None)
+        # refuse what the library would (negative rates, a coarse dt, ...) before anything is written
+        for value in members or (None,):
+            _resolve(config, value)
     return config
 
 
@@ -389,6 +390,12 @@ def _resolve(config: RunConfig, sweep_value: float | None = None) -> _Resolved:
         else:  # delta, or delta_over_g in units of g
             delta = float(sweep_value)
 
+    tomography = config.mode in ("wigner", "quadrature")
+    is_open = config.mode == "open" or (tomography and config.source == "open")
+    runs_solver = config.mode in ("closed", "open") or (tomography and config.source != "analytic")
+    if is_open and config.initial.startswith("file:"):
+        raise ConfigError("initial=file:PATH is read only by the closed solver")
+
     try:
         if kw["omega_0"] is not None:
             params = SystemParams(**kw)
@@ -400,48 +407,53 @@ def _resolve(config: RunConfig, sweep_value: float | None = None) -> _Resolved:
                 delta *= g
             del kw["omega_0"]
             params = SystemParams.with_detuning(delta=delta, **kw)
+        d = derive(params)
+
+        if config.n_max is not None:
+            n_max = config.n_max
+        elif is_open:
+            n_max = max(30, closed.default_n_max(params, d))
+        else:
+            n_max = closed.default_n_max(params, d)
+        if n_max < 1:
+            raise ValueError(f"n_max must be >= 1, got {n_max}")
+
+        dt = config.dt if config.dt is not None else closed.default_dt(params, 64 if is_open else 128)
+
+        t_end = config.t_end
+        if tomography:
+            t_end = config.t_d
+        elif isinstance(t_end, str):
+            if d.delta == 0.0:
+                raise ConfigError(f"t_end={t_end!r} undefined at delta=0; give a number")
+            t_end = (math.pi if t_end == "pi/delta" else 2.0 * math.pi) / abs(d.delta)
+        elif t_end is None and config.mode in ("closed", "open"):
+            if d.delta == 0.0:
+                raise ConfigError("t_end required when delta=0")
+            t_end = 2.0 * math.pi / abs(d.delta)
+
+        t_mark = None
+        if config.t_d is not None and t_end is not None and config.mode in ("closed", "open"):
+            if config.t_d <= t_end:
+                t_mark = config.t_d
+
+        if config.record_stride is not None:
+            stride = config.record_stride
+        else:  # about 600 records; a dt or t_end the solver refuses gets 1 and is refused below
+            steps = t_end / dt if t_end is not None and dt > 0 else 0.0
+            stride = max(1, round(steps / 600)) if math.isfinite(steps) else 1
+        res = _Resolved(params, d, dt, t_end, stride, n_max, t_mark)
+
+        if runs_solver:
+            _solver_config(res).validate(params)
+        if config.mode == "wigner":
+            analysis.PhaseSpaceGrid.square(config.grid_extent, config.grid_step)
+        elif config.mode == "quadrature":
+            beta = model.beta_of_t(d, params.omega_m, config.t_d)
+            analysis.QuadratureAxis.around_cat(0.0, abs(beta), config.x_step)
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
-    d = derive(params)
-
-    is_open = config.mode == "open" or (
-        config.mode in ("wigner", "quadrature") and config.source == "open"
-    )
-    if is_open and config.initial.startswith("file:"):
-        raise ConfigError("initial=file:PATH is read only by the closed solver")
-    if config.n_max is not None:
-        n_max = config.n_max
-    elif is_open:
-        n_max = max(30, closed.default_n_max(params, d))
-    else:
-        n_max = closed.default_n_max(params, d)
-
-    dt = config.dt if config.dt is not None else closed.default_dt(params, 64 if is_open else 128)
-
-    t_end = config.t_end
-    if config.mode in ("wigner", "quadrature"):
-        t_end = config.t_d
-    elif isinstance(t_end, str):
-        if d.delta == 0.0:
-            raise ConfigError(f"t_end={t_end!r} undefined at delta=0; give a number")
-        t_end = (math.pi if t_end == "pi/delta" else 2.0 * math.pi) / abs(d.delta)
-    elif t_end is None and config.mode in ("closed", "open"):
-        if d.delta == 0.0:
-            raise ConfigError("t_end required when delta=0")
-        t_end = 2.0 * math.pi / abs(d.delta)
-
-    t_mark = None
-    if config.t_d is not None and t_end is not None and config.mode in ("closed", "open"):
-        if config.t_d <= t_end:
-            t_mark = config.t_d
-
-    if config.record_stride is not None:
-        stride = config.record_stride
-    elif t_end is not None:
-        stride = max(1, round(t_end / dt / 600))
-    else:
-        stride = 1
-    return _Resolved(params, d, dt, t_end, stride, n_max, t_mark)
+    return res
 
 
 def _solver_config(res: _Resolved) -> SolverConfig:

@@ -11,14 +11,12 @@ amplitudes obey
 with hard truncation at m = n_max.  Propagation is fixed-step RK4 in a frame
 that removes the two fastest terms exactly: the interaction picture of the
 phonon energy (amplitudes A_m e^{i m omega_m t}) and the hopping frame
-phi = U_h^dag psi with U_h(t) = exp(i xi sin(omega_0 t) sigma_x) on the
-photon pair.  The modulated hopping xi omega_0 cos(omega_0 t)(|L><R| + h.c.),
-the largest term (about 15 at fig2), commutes with itself at all times, so
-the frame removes it and leaves the generator
+phi = U_h^dag psi of model.hopping_unitary, which removes the modulated
+hopping xi omega_0 cos(omega_0 t)(|L><R| + h.c.), the largest term (about 15
+at fig2).  That leaves the generator
 
     d phi/dt = i g0 |r'><r'| (x) X(t) phi,
-    |r'> = U_h^dag |R> = (-i sin alpha, cos alpha),  alpha = xi sin(omega_0 t),
-    X(t) = e^{-i omega_m t} b + e^{i omega_m t} b^dag,
+    |r'> = U_h^dag |R>,  X(t) = e^{-i omega_m t} b + e^{i omega_m t} b^dag,
 
 which varies on the slow coupling scales.  The cavity frequency omega_c
 contributes only a global phase and is gauged to zero inside the solver.
@@ -47,7 +45,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fock import coherent_cutoff, tail_population
-from .model import DerivedModulation, SystemParams, derive, target_states
+from .model import DerivedModulation, SystemParams, derive, hopping_unitary, mu_of_t, target_states
 from .trajectory import TrajectoryRecord
 
 __all__ = [
@@ -117,22 +115,20 @@ class SolverConfig:
     t_mark: float | None = None
 
     def __post_init__(self):
-        if self.dt <= 0:
-            raise ValueError("dt must be positive")
-        if self.t_end <= 0:
-            raise ValueError("t_end must be positive")
+        if not 0 < self.dt < math.inf:
+            raise ValueError("dt must be positive and finite")
+        if not 0 < self.t_end < math.inf:
+            raise ValueError("t_end must be positive and finite")
         if self.record_stride < 1:
             raise ValueError("record_stride must be >= 1")
         if self.t_mark is not None and not 0.0 < self.t_mark <= self.t_end:
             raise ValueError("t_mark must lie in (0, t_end]")
 
     def validate(self, params: SystemParams):
-        w_max = max(params.omega_m, params.omega_0 * (2 * params.n0 + 2))
-        limit = (2.0 * math.pi / w_max) / 40.0
+        limit = default_dt(params, 40)
         if self.dt > limit * (1 + 1e-12):
             raise ValueError(
-                f"dt={self.dt:g} too coarse: the fastest retained oscillation "
-                f"(omega={w_max:g}) needs dt <= {limit:g}"
+                f"dt={self.dt:g} too coarse: the fastest retained oscillation needs dt <= {limit:g}"
             )
 
 
@@ -186,11 +182,6 @@ _STAGE_SCALES = np.array([1 / 2, 1 / 2, 1.0, 1 / 6])
 _RK4_WEIGHTS = np.array([1 / 3, 2 / 3, 1 / 3, 1.0])
 
 
-def _hopping_angle(params: SystemParams, t):
-    """alpha(t) = xi sin(omega_0 t), with U_h(t) = exp(i alpha sigma_x)."""
-    return params.xi * np.sin(params.omega_0 * t)
-
-
 def _kernel_layout(d: int) -> np.ndarray:
     """Flat indices of a stage-table row's entries in the kernel's memory.
 
@@ -215,14 +206,12 @@ def _kernel_layout(d: int) -> np.ndarray:
 def _stage_table(params: SystemParams, n_max: int, ts: np.ndarray, h: float) -> np.ndarray:
     """Stage-table rows, in _kernel_layout order, for RK4 steps of size h starting at ts.
 
-    At the stage times t_k = t + c_k h, with alpha_k the hopping angle and
-    |r'_k> = (-i sin alpha_k, cos alpha_k), a row holds: the stage matrices
+    At the stage times t_k = t + c_k h a row holds: the stage matrices
     s_k h i g0 X(t_k) (lowering entries i g0 sqrt(m+1) e^{-i omega_m t_k},
     raising entries their e^{+i omega_m t_k} partners, times the step
-    fraction s_k h); the projections <r'_k| = (i sin alpha_k, cos alpha_k)
-    with the overlaps <r'_2|r'_1> = cos(alpha_2 - alpha_1) and
-    <r'_4|r'_3> = cos(alpha_4 - alpha_3) (<r'_3|r'_2> = 1); and the combine
-    columns w_k r'_k.  8 (d - 1) + 18 entries.
+    fraction s_k h); the projections <r'_k| = <R|U_h(t_k) with the overlaps
+    <r'_2|r'_1> and <r'_4|r'_3> (<r'_3|r'_2> = 1, since t_3 = t_2); and the
+    combine columns w_k |r'_k>.  8 (d - 1) + 18 entries.
     """
     d = n_max + 1
     k = 8 * (d - 1)
@@ -231,13 +220,13 @@ def _stage_table(params: SystemParams, n_max: int, ts: np.ndarray, h: float) -> 
     low = np.exp(-1j * params.omega_m * t) * (1j * params.g0 * h * _STAGE_SCALES)
     rungs = np.stack([low, -low.conj()], axis=2)[..., None]
     np.multiply(rungs, np.sqrt(np.arange(1.0, d)), out=out[:, :k].reshape(ts.size, 4, 2, d - 1))
-    alpha = _hopping_angle(params, t)
+    r = hopping_unitary(params, t)[1]  # <r'_k|, shape (2, steps, 4)
     proj = out[:, k:]
-    np.multiply(1j, np.sin(alpha), out=proj[:, 0:4])
-    proj[:, 4:8] = np.cos(alpha)
-    proj[:, 8:10] = np.cos(alpha[:, 1::2] - alpha[:, ::2])
-    np.multiply(proj[:, 0:4], -_RK4_WEIGHTS, out=proj[:, 10:14])
-    np.multiply(proj[:, 4:8], _RK4_WEIGHTS, out=proj[:, 14:18])
+    proj[:, 0:4], proj[:, 4:8] = r
+    # the overlaps <r'_j|r'_k> = <R|U_h(t_j) U_h(t_k)^dag|R> = cos((mu_j - mu_k)/2)
+    half = mu_of_t(params, t) / 2.0
+    proj[:, 8:10] = np.cos(half[:, 1::2] - half[:, ::2])
+    np.multiply(proj[:, 0:8].conj(), np.tile(_RK4_WEIGHTS, 2), out=proj[:, 10:18])
     return out
 
 
@@ -351,6 +340,17 @@ def _target_vectors(
     return v_l, v_r
 
 
+def _frame_targets(
+    params: SystemParams, d: DerivedModulation, t: float, n_max: int, u_h: np.ndarray
+) -> np.ndarray:
+    """The targets in the solvers' frame, as the rows of a (2, 2d) array:
+    w_s = U_h^dag |s> (x) e^{i omega_m t n} v_s for s = L, R, with u_h = U_h(t).
+    For a frame state phi with lab state psi, <v_s|psi_s> = <w_s|phi>."""
+    phases = np.exp(1j * params.omega_m * t * np.arange(n_max + 1))
+    x = np.stack(_target_vectors(params, d, t, n_max)) * phases
+    return (u_h.conj()[:, :, None] * x[:, None, :]).reshape(2, -1)
+
+
 def fidelity_total(state: SinglePhotonState, params: SystemParams, d: DerivedModulation) -> float:
     """Overlap fidelity |<Psi(t)|psi_RWA(t)>|^2 against the analytic entangled state.
 
@@ -362,12 +362,13 @@ def fidelity_total(state: SinglePhotonState, params: SystemParams, d: DerivedMod
     return float(abs(amp) ** 2)
 
 
-def conditional_states(state: SinglePhotonState, p_floor: float = P_FLOOR):
-    """Collapsed mechanical states and probabilities for left/right detection."""
+def conditional_states(state: SinglePhotonState):
+    """Collapsed mechanical states and probabilities for left/right detection;
+    None for a sector whose probability is at most P_FLOOR."""
     p_l = float(np.sum(np.abs(state.a) ** 2))
     p_r = float(np.sum(np.abs(state.b) ** 2))
-    psi_l = state.a / math.sqrt(p_l) if p_l > p_floor else None
-    psi_r = state.b / math.sqrt(p_r) if p_r > p_floor else None
+    psi_l = state.a / math.sqrt(p_l) if p_l > P_FLOOR else None
+    psi_r = state.b / math.sqrt(p_r) if p_r > P_FLOOR else None
     return psi_l, p_l, psi_r, p_r
 
 
@@ -437,18 +438,14 @@ def evolve_closed(
 
     def lab_state(t, y) -> SinglePhotonState:
         # psi = U_h phi, then the phonon phases e^{-i m omega_m t}
-        alpha = _hopping_angle(params, t)
-        c, s = math.cos(alpha), math.sin(alpha)
-        ph = np.exp(-1j * m * params.omega_m * t)
-        return SinglePhotonState((c * y[0] + 1j * s * y[1]) * ph, (1j * s * y[0] + c * y[1]) * ph, t)
+        psi = (hopping_unitary(params, t) @ y) * np.exp(-1j * m * params.omega_m * t)
+        return SinglePhotonState(psi[0], psi[1], t)
 
     def emit(t, y, is_mark):
         nonlocal drift_max, tail_max, marked
         flat = y.reshape(-1)
         p = np.abs(flat) ** 2
-        p_l = float(p[: n_max + 1].sum())
-        p_r = float(p[n_max + 1 :].sum())
-        drift = abs(p_l + p_r - norm0)
+        drift = abs(float(p.sum()) - norm0)
         drift_max = max(drift_max, drift)
         tail = float(p[top].sum())
         tail_max = max(tail_max, tail)
@@ -462,20 +459,14 @@ def evolve_closed(
                 f"phonon tail population {tail:.3e} at t={t:g}; increase n_max "
                 f"(current {n_max})"
             )
-        # photon populations: U_h tau U_h^dag with tau the 2 x 2 phonon trace of phi
-        alpha = _hopping_angle(params, t)
-        c, s = math.cos(alpha), math.sin(alpha)
-        mix = 2.0 * c * s * float(np.vdot(y[0], y[1]).imag)
-        n_l = c * c * p_l + s * s * p_r - mix
-        n_r = s * s * p_l + c * c * p_r + mix
+        # photon populations: the diagonal of U_h tau U_h^dag, tau = y y^dag the
+        # 2 x 2 photon trace of phi
+        u_h = hopping_unitary(params, t)
+        n_l, n_r = (u_h @ (y @ y.conj().T) @ u_h.conj().T).diagonal().real.tolist()
         x = 2.0 * (np.vdot(flat[:-1] * x_weight, flat[1:]) * cmath.exp(-1j * params.omega_m * t)).real
         row = dict(t=t, nL=n_l, nR=n_r, x_over_x0=x, nb=float(n_weight @ p), P_L=n_l, P_R=n_r)
         if compute_fidelities:
-            # <v_s|psi_s> with psi = P U_h phi, P the phonon phases: o[s, p] = <P^dag v_s|phi_p>
-            w = np.stack(_target_vectors(params, d, t, n_max)) * np.exp(1j * params.omega_m * t * m)
-            o = np.dot(w.conj(), y.T)
-            amp_l = c * o[0, 0] + 1j * s * o[0, 1]
-            amp_r = 1j * s * o[1, 0] + c * o[1, 1]
+            amp_l, amp_r = _frame_targets(params, d, t, n_max, u_h).conj() @ flat
             row["F"] = abs(amp_l + amp_r) ** 2 / 2.0
             row["F_L"] = abs(amp_l) ** 2 / n_l if n_l > P_FLOOR else math.nan
             row["F_R"] = abs(amp_r) ** 2 / n_r if n_r > P_FLOOR else math.nan

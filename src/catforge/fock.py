@@ -36,14 +36,14 @@ def _check_cutoff(n_max: int) -> int:
     return n_max
 
 
-def coherent_cutoff(beta_abs: float, floor: int = 20) -> int:
-    """Fock cutoff adequate for coherent amplitudes up to |beta| = beta_abs.
+def coherent_cutoff(beta_abs: float) -> int:
+    """Fock cutoff adequate for coherent amplitudes up to |beta| = beta_abs, and at least 20.
 
     Poisson-tail bound: keeping nbar + 8*sqrt(nbar+1) levels (nbar = |beta|^2)
     leaves less than ~1e-8 of the population above the cutoff.
     """
     nbar = float(beta_abs) ** 2
-    return max(int(floor), math.ceil(nbar + 8.0 * math.sqrt(nbar + 1.0)))
+    return max(20, math.ceil(nbar + 8.0 * math.sqrt(nbar + 1.0)))
 
 
 def coherent_coeffs(beta: complex, n_max: int) -> np.ndarray:

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -31,7 +31,7 @@ __all__ = [
     "derive",
     "beta_of_t",
     "mu_of_t",
-    "theta_of_t",
+    "hopping_unitary",
     "target_states",
     "success_probability_estimate",
 ]
@@ -63,6 +63,9 @@ class SystemParams:
     n_th: float = 0.0
 
     def __post_init__(self):
+        for f in fields(self):
+            if not math.isfinite(getattr(self, f.name)):
+                raise ValueError(f"{f.name} must be finite")
         if self.omega_m <= 0:
             raise ValueError("omega_m must be positive")
         if self.g0 <= 0:
@@ -168,24 +171,23 @@ def beta_of_t(d: DerivedModulation, omega_m: float, t: float) -> complex:
     )
 
 
-def mu_of_t(params: SystemParams, t: float) -> float:
-    """Accumulated hopping angle mu(t) = 2 xi sin(omega_0 t)."""
-    return 2.0 * params.xi * math.sin(params.omega_0 * t)
+def mu_of_t(params: SystemParams, t):
+    """Accumulated hopping angle mu(t) = 2 xi sin(omega_0 t), at a time or an array of times."""
+    return 2.0 * params.xi * np.sin(params.omega_0 * t)
 
 
-def theta_of_t(params: SystemParams, d: DerivedModulation, t: float) -> float:
-    """Global phase theta(t) = -(omega_c - g^2/delta) t - (g/delta)^2 sin(delta t).
+def hopping_unitary(params: SystemParams, t) -> np.ndarray:
+    """The hopping frame U_h(t) = exp(i (mu/2) sigma_x) on the photon pair (L, R).
 
-    A pure global phase: no observable depends on it.  At delta = 0 the
-    closed-form expression is singular and only the -omega_c t part is kept
-    (the remainder is again global and unobservable).
+    The modulated hopping xi omega_0 cos(omega_0 t)(|L><R| + h.c.) commutes
+    with itself at all times, so both solvers remove it exactly by stepping
+    phi = U_h^dag psi.  U_h = cos(mu/2) I + i sin(mu/2) sigma_x; for an array
+    of times each entry is an array of t's shape, so the result has shape
+    (2, 2) + t.shape.
     """
-    if d.delta == 0.0:
-        return -params.omega_c * t
-    return (
-        -(params.omega_c - d.g**2 / d.delta) * t
-        - (d.g / d.delta) ** 2 * math.sin(d.delta * t)
-    )
+    half = mu_of_t(params, t) / 2.0
+    c, s = np.cos(half), 1j * np.sin(half)
+    return np.array([[c, s], [s, c]])
 
 
 @dataclass(frozen=True)
@@ -223,12 +225,12 @@ class CatState:
 def target_states(params: SystemParams, d: DerivedModulation, t: float) -> tuple[CatState, CatState]:
     """Target mechanical states conditioned on detecting the photon left/right.
 
-    phi_L = cos(mu/2)|beta> + i sin(mu/2)|-beta>; phi_R is the beta <-> -beta
-    swap.  At equal weights (tan(mu/2) = +-1) these are Yurke-Stoler states.
+    phi_L = cos(mu/2)|beta> + i sin(mu/2)|-beta>, whose weights are the first
+    row of hopping_unitary; phi_R is the beta <-> -beta swap.  At equal weights
+    (tan(mu/2) = +-1) these are Yurke-Stoler states.
     """
     beta = beta_of_t(d, params.omega_m, t)
-    half = mu_of_t(params, t) / 2.0
-    wp, wm = math.cos(half), 1j * math.sin(half)
+    wp, wm = hopping_unitary(params, t)[0]
     return CatState(beta, wp, wm), CatState(-beta, wp, wm)
 
 

@@ -17,20 +17,19 @@ such a coherence cannot be represented.
 
 Propagation is fixed-step RK4 in a frame that removes the two fastest terms
 exactly.  Both blocks are in the phonon interaction picture, and the
-one-photon block is also in the hopping frame phi = U_h^dag rho U_h with
-U_h(t) = exp(i xi sin(omega_0 t) sigma_x).  The modulated hopping
-xi omega_0 cos(omega_0 t)(|L><R| + h.c.) commutes with itself at all times
-and with every dissipator (photon loss is a uniform damping plus a feed from
-the photon partial trace, the phonon bath acts on the phonon alone), so the
-frame removes it and changes nothing else; the vacuum block is untouched.
-What remains varies on the slow coupling scales: at the open default of 64
-points per period of the fastest retained oscillation (closed.default_dt) a
-fig2 solve to t = 2 is within about 2e-10 of a 1024-point one.  Records read the trace, the phonon
-number, the truncation tail and the spectrum straight off the frame blocks,
-where they are unchanged; P_L, P_R and the fidelities rotate a 2 x 2 trace
-and the target vectors; only kept, marked and final states are rotated back
-to the lab frame.  omega_c multiplies only the dropped coherences, so it does
-not enter the solver.
+one-photon block is also in the hopping frame phi = U_h^dag rho U_h of
+model.hopping_unitary.  The modulated hopping it removes also commutes with
+every dissipator (photon loss is a uniform damping plus a feed from the
+photon partial trace, the phonon bath acts on the phonon alone), so the
+frame changes nothing else; the vacuum block is untouched.  What remains
+varies on the slow coupling scales: at the open default of 64 points per
+period of the fastest retained oscillation (closed.default_dt) a fig2 solve
+to t = 2 is within about 2e-10 of a 1024-point one.  Records read the trace,
+the phonon number, the truncation tail and the spectrum straight off the
+frame blocks, where they are unchanged; P_L, P_R and the fidelities rotate a
+2 x 2 trace and the target vectors; only kept, marked and final states are
+rotated back to the lab frame.  omega_c multiplies only the dropped
+coherences, so it does not enter the solver.
 """
 
 from __future__ import annotations
@@ -43,8 +42,8 @@ from enum import Enum
 
 import numpy as np
 
-from .closed import TAIL_ABORT, SolverAbort, SolverConfig, _target_vectors, integrate
-from .model import DerivedModulation, SystemParams, derive, mu_of_t, target_states
+from .closed import P_FLOOR, TAIL_ABORT, SolverAbort, SolverConfig, _frame_targets, integrate
+from .model import DerivedModulation, SystemParams, derive, hopping_unitary, target_states
 from .trajectory import TrajectoryRecord
 
 __all__ = [
@@ -64,7 +63,6 @@ OPEN_COLUMNS = ("t", "P_L", "P_R", "P_V", "nb", "F_L", "F_R", "trace_err", "min_
 
 TRACE_ABORT = 1e-6
 EIG_ABORT = -1e-6
-P_FLOOR = 1e-12
 
 
 class PhotonSector(Enum):
@@ -167,22 +165,14 @@ def _damping(params: SystemParams, d: int, chi: tuple[float, ...]) -> np.ndarray
     )
 
 
-def _hopping_rotation(params: SystemParams, t: float) -> tuple[float, float]:
-    """cos and sin of the hopping-frame angle theta(t) = -xi sin(omega_0 t),
-    with U_h(t) = exp(-i theta sigma_x) = cos theta - i sin theta sigma_x."""
-    theta = -0.5 * mu_of_t(params, t)
-    return math.cos(theta), math.sin(theta)
-
-
 class _Generators:
     """Lindblad generator on the packed live blocks in the hopping frame.
 
     The packed state is the one-photon block phi (2d x 2d, sector-major)
     followed by the vacuum block (d x d), each flattened row-major, in the
-    frame of the module docstring: U_h(t) = exp(-i theta(t) sigma_x) with
-    theta(t) = -xi sin(omega_0 t).  What is left of the Hamiltonian there is
+    frame of the module docstring.  What is left of the Hamiltonian there is
     the radiation pressure seen from the rotated right cavity, the rank-1
-    photon operator |r'><r'| with |r'> = U_h^dag |R> = (i sin theta, cos theta).
+    photon operator |r'><r'| with |r'> = U_h^dag |R>.
 
     apply writes scale times the time derivative: evolve_open builds one
     generator per segment with scale h/2, so the RK4 stages come out
@@ -244,26 +234,27 @@ class _Generators:
         w_up = (rate * p.n_th * (raise_[:, None] * raise_[None, :])).ravel()[off:]
         return off, w_down.astype(complex), w_up.astype(complex)
 
-    def left_product(self, t: float, r: np.ndarray, out: np.ndarray):
+    def left_product(self, t: float, hop, r: np.ndarray, out: np.ndarray):
         """out += -i H'(t) r on the (2, d, 2d) row view of the one-photon block, with
 
         H' = |r'><r'| (x) (z b + conj(z) b^dag),  z = -g0 e^{-i omega_m t},
 
-        through u = <r'| r once, its two ladder rungs, and r'_s B(u) added to both rows.
+        through u = <r'| r once, its two ladder rungs, and r'_s B(u) added to both
+        rows; hop = <r'| = <R|U_h(t).
         """
         p = self.params
-        cs, sn = _hopping_rotation(p, t)
+        r_l, r_r = hop
         z = -self.scale * p.g0 * cmath.exp(-1j * p.omega_m * t)
         u, bu, tmp = self.u, self.bu, self.tmp
-        np.multiply(r[1], cs, out=u)  # u = cos(theta) r_R - i sin(theta) r_L
-        np.multiply(r[0], -1j * sn, out=tmp)
+        np.multiply(r[1], r_r, out=u)
+        np.multiply(r[0], r_l, out=tmp)
         u += tmp
         np.multiply(self.lower, self.u_pad[2:], out=bu)  # bu = z b u + conj(z) b^dag u
         bu *= z
         np.multiply(self.raise_, self.u_pad[:-2], out=tmp)
         tmp *= z.conjugate()
         bu += tmp
-        self.rows[:, 0, 0] = sn, -1j * cs  # -i r'
+        self.rows[:, 0, 0] = -1j * r_l.conjugate(), -1j * r_r.conjugate()  # -i |r'>
         np.multiply(self.rows, bu, out=self.tmp2)
         out += self.tmp2
 
@@ -281,15 +272,16 @@ class _Generators:
         if self.params.gamma_c:
             out_vac += (self.scale * self.params.gamma_c) * (r[0, :, 0] + r[1, :, 1])
 
-    def apply(self, t: float, y: np.ndarray, out: np.ndarray) -> np.ndarray:
+    def apply(self, t: float, hop, y: np.ndarray, out: np.ndarray) -> np.ndarray:
         """Write scale times the hopping-frame time derivative of the packed
-        state y at t into out and return out.  y's one-photon block must be
-        Hermitian."""
+        state y at t into out and return out.  hop is <R|U_h(t), the R row of
+        model.hopping_unitary(params, t), which evolve_open evaluates for a
+        whole segment in one call.  y's one-photon block must be Hermitian."""
         d = self.d
         k = 4 * d * d
         one, vac, out_vac = y[:k], y[k:], out[k:]
         np.multiply(self.half_damp_one, one, out=self.z_flat)
-        self.left_product(t, one.reshape(2, d, 2 * d), self.z_rows)
+        self.left_product(t, hop, one.reshape(2, d, 2 * d), self.z_rows)
         self.phonon_jumps(self.half_jumps_one, one, self.z_flat)
         out_one = out[:k].reshape(2 * d, 2 * d)
         np.conjugate(self.z.T, out=out_one)
@@ -377,8 +369,7 @@ def evolve_open(
     def lab_state(t: float, y: np.ndarray) -> SystemDensityMatrix:
         # rho = U_h phi U_h^dag, then the phonon phases e^{-i omega_m t (p - q)}; einsum
         # loops in C, where a 2d x 2d matrix product would wake every BLAS thread
-        c, s = _hopping_rotation(params, t)
-        u_h = np.array([[c, -1j * s], [-1j * s, c]])
+        u_h = hopping_unitary(params, t)
         one = np.einsum("ab,bpcq,dc->apdq", u_h, y[: k * k].reshape(2, n, 2, n), u_h.conj())
         ph = np.exp(-1j * params.omega_m * t * levels)
         one = ph[None, :, None, None] * one * ph.conj()[None, None, None, :]
@@ -414,20 +405,14 @@ def evolve_open(
                 f"phonon tail population {tail:.3e} at t={t:g}; increase n_max "
                 f"(current {n - 1})"
             )
-        # photon populations: U_h tau U_h^dag with tau the phonon traces of the phi blocks
-        c, s = _hopping_rotation(params, t)
+        # photon populations: the diagonal of U_h tau U_h^dag, tau the 2 x 2
+        # photon trace of phi; <v_s| rho_ss |v_s> = <w_s| phi |w_s>
+        u_h = hopping_unitary(params, t)
         tau = np.trace(one.reshape(2, n, 2, n), axis1=1, axis2=3)
-        mix = 2.0 * c * s * tau[0, 1].imag
-        p_l = float(c * c * tau[0, 0].real + s * s * tau[1, 1].real - mix)
-        p_r = float(s * s * tau[0, 0].real + c * c * tau[1, 1].real + mix)
-        # <v_s| rho_ss |v_s> = <w_s| phi |w_s> with w_s = U_h^dag |s> (x) e^{i omega_m t b^dag b} v_s
-        conj_ph = np.exp(1j * params.omega_m * t * levels)
-        x_l, x_r = (conj_ph * v for v in _target_vectors(params, d, t, n - 1))
-        w_l = np.concatenate([c * x_l, 1j * s * x_l])
-        w_r = np.concatenate([1j * s * x_r, c * x_r])
+        p_l, p_r = (u_h @ tau @ u_h.conj().T).diagonal().real.tolist()
         f_l, f_r = (
             float(np.real(np.vdot(w, one @ w)) / p) if p > P_FLOOR else math.nan
-            for w, p in ((w_l, p_l), (w_r, p_r))
+            for w, p in zip(_frame_targets(params, d, t, n - 1, u_h), (p_l, p_r))
         )
         record.append(
             t=t, P_L=p_l, P_R=p_r, P_V=float(np.sum(diag[k:])), nb=mean_phonon_number(frame),
@@ -445,20 +430,22 @@ def evolve_open(
         # pre-scaled, h/2 k1, h/2 k2, h k3 (doubled once) and h/2 k4, and their sum
         # acc = h/2 (k1 + 2 k2 + 2 k3 + k4) makes the update y += acc/3
         gen = _Generators(params, n - 1, dt / 2)
+        # each step's stage times t, t + h/2, t + h and the hopping rows <R|U_h there
+        ts = (t0 + np.arange(n_steps) * dt)[:, None] + dt * np.array([0.0, 0.5, 1.0])
+        hops = np.moveaxis(hopping_unitary(params, ts)[1], 0, -1).tolist()
         acc, a, v = (np.empty_like(y) for _ in range(3))
-        for i in range(n_steps):
-            t = t0 + i * dt
-            gen.apply(t, y, acc)
+        for (t, t_mid, t_next), (hop, hop_mid, hop_next) in zip(ts.tolist(), hops):
+            gen.apply(t, hop, y, acc)
             np.add(y, acc, out=v)
-            gen.apply(t + dt / 2, v, a)
+            gen.apply(t_mid, hop_mid, v, a)
             np.add(y, a, out=v)
             acc += a
             acc += a
-            gen.apply(t + dt / 2, v, a)
+            gen.apply(t_mid, hop_mid, v, a)
             a += a
             np.add(y, a, out=v)
             acc += a
-            gen.apply(t + dt, v, a)
+            gen.apply(t_next, hop_next, v, a)
             acc += a
             acc *= 1 / 3
             y += acc

@@ -360,6 +360,22 @@ def test_cli_exit_codes(tmp_path, monkeypatch):
     # an unreadable --config (missing, or a directory) is a config error, not a traceback
     for path in (tmp_path / "nonexistent.cfg", tmp_path):
         assert cli.main(["open", "--config", str(path)]) == 2
+    # settings the solvers or the tomography grids refuse are config errors, caught before any output
+    refused = [
+        ["open", "--preset", "fig2", "--set", "dt=1"],
+        ["open", "--preset", "fig2", "--set", "t_end=-1"],
+        ["open", "--preset", "fig2", "--set", "record_stride=0"],
+        ["closed", "--preset", "figS1", "--set", "dt=0"],
+        ["wigner", "--preset", "figS5", "--set", "grid_step=0"],
+        ["wigner", "--preset", "figS5", "--set", "grid_step=-0.1"],
+        ["wigner", "--preset", "figS5", "--set", "grid_extent=0"],
+        ["wigner", "--preset", "figS5", "--set", "source=closed", "--set", "t_d=-1"],
+        ["quadrature", "--preset", "figS5", "--set", "x_step=0"],
+        ["quadrature", "--preset", "figS5", "--set", "n_max=0"],
+    ]
+    for argv in refused:
+        assert cli.main(argv) == 2, argv
+    assert not (tmp_path / "env-out").exists()
     # undersized phonon ladder trips the truncation guard -> exit 3
     code = cli.main(
         ["closed", "--preset", "fig2", "--set", "n_max=5", "--set", "t_end=4.0", "--set", "t_d=4.0"]
@@ -422,6 +438,9 @@ def test_non_finite_integers_exit_2(tmp_path, monkeypatch):
     for key in ("n_max", "record_stride", "workers"):
         for value in ("inf", "nan", "-inf"):
             assert cli.main(["open", "--preset", "fig2", "--set", f"{key}={value}"]) == 2
+    # non-finite rates and times are refused by SystemParams and SolverConfig
+    for setting in ("dt=nan", "t_end=nan", "omega_m=nan", "gamma_c=nan", "n_th=inf", "gamma_m=inf"):
+        assert cli.main(["open", "--preset", "fig2", "--set", setting]) == 2
     assert not any(tmp_path.iterdir())
 
 

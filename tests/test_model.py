@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 from scipy import special
+from scipy.linalg import expm
 
 from catforge import model
 from catforge.fock import coherent_coeffs
@@ -139,19 +140,24 @@ def test_equal_weight_condition():
         assert abs(abs(math.cos(mu / 2)) - abs(math.sin(mu / 2))) < 1e-12
 
 
-def test_theta_trivial_and_substitution():
-    params = fig2_params(omega_c=3.0)
+def test_hopping_unitary_is_the_frame_rotation():
+    # U_h(t) = exp(i (mu/2) sigma_x) against scipy's expm, at scalar times and as one array
+    params = fig2_params()
     d = model.derive(params)
-    assert model.theta_of_t(params, d, 0.0) == 0.0
-    t0 = math.pi / d.delta  # sin(delta t0) = 0, so only the linear part survives
-    expected = -(3.0 - d.g) * math.pi / d.g
-    assert abs(model.theta_of_t(params, d, t0) - expected) < 1e-9
-
-
-def test_theta_resonant_branch():
-    params = model.SystemParams(omega_m=20.0, xi=XI, omega_0=10.0, omega_c=2.0)
-    d = model.derive(params)
-    assert model.theta_of_t(params, d, 1.5) == -3.0
+    sigma_x = np.array([[0.0, 1.0], [1.0, 0.0]])
+    ts = np.array([0.0, 0.13, 0.7, 3.3, 12.6664])
+    batch = model.hopping_unitary(params, ts)
+    assert batch.shape == (2, 2, ts.size)
+    for i, t in enumerate(ts):
+        u = model.hopping_unitary(params, t)
+        ref = expm(1j * params.xi * math.sin(params.omega_0 * t) * sigma_x)
+        assert np.max(np.abs(u - ref)) < 1e-15
+        assert np.array_equal(batch[:, :, i], u)
+        assert np.max(np.abs(u @ u.conj().T - np.eye(2))) < 1e-15
+        # the cat weights are its first row
+        phi_l, phi_r = model.target_states(params, d, t)
+        assert (phi_l.weight_plus, phi_l.weight_minus) == tuple(u[0])
+        assert (phi_r.weight_plus, phi_r.weight_minus) == tuple(u[0])
 
 
 def test_target_states_vacuum_at_t0():

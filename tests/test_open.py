@@ -126,7 +126,7 @@ def test_block_generator_matches_full_generator():
             alpha = -params.xi * params.omega_0 * math.cos(params.omega_0 * t)
             expected_one = u_h.conj().T @ expected[:k, :k] @ u_h + 1j * alpha * (sigma_x @ phi - phi @ sigma_x)
             y = np.concatenate([phi.ravel(), frame[k:, k:].ravel()])
-            got = gen.apply(t, y, np.empty_like(y))
+            got = gen.apply(t, model.hopping_unitary(params, t)[1], y, np.empty_like(y))
             scale = np.max(np.abs(expected))
             assert np.max(np.abs(got[: k * k] - expected_one.ravel())) < 1e-14 * scale
             assert np.max(np.abs(got[k * k :] - expected[k:, k:].ravel())) < 1e-14 * scale
@@ -144,7 +144,7 @@ def test_generator_blocks_exactly_hermitian():
     assert np.array_equal(rho, rho.conj().T)
     y = np.concatenate([rho[:k, :k].ravel(), rho[k:, k:].ravel()])
     for t in (0.0, 0.37, 2.9):
-        out = gen.apply(t, y, np.empty_like(y))
+        out = gen.apply(t, model.hopping_unitary(params, t)[1], y, np.empty_like(y))
         one = out[: k * k].reshape(k, k)
         vac = out[k * k :].reshape(d, d)
         assert np.array_equal(one, one.conj().T)
