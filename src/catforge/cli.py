@@ -352,11 +352,26 @@ def parse_config(
         raise ConfigError(f"missing required fields for mode={config.mode}: {', '.join(required)}")
     if config.omega_0 is not None and (config.delta is not None or detuning_swept):
         raise ConfigError("give either omega_0 or delta, not both")
-    if config.mode != "sweep":
-        # refuse what the library would (negative rates, a coarse dt, ...) before anything is written
+    # refuse what the library would (a bad delta grid, negative rates, a coarse dt, ...)
+    # before anything is written
+    if config.mode == "sweep":
+        _require_finite(**{k: getattr(config, k) for k in needed})
+        if not 0 < config.delta_min <= config.delta_max or config.delta_step <= 0:
+            raise ConfigError("delta grid needs 0 < delta_min <= delta_max and delta_step > 0")
+        if config.n0 < 1:
+            raise ConfigError("n0 must be a positive integer")
+    else:
         for value in members or (None,):
             _resolve(config, value)
     return config
+
+
+def _require_finite(**values):
+    """Refuse a non-finite number, or list entry, under the key that gave it."""
+    for key, value in values.items():
+        for v in value if isinstance(value, tuple) else (value,):
+            if v is not None and not math.isfinite(v):
+                raise ConfigError(f"{key} must be finite, got {v!r}")
 
 
 def _sweep_values(config: RunConfig) -> tuple[float, ...] | None:
@@ -389,6 +404,8 @@ def _resolve(config: RunConfig, sweep_value: float | None = None) -> _Resolved:
             kw[config.sweep] = float(sweep_value)
         else:  # delta, or delta_over_g in units of g
             delta = float(sweep_value)
+    # model.coupling and the analytic tomography read these before SystemParams can name them
+    _require_finite(xi=kw["xi"], t_d=config.t_d)
 
     tomography = config.mode in ("wigner", "quadrature")
     is_open = config.mode == "open" or (tomography and config.source == "open")
@@ -581,10 +598,7 @@ def _execute_single(config: RunConfig, out_dir: str, sweep_value: float | None =
 
     if mode == "sweep":
         deltas = np.arange(config.delta_min, config.delta_max + config.delta_step / 2, config.delta_step)
-        try:
-            rows = analysis.sweep_beta_max(config.xi_list, deltas, config.n0, config.g0)
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from None
+        rows = analysis.sweep_beta_max(config.xi_list, deltas, config.n0, config.g0)
         write_columns(os.path.join(out_dir, "beta_max.csv"), ("xi", "delta", "beta_max"), zip(*rows))
         outputs.append("beta_max.csv")
         doc["xi_list"] = list(config.xi_list)
@@ -603,18 +617,12 @@ def _execute_single(config: RunConfig, out_dir: str, sweep_value: float | None =
         run_ = _evolve(mode, config, res)
         run_.record.write_csv(os.path.join(out_dir, "trajectory.csv"))
         outputs.append("trajectory.csv")
-        if mode == "closed":
-            doc["invariants"] = {"norm_drift": run_.norm_drift, "tail_max": run_.tail_max}
-        else:
+        if mode == "open":
             for name, rho in (("snapshot_final.json", run_.final), ("snapshot_t_d.json", run_.marked)):
                 if rho is not None:
                     open_system.write_snapshot(os.path.join(out_dir, name), rho)
                     outputs.append(name)
-            doc["invariants"] = {
-                "trace_err_max": run_.trace_err_max,
-                "min_eig_min": run_.min_eig_min,
-                "tail_max": run_.tail_max,
-            }
+        doc["invariants"] = run_.invariants
         doc["initial"] = config.initial
         if res.t_mark is not None:
             doc["t_d"] = res.t_mark

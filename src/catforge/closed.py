@@ -52,7 +52,7 @@ __all__ = [
     "SinglePhotonState",
     "SolverConfig",
     "SolverAbort",
-    "ClosedRun",
+    "Run",
     "default_dt",
     "default_n_max",
     "initial_state",
@@ -73,6 +73,29 @@ TAIL_ABORT = 1e-6
 
 class SolverAbort(RuntimeError):
     """Raised when a conservation or truncation guard trips mid-run."""
+
+
+class _Guards:
+    """The invariants a solve guards, keyed by their manifest names.
+
+    Each entry is (label, bound, sign, advice): sign +1 makes the bound a
+    ceiling, -1 a floor.  check(t, **values) keeps each invariant's worst
+    value, from the first record on, in worst, and raises SolverAbort at the
+    first value past its bound or not a number.
+    """
+
+    def __init__(self, **limits):
+        self.limits = limits
+        self.worst: dict[str, float] = {}
+
+    def check(self, t: float, **values: float):
+        for name, value in values.items():
+            label, bound, sign, advice = self.limits[name]
+            if name not in self.worst or sign * value > sign * self.worst[name]:
+                self.worst[name] = value
+            if not sign * value <= sign * bound:
+                side = "exceeds" if sign > 0 else "below"
+                raise SolverAbort(f"{label} {value:.3e} at t={t:g} {side} {bound:g}; {advice}")
 
 
 @dataclass
@@ -285,27 +308,39 @@ def _segment_steps(dt_target: float, t0: float, t1: float) -> tuple[int, float]:
     return n, span / n
 
 
-def integrate(y: np.ndarray, cfg: SolverConfig, advance, emit) -> np.ndarray:
-    """Fixed-step driver over [0, cfg.t_end]; returns the last state.
+def integrate(y: np.ndarray, cfg: SolverConfig, advance, emit, lab_state, keep: bool = False):
+    """Fixed-step driver over [0, cfg.t_end]; returns the lab-frame (final, marked, kept).
 
     The run is split at t_mark so a step lands on it.  advance(y, t0, dt, n)
     is a generator yielding the state after each of a segment's n steps of
-    size dt from t0.  emit(t, y, is_mark) records the initial state, every
+    size dt from t0.  emit(t, y) records the initial state, every
     record_stride-th state of a segment and the segment's last, whose time is
-    the segment end itself; is_mark flags the record at t_mark.
+    the segment end itself.  lab_state(t, y) builds a lab-frame state: for the
+    record at t_mark (marked, else None), for every record when keep (kept,
+    else None) and for the last state (final).
     """
-    emit(0.0, y, False)
     bounds = [0.0]
     if cfg.t_mark is not None and cfg.t_mark < cfg.t_end:
         bounds.append(cfg.t_mark)
     bounds.append(cfg.t_end)
-    for t0, t1 in zip(bounds[:-1], bounds[1:]):
-        n, dt = _segment_steps(cfg.dt, t0, t1)
-        for i, y in enumerate(advance(y, t0, dt, n), start=1):
-            if i % cfg.record_stride == 0 or i == n:
-                t = t0 + i * dt if i < n else t1
-                emit(t, y, cfg.t_mark is not None and abs(t - cfg.t_mark) < 1e-12)
-    return y
+
+    def records(y):
+        yield 0.0, y
+        for t0, t1 in zip(bounds[:-1], bounds[1:]):
+            n, dt = _segment_steps(cfg.dt, t0, t1)
+            for i, y in enumerate(advance(y, t0, dt, n), start=1):
+                if i % cfg.record_stride == 0 or i == n:
+                    yield (t0 + i * dt if i < n else t1), y
+
+    marked, kept = None, [] if keep else None
+    for t, y in records(y):
+        emit(t, y)
+        is_mark = cfg.t_mark is not None and abs(t - cfg.t_mark) < 1e-12
+        if is_mark:
+            marked = lab_state(t, y)
+        if keep:
+            kept.append(marked if is_mark else lab_state(t, y))
+    return lab_state(cfg.t_end, y), marked, kept
 
 
 def observables(state: SinglePhotonState) -> dict:
@@ -385,13 +420,16 @@ def fidelity_conditional(
 
 
 @dataclass
-class ClosedRun:
+class Run:
+    """A solve: its records, the lab-frame final and marked (at t_mark) states,
+    the worst value of each guarded invariant by manifest name, and the
+    lab-frame state of every record when kept."""
+
     record: TrajectoryRecord
-    final: SinglePhotonState
-    marked: SinglePhotonState | None
-    norm_drift: float
-    tail_max: float
-    states: list[SinglePhotonState] | None = None
+    final: object
+    marked: object | None
+    invariants: dict[str, float]
+    kept: list | None = None
 
 
 def evolve_closed(
@@ -399,14 +437,16 @@ def evolve_closed(
     params: SystemParams,
     cfg: SolverConfig,
     compute_fidelities: bool | None = None,
-    keep_states: bool = False,
-) -> ClosedRun:
+    keep: bool = False,
+) -> Run:
     """Propagate the amplitude equations and record observables.
 
     Fidelity columns are filled only for the Bell-photon initial state (the
     analytic target exists for that preparation); pass compute_fidelities to
     override the auto-detection.  Aborts when the norm drifts by more than
-    1e-6 or the top-two-level phonon population exceeds 1e-6.
+    1e-6 or the top-two-level phonon population exceeds 1e-6; the Run's
+    invariants hold the worst norm_drift and tail_max.  keep keeps the
+    SinglePhotonState of every record in Run.kept.
     """
     cfg.validate(params)
     norm0 = initial.norm_sq()
@@ -431,34 +471,20 @@ def evolve_closed(
     x_weight = np.concatenate([sq, [0.0], sq])
 
     record = TrajectoryRecord(CLOSED_COLUMNS)
-    drift_max = 0.0
-    tail_max = 0.0
-    marked = None
-    states: list[SinglePhotonState] = []
+    guards = _Guards(
+        norm_drift=("norm drift", NORM_ABORT, 1, f"reduce dt (current {cfg.dt:g})"),
+        tail_max=("phonon tail population", TAIL_ABORT, 1, f"increase n_max (current {n_max})"),
+    )
 
     def lab_state(t, y) -> SinglePhotonState:
         # psi = U_h phi, then the phonon phases e^{-i m omega_m t}
         psi = (hopping_unitary(params, t) @ y) * np.exp(-1j * m * params.omega_m * t)
         return SinglePhotonState(psi[0], psi[1], t)
 
-    def emit(t, y, is_mark):
-        nonlocal drift_max, tail_max, marked
+    def emit(t, y):
         flat = y.reshape(-1)
         p = np.abs(flat) ** 2
-        drift = abs(float(p.sum()) - norm0)
-        drift_max = max(drift_max, drift)
-        tail = float(p[top].sum())
-        tail_max = max(tail_max, tail)
-        if drift > NORM_ABORT:
-            raise SolverAbort(
-                f"norm drift {drift:.3e} at t={t:g} exceeds {NORM_ABORT:g}; reduce dt "
-                f"(current {cfg.dt:g})"
-            )
-        if tail > TAIL_ABORT:
-            raise SolverAbort(
-                f"phonon tail population {tail:.3e} at t={t:g}; increase n_max "
-                f"(current {n_max})"
-            )
+        guards.check(t, norm_drift=abs(float(p.sum()) - norm0), tail_max=float(p[top].sum()))
         # photon populations: the diagonal of U_h tau U_h^dag, tau = y y^dag the
         # 2 x 2 photon trace of phi
         u_h = hopping_unitary(params, t)
@@ -470,12 +496,6 @@ def evolve_closed(
             row["F"] = abs(amp_l + amp_r) ** 2 / 2.0
             row["F_L"] = abs(amp_l) ** 2 / n_l if n_l > P_FLOOR else math.nan
             row["F_R"] = abs(amp_r) ** 2 / n_r if n_r > P_FLOOR else math.nan
-        if keep_states or is_mark:
-            st = lab_state(t, y)
-            if keep_states:
-                states.append(st)
-            if is_mark:
-                marked = st
         record.append(**row)
 
     # No BLAS call is larger than one d x d product: OpenBLAS runs larger
@@ -491,12 +511,6 @@ def evolve_closed(
                 yield a[0]
 
     # at t = 0 the hopping and phonon frames coincide with the lab frame
-    y = integrate(np.stack([initial.a, initial.b]), cfg, advance, emit)
-    return ClosedRun(
-        record=record,
-        final=lab_state(cfg.t_end, y),
-        marked=marked,
-        norm_drift=drift_max,
-        tail_max=tail_max,
-        states=states if keep_states else None,
-    )
+    y = np.stack([initial.a, initial.b])
+    final, marked, kept = integrate(y, cfg, advance, emit, lab_state, keep)
+    return Run(record, final, marked, guards.worst, kept)

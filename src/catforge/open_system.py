@@ -42,14 +42,13 @@ from enum import Enum
 
 import numpy as np
 
-from .closed import P_FLOOR, TAIL_ABORT, SolverAbort, SolverConfig, _frame_targets, integrate
+from .closed import P_FLOOR, TAIL_ABORT, Run, SolverConfig, _frame_targets, _Guards, integrate
 from .model import DerivedModulation, SystemParams, derive, hopping_unitary, target_states
 from .trajectory import TrajectoryRecord
 
 __all__ = [
     "PhotonSector",
     "SystemDensityMatrix",
-    "OpenRun",
     "initial_density",
     "evolve_open",
     "reduce_mechanical",
@@ -292,17 +291,6 @@ class _Generators:
         return out
 
 
-@dataclass
-class OpenRun:
-    record: TrajectoryRecord
-    snapshots: list[SystemDensityMatrix]
-    final: SystemDensityMatrix
-    marked: SystemDensityMatrix | None
-    trace_err_max: float
-    min_eig_min: float
-    tail_max: float
-
-
 def mean_phonon_number(rho: SystemDensityMatrix) -> float:
     d = rho.n_max + 1
     diag = np.real(rho.diagonal())
@@ -339,15 +327,17 @@ def evolve_open(
     initial: SystemDensityMatrix,
     params: SystemParams,
     cfg: SolverConfig,
-    keep_snapshots: bool = False,
-) -> OpenRun:
+    keep: bool = False,
+) -> Run:
     """Propagate the master equation, recording probabilities and fidelities.
 
     The one-photon and vacuum blocks are evolved in the hopping frame (see
     the module docstring), each replaced by its Hermitian part.  Aborts when
     the trace drifts by more than 1e-6, an eigenvalue dips below -1e-6 or the
     top-two-level phonon population exceeds 1e-6 (all checked at record
-    times; positivity is an O(dim^3) solve per block).
+    times; positivity is an O(dim^3) solve per block); the Run's invariants
+    hold the worst trace_err_max, min_eig_min and tail_max.  keep keeps the
+    SystemDensityMatrix of every record in Run.kept.
     """
     cfg.validate(params)
     if initial.trace_error() > 1e-8:
@@ -360,11 +350,11 @@ def evolve_open(
     k = 2 * n
     levels = np.arange(n)
     record = TrajectoryRecord(OPEN_COLUMNS)
-    snapshots: list[SystemDensityMatrix] = []
-    marked = None
-    trace_max = 0.0
-    eig_min = math.inf
-    tail_max = 0.0
+    guards = _Guards(
+        trace_err_max=("trace drift", TRACE_ABORT, 1, "reduce dt"),
+        min_eig_min=("negative eigenvalue", EIG_ABORT, -1, "reduce dt or increase n_max"),
+        tail_max=("phonon tail population", TAIL_ABORT, 1, f"increase n_max (current {n - 1})"),
+    )
 
     def lab_state(t: float, y: np.ndarray) -> SystemDensityMatrix:
         # rho = U_h phi U_h^dag, then the phonon phases e^{-i omega_m t (p - q)}; einsum
@@ -376,11 +366,10 @@ def evolve_open(
         vac = ph[:, None] * y[k * k :].reshape(n, n) * ph.conj()[None, :]
         return SystemDensityMatrix(one.reshape(k, k), vac, t)
 
-    def emit(t: float, y: np.ndarray, is_mark: bool):
+    def emit(t: float, y: np.ndarray):
         # the trace, the phonon diagonal summed over photon sectors and the
         # spectrum are the same in the frame and in the lab, so the guards and
         # nb read the frame blocks; only P_L, P_R and the fidelities rotate
-        nonlocal marked, trace_max, eig_min, tail_max
         one = y[: k * k].reshape(k, k)
         frame = SystemDensityMatrix(one, y[k * k :].reshape(n, n), t)
         tr_err = frame.trace_error()
@@ -388,23 +377,7 @@ def evolve_open(
         diag = np.real(frame.diagonal())
         # fock.tail_population's gauge: population of the top two phonon levels, all sectors
         tail = float(np.sum(diag.reshape(3, n)[:, -2:]))
-        trace_max = max(trace_max, tr_err)
-        eig_min = min(eig_min, mineig)
-        tail_max = max(tail_max, tail)
-        if tr_err > TRACE_ABORT:
-            raise SolverAbort(
-                f"trace drift {tr_err:.3e} at t={t:g} exceeds {TRACE_ABORT:g}; reduce dt"
-            )
-        if mineig < EIG_ABORT:
-            raise SolverAbort(
-                f"negative eigenvalue {mineig:.3e} at t={t:g} below {EIG_ABORT:g}; "
-                "reduce dt or increase n_max"
-            )
-        if tail > TAIL_ABORT:
-            raise SolverAbort(
-                f"phonon tail population {tail:.3e} at t={t:g}; increase n_max "
-                f"(current {n - 1})"
-            )
+        guards.check(t, trace_err_max=tr_err, min_eig_min=mineig, tail_max=tail)
         # photon populations: the diagonal of U_h tau U_h^dag, tau the 2 x 2
         # photon trace of phi; <v_s| rho_ss |v_s> = <w_s| phi |w_s>
         u_h = hopping_unitary(params, t)
@@ -418,12 +391,6 @@ def evolve_open(
             t=t, P_L=p_l, P_R=p_r, P_V=float(np.sum(diag[k:])), nb=mean_phonon_number(frame),
             F_L=f_l, F_R=f_r, trace_err=tr_err, min_eig=mineig,
         )
-        if keep_snapshots or is_mark:
-            st = lab_state(t, y)
-            if keep_snapshots:
-                snapshots.append(st)
-            if is_mark:
-                marked = st
 
     def advance(y, t0, dt, n_steps):
         # the generator writes h/2 times the derivative, so the stages come out
@@ -454,16 +421,8 @@ def evolve_open(
     # apply's one-photon block Z + Z^H is the generator only on Hermitian input;
     # at t = 0 the hopping frame coincides with the lab frame
     y = np.concatenate([(0.5 * (b + b.conj().T)).ravel() for b in (initial.one, initial.vac)])
-    y = integrate(y, cfg, advance, emit)
-    return OpenRun(
-        record=record,
-        snapshots=snapshots,
-        final=lab_state(cfg.t_end, y),
-        marked=marked,
-        trace_err_max=trace_max,
-        min_eig_min=eig_min,
-        tail_max=tail_max,
-    )
+    final, marked, kept = integrate(y, cfg, advance, emit, lab_state, keep)
+    return Run(record, final, marked, guards.worst, kept)
 
 
 def write_snapshot(path, sdm: SystemDensityMatrix):

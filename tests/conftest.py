@@ -81,9 +81,9 @@ def equivalence_runs():
     stride = max(1, round(t_end / dt / 12))
     ccfg = closed.SolverConfig(dt=dt, t_end=t_end, record_stride=stride)
     crun = closed.evolve_closed(
-        closed.initial_state("bell", n_max), params, ccfg, keep_states=True
+        closed.initial_state("bell", n_max), params, ccfg, keep=True
     )
     orun = osys.evolve_open(
-        osys.initial_density("bell", n_max), params, ccfg, keep_snapshots=True
+        osys.initial_density("bell", n_max), params, ccfg, keep=True
     )
     return params, d, crun, orun

@@ -113,7 +113,7 @@ def test_criterion_6_oracle_equivalences(equivalence_runs):
     eq_params, _, crun, orun = equivalence_runs
     n_max = crun.final.n_max
     elem_err = 0.0
-    for st, sdm in zip(crun.states, orun.snapshots):
+    for st, sdm in zip(crun.kept, orun.kept):
         amp = np.concatenate([st.a, st.b, np.zeros(n_max + 1, complex)])
         elem_err = max(elem_err, np.max(np.abs(sdm.rho - np.outer(amp, amp.conj()))))
 
@@ -149,9 +149,9 @@ def test_criterion_6_oracle_equivalences(equivalence_runs):
 
 
 def test_criterion_7_conservation_suite(closed_runs, gamma_c_runs, fig2_run):
-    norm_drift = max(run.norm_drift for _, _, run in closed_runs.values())
-    trace_err = max(run.trace_err_max for run in gamma_c_runs.values())
-    min_eig = min(run.min_eig_min for run in gamma_c_runs.values())
+    norm_drift = max(run.invariants["norm_drift"] for _, _, run in closed_runs.values())
+    trace_err = max(run.invariants["trace_err_max"] for run in gamma_c_runs.values())
+    min_eig = min(run.invariants["min_eig_min"] for run in gamma_c_runs.values())
 
     rho_l, _ = osys.reduce_mechanical(fig2_run.marked, osys.PhotonSector.L)
     beta = model.beta_of_t(model.derive(fig2_params()), 20.0, TD)

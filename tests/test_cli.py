@@ -372,6 +372,12 @@ def test_cli_exit_codes(tmp_path, monkeypatch):
         ["wigner", "--preset", "figS5", "--set", "source=closed", "--set", "t_d=-1"],
         ["quadrature", "--preset", "figS5", "--set", "x_step=0"],
         ["quadrature", "--preset", "figS5", "--set", "n_max=0"],
+        # the sweep mode's delta grid is refused before its output directory is made
+        ["sweep", "--preset", "fig1a", "--set", "delta_step=0"],
+        ["sweep", "--preset", "fig1a", "--set", "delta_max=nan"],
+        ["sweep", "--preset", "fig1a", "--set", "delta_step=-0.1"],
+        ["sweep", "--preset", "fig1a", "--set", "delta_min=-1"],
+        ["sweep", "--preset", "fig1a", "--set", "delta_min=0.6"],
     ]
     for argv in refused:
         assert cli.main(argv) == 2, argv
@@ -432,7 +438,7 @@ def test_open_source_tomography(tmp_path):
     assert np.max(np.abs(p - analysis.quadrature_numeric(rho_l, axis))) <= 1e-10
 
 
-def test_non_finite_integers_exit_2(tmp_path, monkeypatch):
+def test_non_finite_integers_exit_2(tmp_path, monkeypatch, capsys):
     # int() of inf/nan raises OverflowError/ValueError; these must be config errors
     monkeypatch.setenv(cli.OUT_ENV, str(tmp_path))
     for key in ("n_max", "record_stride", "workers"):
@@ -441,6 +447,20 @@ def test_non_finite_integers_exit_2(tmp_path, monkeypatch):
     # non-finite rates and times are refused by SystemParams and SolverConfig
     for setting in ("dt=nan", "t_end=nan", "omega_m=nan", "gamma_c=nan", "n_th=inf", "gamma_m=inf"):
         assert cli.main(["open", "--preset", "fig2", "--set", setting]) == 2
+    # t_d and xi reach the analytic formulas before SystemParams; the refusal names the key
+    named = [
+        (["wigner", "--preset", "figS5", "--set", "t_d=nan"], "t_d"),
+        (["wigner", "--preset", "figS5", "--set", "t_d=inf"], "t_d"),
+        (["quadrature", "--preset", "figS5", "--set", "t_d=nan"], "t_d"),
+        (["detect-times", "--preset", "fig2", "--set", "t_d=nan"], "t_d"),
+        (["detect-times", "--preset", "fig2", "--set", "t_d=inf"], "t_d"),
+        (["closed", "--preset", "figS1", "--set", "sweep_values=1.5,nan"], "xi"),
+        (["sweep", "--preset", "fig1a", "--set", "xi_list=nan"], "xi_list"),
+    ]
+    capsys.readouterr()
+    for argv, key in named:
+        assert cli.main(argv) == 2, argv
+        assert f"{key} must be finite" in capsys.readouterr().err, argv
     assert not any(tmp_path.iterdir())
 
 

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -129,11 +130,11 @@ def test_records_match_observables():
     cfg = SolverConfig(
         dt=closed.default_dt(params), t_end=t_end, record_stride=7, t_mark=rng.uniform(0.1, 0.4)
     )
-    run = closed.evolve_closed(start, params, cfg, compute_fidelities=True, keep_states=True)
-    assert len(run.states) == len(run.record) > 10
+    run = closed.evolve_closed(start, params, cfg, compute_fidelities=True, keep=True)
+    assert len(run.kept) == len(run.record) > 10
     assert run.marked.t == cfg.t_mark and run.final.t == t_end
     cols = {c: run.record.column(c) for c in closed.CLOSED_COLUMNS}
-    for i, st in enumerate(run.states):
+    for i, st in enumerate(run.kept):
         obs = closed.observables(st)
         f_l, f_r = closed.fidelity_conditional(st, params, d)
         expect = dict(
@@ -142,9 +143,10 @@ def test_records_match_observables():
         )
         for name, value in expect.items():
             assert abs(cols[name][i] - value) < 1e-14, name
-    assert run.tail_max > 0
-    assert abs(run.norm_drift - max(abs(st.norm_sq() - start.norm_sq()) for st in run.states)) < 1e-14
-    assert abs(run.tail_max - max(st.tail_population() for st in run.states)) < 1e-14
+    inv = run.invariants
+    assert inv["tail_max"] > 0
+    assert abs(inv["norm_drift"] - max(abs(st.norm_sq() - start.norm_sq()) for st in run.kept)) < 1e-14
+    assert abs(inv["tail_max"] - max(st.tail_population() for st in run.kept)) < 1e-14
 
 
 def test_closed_matches_solve_ivp():
@@ -180,8 +182,9 @@ def test_closed_matches_solve_ivp():
 
 
 def counted_records(cfg):
-    """Run the driver with a stepper whose state counts its yields; return the
-    records (t, yields so far, is_mark) and the returned state."""
+    """Run the driver with a stepper whose state counts its yields and a lab
+    frame that pairs a state with its time; return the records (t, yields so
+    far) and the driver's (final, marked, kept)."""
     records = []
 
     def advance(y, t0, dt, n):
@@ -189,8 +192,10 @@ def counted_records(cfg):
             y += 1
             yield y
 
-    last = closed.integrate(0, cfg, advance, lambda t, y, is_mark: records.append((t, y, is_mark)))
-    return records, last
+    def emit(t, y):
+        records.append((t, y))
+
+    return records, closed.integrate(0, cfg, advance, emit, lambda t, y: (t, y), keep=True)
 
 
 def test_integrate_time_grid_records_and_mark():
@@ -202,17 +207,16 @@ def test_integrate_time_grid_records_and_mark():
     )
     for t_mark, segments in cases:
         cfg = SolverConfig(dt=0.01, t_end=3.0, record_stride=7, t_mark=t_mark)
-        records, last = counted_records(cfg)
+        records, (final, marked, kept) = counted_records(cfg)
         expect, done = [(0.0, 0)], 0
         for t0, t1, n in segments:
             assert n % closed._CHUNK != 0
             h = (t1 - t0) / n
             expect += [(t0 + i * h, done + i) for i in range(7, n, 7)] + [(t1, done + n)]
             done += n
-        assert [(t, y) for t, y, _ in records] == expect
-        assert last == done
-        marks = [t for t, _, is_mark in records if is_mark]
-        assert marks == ([] if t_mark is None else [t_mark])
+        assert records == kept == expect
+        assert final == (3.0, done)
+        assert (marked and marked[0]) == t_mark
 
 
 def test_closed_and_open_share_the_record_times():
@@ -221,7 +225,7 @@ def test_closed_and_open_share_the_record_times():
     cfg = SolverConfig(dt=closed.default_dt(params), t_end=0.245, record_stride=7, t_mark=0.11)
     crun = closed.evolve_closed(closed.initial_state("bell", 6), params, cfg)
     orun = osys.evolve_open(osys.initial_density("bell", 6), params, cfg)
-    times = [t for t, _, _ in counted_records(cfg)[0]]
+    times = [t for t, _ in counted_records(cfg)[0]]
     assert crun.record.column("t").tolist() == orun.record.column("t").tolist() == times
     assert crun.marked.t == orun.marked.t == 0.11
 
@@ -258,8 +262,8 @@ def test_norm_conservation_at_default_step():
     d = model.derive(params)
     cfg = SolverConfig(dt=closed.default_dt(params), t_end=4 * math.pi / d.delta, record_stride=64)
     run = closed.evolve_closed(closed.initial_state("bell", 22), params, cfg)
-    assert run.norm_drift < 1e-8
-    assert run.tail_max < 1e-6
+    assert run.invariants["norm_drift"] < 1e-8
+    assert run.invariants["tail_max"] < 1e-6
 
 
 def test_closed_default_step_accuracy(closed_runs):
@@ -315,7 +319,27 @@ def test_norm_abort_diagnostic():
 
     with pytest.raises(SolverAbort, match="reduce dt"):
         run(40)
-    assert run(128).norm_drift < 1e-7
+    assert run(128).invariants["norm_drift"] < 1e-7
+
+
+def test_guard_table_ceiling_and_floor():
+    # worst values are kept from the first record on; an abort carries the bound and the advice
+    guards = closed._Guards(
+        drift=("norm drift", 1e-6, 1, "reduce dt"),
+        eig=("negative eigenvalue", -1e-6, -1, "increase n_max"),
+    )
+    guards.check(0.0, drift=5e-7, eig=3e-7)
+    assert guards.worst == {"drift": 5e-7, "eig": 3e-7}
+    guards.check(0.5, drift=2e-7, eig=-4e-7)
+    assert guards.worst == {"drift": 5e-7, "eig": -4e-7}
+    with pytest.raises(SolverAbort, match=re.escape("norm drift 2.000e-06 at t=1 exceeds 1e-06; reduce dt")):
+        guards.check(1.0, drift=2e-6, eig=0.0)
+    with pytest.raises(SolverAbort, match=re.escape("eigenvalue -3.000e-06 at t=1.5 below -1e-06; increase n_max")):
+        guards.check(1.5, drift=0.0, eig=-3e-6)
+    assert guards.worst == {"drift": 2e-6, "eig": -3e-6}
+    # a state gone non-finite trips the guard instead of passing every comparison
+    with pytest.raises(SolverAbort, match="eigenvalue nan at t=2 below"):
+        guards.check(2.0, drift=0.0, eig=math.nan)
 
 
 def test_tail_abort_diagnostic():

@@ -268,9 +268,9 @@ def test_open_matches_closed_without_dissipation(equivalence_runs):
     params, d, crun, orun = equivalence_runs
     n_max = crun.final.n_max
     dim = 3 * (n_max + 1)
-    assert len(crun.states) == len(orun.snapshots)
+    assert len(crun.kept) == len(orun.kept)
     worst = 0.0
-    for st, sdm in zip(crun.states, orun.snapshots):
+    for st, sdm in zip(crun.kept, orun.kept):
         assert abs(st.t - sdm.t) < 1e-12
         amp = np.concatenate([st.a, st.b, np.zeros(n_max + 1, complex)])
         worst = max(worst, np.max(np.abs(sdm.rho - np.outer(amp, amp.conj()))))
@@ -279,7 +279,7 @@ def test_open_matches_closed_without_dissipation(equivalence_runs):
 
 def test_fidelity_open_matches_closed(equivalence_runs):
     params, d, crun, orun = equivalence_runs
-    for st, sdm in zip(crun.states, orun.snapshots):
+    for st, sdm in zip(crun.kept, orun.kept):
         fc = closed.fidelity_conditional(st, params, d)
         fo = osys.fidelity_open(sdm, params, d)
         assert abs(fc[0] - fo[0]) < 1e-6
@@ -292,9 +292,9 @@ def test_record_row_matches_rotated_lab_state():
     params = fig2_params(gamma_m=0.05, n_th=2.0)
     d = model.derive(params)
     cfg = SolverConfig(dt=closed.default_dt(params, 64), t_end=0.6, record_stride=23)
-    run = osys.evolve_open(osys.initial_density("bell", 8), params, cfg, keep_snapshots=True)
-    assert len(run.snapshots) == len(run.record) > 3
-    for i, st in enumerate(run.snapshots):
+    run = osys.evolve_open(osys.initial_density("bell", 8), params, cfg, keep=True)
+    assert len(run.kept) == len(run.record) > 3
+    for i, st in enumerate(run.kept):
         f_l, f_r = osys.fidelity_open(st, params, d)
         expected = {
             "t": st.t,
@@ -366,7 +366,17 @@ def test_tail_guard_counts_every_sector():
         rho[top, top] += 2e-6
         with pytest.raises(closed.SolverAbort, match="phonon tail"):
             osys.evolve_open(SystemDensityMatrix.from_full(rho), params, cfg)
-    assert osys.evolve_open(osys.initial_density("left", d - 1), params, cfg).tail_max < 1e-12
+    assert osys.evolve_open(osys.initial_density("left", d - 1), params, cfg).invariants["tail_max"] < 1e-12
+
+
+def test_eigenvalue_guard_trips_at_t0():
+    # a Hermitian, unit-trace start with a -1e-5 eigenvalue is refused at the first record
+    rho = osys.initial_density("left", 10).rho
+    rho[0, 0] += 1e-5
+    rho[1, 1] -= 1e-5
+    cfg = SolverConfig(dt=1e-3, t_end=0.1)
+    with pytest.raises(closed.SolverAbort, match=r"negative eigenvalue -1\.000e-05 at t=0 below -1e-06"):
+        osys.evolve_open(SystemDensityMatrix.from_full(rho), fig2_params(), cfg)
 
 
 def test_fig2_probabilities(fig2_run):
@@ -389,12 +399,12 @@ def test_probability_monotonicity(fig2_run):
 
 
 def test_fig2_conservation(fig2_run):
-    assert fig2_run.trace_err_max < 1e-8
-    assert fig2_run.min_eig_min > -1e-8
+    assert fig2_run.invariants["trace_err_max"] < 1e-8
+    assert fig2_run.invariants["min_eig_min"] > -1e-8
     # the evolved blocks stay Hermitian up to the rounding of the lab-frame phases
     for st in (fig2_run.final, fig2_run.marked):
         assert st.hermiticity_error() <= 1e-15
-    assert fig2_run.tail_max < closed.TAIL_ABORT
+    assert fig2_run.invariants["tail_max"] < closed.TAIL_ABORT
 
 
 def test_gamma_c_independence_of_fidelity(gamma_c_runs):
