@@ -29,7 +29,6 @@ __all__ = [
     "quadrature_numeric",
     "sweep_beta_max",
     "detection_time_candidates",
-    "fringe_visibility",
     "default_theta",
 ]
 
@@ -270,11 +269,3 @@ def detection_time_candidates(
             out.append((t, abs(beta_of_t(d, params.omega_m, t))))
     out.sort()
     return out
-
-
-def fringe_visibility(x: np.ndarray, p: np.ndarray, half_width: float = 1.5) -> float:
-    """(max-min)/(max+min) of a distribution within |x| <= half_width."""
-    mask = np.abs(np.asarray(x)) <= half_width
-    seg = np.asarray(p)[mask]
-    hi, lo = float(np.max(seg)), float(np.min(seg))
-    return (hi - lo) / (hi + lo)

@@ -27,7 +27,7 @@ from dataclasses import MISSING, asdict, dataclass, field, fields
 import numpy as np
 
 from . import __version__, analysis, closed, model, open_system
-from .closed import SolverAbort, SolverConfig
+from .closed import P_FLOOR, SolverAbort, SolverConfig
 from .model import SystemParams, derive
 from .trajectory import format_column, write_columns
 
@@ -42,6 +42,9 @@ SWEEPABLE = ("gamma_c", "gamma_m", "n_th", "xi", "omega_m", "delta", "delta_over
 
 DEFAULT_OUT = "catforge-out"
 OUT_ENV = "CATFORGE_OUT"
+
+# model.bessel_j is accurate for arguments up to 50, and the coupling evaluates it at 2 xi
+XI_MAX = 25.0
 
 
 class ConfigError(ValueError):
@@ -367,11 +370,16 @@ def parse_config(
 
 
 def _require_finite(**values):
-    """Refuse a non-finite number, or list entry, under the key that gave it."""
+    """Refuse a non-finite number, or list entry, under the key that gave it, and an
+    xi or xi_list entry past XI_MAX."""
     for key, value in values.items():
         for v in value if isinstance(value, tuple) else (value,):
-            if v is not None and not math.isfinite(v):
+            if v is None:
+                continue
+            if not math.isfinite(v):
                 raise ConfigError(f"{key} must be finite, got {v!r}")
+            if key in ("xi", "xi_list") and not abs(v) <= XI_MAX:
+                raise ConfigError(f"{key} = {v!r}: 2|xi| must be <= {2 * XI_MAX:g} (bessel_j's range)")
 
 
 def _sweep_values(config: RunConfig) -> tuple[float, ...] | None:
@@ -492,7 +500,7 @@ def _load_initial_closed(kind: str, n_max: int) -> closed.SinglePhotonState:
         raise ConfigError(f"initial file {kind[5:]!r}: {exc!r}") from None
     if state.n_max != n_max:
         raise ConfigError(f"initial file has {a.size} amplitudes, n_max+1={n_max + 1}")
-    if abs(state.norm_sq() - 1.0) > 1e-9:
+    if not abs(state.norm_sq() - 1.0) <= 1e-9:  # a NaN amplitude fails this too
         raise ConfigError("initial amplitudes are not normalized")
     return state
 
@@ -571,16 +579,22 @@ def _mechanical_states_at_td(config: RunConfig, res: _Resolved):
     if config.source == "analytic":
         phi_l, phi_r = model.target_states(res.params, res.d, t_d)
         return phi_l, phi_r, model.beta_of_t(res.d, res.params.omega_m, t_d)
-    # res runs these modes to t_end = t_d
+    # res runs these modes to t_end = t_d; an empty detection sector has no state to image
     if config.source == "closed":
         run_ = _evolve("closed", config, res, compute_fidelities=False)
-        psi_l, _, psi_r, _ = closed.conditional_states(run_.final)
+        psi_l, p_l, psi_r, p_r = closed.conditional_states(run_.final)
+        for tag, psi, p in (("L", psi_l, p_l), ("R", psi_r, p_r)):
+            if psi is None:
+                raise ConfigError(f"sector {tag} probability {p:.3e} below {P_FLOOR:g} at t_d={t_d:g}")
         rho_l = np.outer(psi_l, psi_l.conj())
         rho_r = np.outer(psi_r, psi_r.conj())
     else:
         run_ = _evolve("open", config, res)
-        rho_l, _ = open_system.reduce_mechanical(run_.final, open_system.PhotonSector.L)
-        rho_r, _ = open_system.reduce_mechanical(run_.final, open_system.PhotonSector.R)
+        try:
+            rho_l, _ = open_system.reduce_mechanical(run_.final, open_system.PhotonSector.L)
+            rho_r, _ = open_system.reduce_mechanical(run_.final, open_system.PhotonSector.R)
+        except ValueError as exc:  # names the sector and its probability
+            raise ConfigError(f"{exc} at t_d={t_d:g}") from None
     return rho_l, rho_r, model.beta_of_t(res.d, res.params.omega_m, t_d)
 
 

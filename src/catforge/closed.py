@@ -450,7 +450,7 @@ def evolve_closed(
     """
     cfg.validate(params)
     norm0 = initial.norm_sq()
-    if abs(norm0 - 1.0) > 1e-9:
+    if not abs(norm0 - 1.0) <= 1e-9:  # a NaN amplitude fails this too
         raise ValueError("initial state must be normalized")
     if compute_fidelities is None:
         open_l = abs(initial.a[0] - 1 / math.sqrt(2)) < 1e-12 and np.all(initial.a[1:] == 0)

@@ -1,7 +1,8 @@
 """Truncated harmonic-oscillator Fock-space primitives.
 
-Coherent-state expansion coefficients, displacement-operator matrices and
-oscillator eigenfunctions, all on a ladder truncated at n_max (dimension
+Coherent-state expansion coefficients, batches of displacement-operator
+matrices, the table of oscillator eigenfunctions on a grid and the
+truncation-tail gauge, all on a ladder truncated at n_max (dimension
 n_max+1).  Everything is computed by stable recurrences; no factorials are
 ever formed explicitly, so the routines stay finite well past n ~ 85 where
 factorial-based formulas overflow.
@@ -9,7 +10,9 @@ factorial-based formulas overflow.
 No solver or tomography path builds displacement matrices:
 ``analysis.wigner_numeric`` sums the same Laguerre form one Fock diagonal at
 a time.  ``displacement_matrices`` stays as the tests' reference for that
-kernel and as the ``analysis`` name that ``perfbench/spans.py`` times.
+kernel and as the ``analysis`` name that ``perfbench/spans.py`` times.  The
+single-matrix and single-eigenfunction forms that only the tests use live in
+``tests/oracles.py``.
 """
 
 from __future__ import annotations
@@ -21,9 +24,7 @@ import numpy as np
 __all__ = [
     "coherent_cutoff",
     "coherent_coeffs",
-    "displacement_matrix",
     "displacement_matrices",
-    "oscillator_eigenfunction",
     "oscillator_eigenfunctions",
     "tail_population",
 ]
@@ -94,28 +95,6 @@ def displacement_matrices(etas: np.ndarray, n_max: int) -> np.ndarray:
     aa = np.abs(mm - nn)
     d = np.exp(-0.5 * x)[None, None, :] * pref * lag[kk, aa]
     return np.ascontiguousarray(np.moveaxis(d, 2, 0))
-
-
-def displacement_matrix(eta: complex, n_max: int) -> np.ndarray:
-    """Full displacement operator D(eta) on the truncated ladder."""
-    return displacement_matrices(np.array([eta]), n_max)[0]
-
-
-def oscillator_eigenfunction(n: int, x) -> np.ndarray | float:
-    """Position-space oscillator eigenfunction psi_n(x).
-
-    psi_n(x) = (pi^{1/2} 2^n n!)^{-1/2} H_n(x) exp(-x^2/2), evaluated through
-    the normalized recurrence psi_{n+1} = x sqrt(2/(n+1)) psi_n
-    - sqrt(n/(n+1)) psi_{n-1}.
-    """
-    if n < 0:
-        raise ValueError("Fock index must be non-negative")
-    x = np.asarray(x, dtype=float)
-    psi_prev = np.zeros_like(x)
-    psi = math.pi ** -0.25 * np.exp(-0.5 * x**2)
-    for k in range(n):
-        psi_prev, psi = psi, x * math.sqrt(2.0 / (k + 1)) * psi - math.sqrt(k / (k + 1.0)) * psi_prev
-    return psi if psi.ndim else float(psi)
 
 
 def oscillator_eigenfunctions(n_max: int, x) -> np.ndarray:

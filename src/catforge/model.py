@@ -33,7 +33,6 @@ __all__ = [
     "mu_of_t",
     "hopping_unitary",
     "target_states",
-    "success_probability_estimate",
 ]
 
 
@@ -99,11 +98,6 @@ class DerivedModulation:
     g: float
     delta: float
     beta_max: float
-
-    @property
-    def resonant(self) -> bool:
-        """True when delta = 0, where beta grows without bound (linearly in t)."""
-        return self.delta == 0.0
 
 
 def bessel_j(order: int, z: float) -> float:
@@ -232,8 +226,3 @@ def target_states(params: SystemParams, d: DerivedModulation, t: float) -> tuple
     beta = beta_of_t(d, params.omega_m, t)
     wp, wm = hopping_unitary(params, t)[0]
     return CatState(beta, wp, wm), CatState(-beta, wp, wm)
-
-
-def success_probability_estimate(params: SystemParams) -> float:
-    """Photon-survival estimate exp(-4 pi gamma_c / g0) at delta = g."""
-    return math.exp(-4.0 * math.pi * params.gamma_c / params.g0)

@@ -42,8 +42,11 @@ from enum import Enum
 
 import numpy as np
 
-from .closed import P_FLOOR, TAIL_ABORT, Run, SolverConfig, _frame_targets, _Guards, integrate
-from .model import DerivedModulation, SystemParams, derive, hopping_unitary, target_states
+from .closed import (
+    P_FLOOR, TAIL_ABORT, Run, SolverConfig, _frame_targets, _Guards, initial_state, integrate
+)
+from .model import SystemParams, derive, hopping_unitary
+from .model import target_states  # unused here; perfbench/spans.py wraps this module-level name
 from .trajectory import TrajectoryRecord
 
 __all__ = [
@@ -52,7 +55,6 @@ __all__ = [
     "initial_density",
     "evolve_open",
     "reduce_mechanical",
-    "fidelity_open",
     "mean_phonon_number",
     "write_snapshot",
     "read_snapshot",
@@ -135,20 +137,11 @@ class SystemDensityMatrix:
 
 
 def initial_density(kind: str, n_max: int) -> SystemDensityMatrix:
-    """Photon state 'left'/'right'/'bell'/'vacuum' with the phonon ground state."""
-    d = n_max + 1
-    amp = np.zeros(2 * d, dtype=complex)
-    vac = np.zeros((d, d), dtype=complex)
-    if kind == "left":
-        amp[0] = 1.0
-    elif kind == "right":
-        amp[d] = 1.0
-    elif kind == "bell":
-        amp[0] = amp[d] = 1.0 / math.sqrt(2.0)
-    elif kind == "vacuum":
-        vac[0, 0] = 1.0
-    else:
-        raise ValueError(f"unknown initial state {kind!r}")
+    """The pure state closed.initial_state(kind, n_max) as a density matrix:
+    a photon 'left', 'right' or in the Bell state, with the phonon ground state."""
+    psi = initial_state(kind, n_max)
+    amp = np.concatenate([psi.a, psi.b])
+    vac = np.zeros((n_max + 1, n_max + 1), dtype=complex)
     return SystemDensityMatrix(np.outer(amp, amp.conj()), vac, 0.0)
 
 
@@ -306,23 +299,6 @@ def reduce_mechanical(rho: SystemDensityMatrix, sector: PhotonSector) -> tuple[n
     return blk / p, p
 
 
-def fidelity_open(
-    rho: SystemDensityMatrix, params: SystemParams, d: DerivedModulation
-) -> tuple[float, float]:
-    """Fidelities <phi_s|rho_M^(s)|phi_s> of the reduced states against the
-    targets; NaN for a sector whose probability is at most P_FLOOR."""
-    out = []
-    for sector, phi in zip((PhotonSector.L, PhotonSector.R), target_states(params, d, rho.t)):
-        blk = rho.block(sector)
-        p = float(np.sum(np.diagonal(blk).real))
-        if p > P_FLOOR:
-            v = phi.fock_vector(rho.n_max)
-            out.append(float(np.real(np.vdot(v, blk @ v)) / p))
-        else:
-            out.append(math.nan)
-    return out[0], out[1]
-
-
 def evolve_open(
     initial: SystemDensityMatrix,
     params: SystemParams,
@@ -340,9 +316,10 @@ def evolve_open(
     SystemDensityMatrix of every record in Run.kept.
     """
     cfg.validate(params)
-    if initial.trace_error() > 1e-8:
+    # written as not (error <= bound) so that a NaN entry is refused too
+    if not initial.trace_error() <= 1e-8:
         raise ValueError("initial density matrix must have unit trace")
-    if initial.hermiticity_error() > 1e-10:
+    if not initial.hermiticity_error() <= 1e-10:
         raise ValueError("initial density matrix must be Hermitian")
 
     d = derive(params)

@@ -6,21 +6,11 @@ import math
 
 import numpy as np
 
-__all__ = ["TrajectoryRecord", "format_column", "format_float", "write_columns"]
-
-
-def format_float(x) -> str:
-    """Shortest round-trip decimal form; empty cell for missing values."""
-    if x is None:
-        return ""
-    x = float(x)
-    if math.isnan(x):
-        return ""
-    return repr(x)
+__all__ = ["TrajectoryRecord", "format_column", "write_columns"]
 
 
 def format_column(values) -> list[str]:
-    """format_float over a whole column at once; None and NaN give empty cells."""
+    """Shortest round-trip decimal form (repr) of each value; None and NaN give empty cells."""
     cells = map(repr, np.asarray(values, dtype=float).ravel().tolist())
     return ["" if c == "nan" else c for c in cells]
 

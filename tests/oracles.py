@@ -5,7 +5,10 @@ lab-frame amplitude equations of the closed problem and the lab-frame
 Lindblad generator on the full three-sector density matrix, built from dense
 operators and sharing no kernel with the library; the library's vectorized,
 interaction-frame, hopping-frame and live-block routines are checked against
-these.
+these.  Also the scalar and single-item forms of library routines (one
+displacement matrix, one eigenfunction, one CSV cell, the fidelities of a
+kept open state) and the estimates and figures of merit that only the tests
+evaluate (photon survival, fringe visibility).
 """
 
 from __future__ import annotations
@@ -14,9 +17,10 @@ import math
 
 import numpy as np
 
-from catforge.closed import SinglePhotonState
-from catforge.fock import _check_cutoff
-from catforge.model import SystemParams
+from catforge.closed import P_FLOOR, SinglePhotonState
+from catforge.fock import _check_cutoff, displacement_matrices
+from catforge.model import DerivedModulation, SystemParams, target_states
+from catforge.open_system import PhotonSector, SystemDensityMatrix
 
 
 def destroy(n_max: int) -> np.ndarray:
@@ -64,6 +68,68 @@ def displacement_matrix_element(m: int, n: int, eta: complex) -> complex:
     for j in range(k + 1, k + d + 1):
         val *= z / math.sqrt(j)
     return val * _laguerre_value(k, d, x)
+
+
+def displacement_matrix(eta: complex, n_max: int) -> np.ndarray:
+    """Full displacement operator D(eta) on the truncated ladder."""
+    return displacement_matrices(np.array([eta]), n_max)[0]
+
+
+def oscillator_eigenfunction(n: int, x) -> np.ndarray | float:
+    """Position-space oscillator eigenfunction psi_n(x).
+
+    psi_n(x) = (pi^{1/2} 2^n n!)^{-1/2} H_n(x) exp(-x^2/2), evaluated through
+    the normalized recurrence psi_{n+1} = x sqrt(2/(n+1)) psi_n
+    - sqrt(n/(n+1)) psi_{n-1}.
+    """
+    if n < 0:
+        raise ValueError("Fock index must be non-negative")
+    x = np.asarray(x, dtype=float)
+    psi_prev = np.zeros_like(x)
+    psi = math.pi ** -0.25 * np.exp(-0.5 * x**2)
+    for k in range(n):
+        psi_prev, psi = psi, x * math.sqrt(2.0 / (k + 1)) * psi - math.sqrt(k / (k + 1.0)) * psi_prev
+    return psi if psi.ndim else float(psi)
+
+
+def format_float(x) -> str:
+    """One CSV cell: shortest round-trip decimal form; empty cell for missing values."""
+    if x is None:
+        return ""
+    x = float(x)
+    if math.isnan(x):
+        return ""
+    return repr(x)
+
+
+def fringe_visibility(x: np.ndarray, p: np.ndarray, half_width: float = 1.5) -> float:
+    """(max-min)/(max+min) of a distribution within |x| <= half_width."""
+    mask = np.abs(np.asarray(x)) <= half_width
+    seg = np.asarray(p)[mask]
+    hi, lo = float(np.max(seg)), float(np.min(seg))
+    return (hi - lo) / (hi + lo)
+
+
+def success_probability_estimate(params: SystemParams) -> float:
+    """Photon-survival estimate exp(-4 pi gamma_c / g0) at delta = g."""
+    return math.exp(-4.0 * math.pi * params.gamma_c / params.g0)
+
+
+def fidelity_open(
+    rho: SystemDensityMatrix, params: SystemParams, d: DerivedModulation
+) -> tuple[float, float]:
+    """Fidelities <phi_s|rho_M^(s)|phi_s> of the reduced states against the
+    targets; NaN for a sector whose probability is at most P_FLOOR."""
+    out = []
+    for sector, phi in zip((PhotonSector.L, PhotonSector.R), target_states(params, d, rho.t)):
+        blk = rho.block(sector)
+        p = float(np.sum(np.diagonal(blk).real))
+        if p > P_FLOOR:
+            v = phi.fock_vector(rho.n_max)
+            out.append(float(np.real(np.vdot(v, blk @ v)) / p))
+        else:
+            out.append(math.nan)
+    return out[0], out[1]
 
 
 def rhs_closed(state: SinglePhotonState, params: SystemParams) -> tuple[np.ndarray, np.ndarray]:

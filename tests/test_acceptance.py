@@ -193,7 +193,7 @@ def test_criterion_8_tomography_signatures(fig2_run, gamma_m_runs, n_th_runs):
 
     def visibility(run):
         rho, _ = osys.reduce_mechanical(run.marked, osys.PhotonSector.L)
-        return analysis.fringe_visibility(axis.x_values, analysis.quadrature_numeric(rho, axis))
+        return oracles.fringe_visibility(axis.x_values, analysis.quadrature_numeric(rho, axis))
 
     vis_gm = [visibility(gamma_m_runs[gm]) for gm in (1e-4, 5e-4, 1e-3)]
     vis_nth = [visibility(n_th_runs[nth]) for nth in (1.0, 5.0, 10.0)]

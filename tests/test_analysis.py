@@ -186,7 +186,7 @@ def test_quadrature_fringes_at_theta0():
     axis = QuadratureAxis.around_cat(theta0, abs(phi_l.beta))
     p = analysis.quadrature_analytic(phi_l, axis)
     assert abs(axis.integrate(p) - 1.0) < 1e-6
-    assert analysis.fringe_visibility(axis.x_values, p) > 0.5
+    assert oracles.fringe_visibility(axis.x_values, p) > 0.5
 
 
 def test_quadrature_bimodal_along_separation():

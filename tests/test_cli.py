@@ -1,6 +1,9 @@
 import dataclasses
+import functools
+import importlib
 import json
 import math
+import pathlib
 
 import numpy as np
 import pytest
@@ -8,8 +11,9 @@ import pytest
 from catforge import analysis, cli, closed, model
 from catforge import open_system as osys
 from catforge.cli import ConfigError, parse_config
-from catforge.trajectory import TrajectoryRecord, format_float, write_columns
+from catforge.trajectory import TrajectoryRecord, write_columns
 
+import oracles
 from conftest import XI, coupling_g, fig2_params
 
 
@@ -175,7 +179,7 @@ def test_csv_columns_match_per_cell_format(tmp_path):
         (-2, 1e22, np.float64(-7.25e-12)),
         (np.nan, -1e-300, math.inf),
     ]
-    expected = "a,b,c\n" + "".join(",".join(format_float(v) for v in row) + "\n" for row in rows)
+    expected = "a,b,c\n" + "".join(",".join(oracles.format_float(v) for v in row) + "\n" for row in rows)
     write_columns(tmp_path / "rows.csv", ("a", "b", "c"), zip(*rows))
     assert (tmp_path / "rows.csv").read_bytes() == expected.encode("ascii")
     columns = [np.array([r[i] for r in rows], dtype=float) for i in range(3)]
@@ -414,7 +418,7 @@ def test_wigner_csv_coordinates(tmp_path):
         assert lines[0] == "eta_re,eta_im,W"
         coords = [line.rsplit(",", 1)[0] for line in lines[1:]]
         assert coords == [
-            f"{format_float(re)},{format_float(im)}" for im in grid.im_axis for re in grid.re_axis
+            f"{oracles.format_float(re)},{oracles.format_float(im)}" for im in grid.im_axis for re in grid.re_axis
         ]
 
 
@@ -436,6 +440,38 @@ def test_open_source_tomography(tmp_path):
     p = np.loadtxt(tmp_path / "q" / "quadrature_L.csv", delimiter=",", skiprows=1)[:, 1]
     # the emitted file clamps negatives above -1e-10 to zero
     assert np.max(np.abs(p - analysis.quadrature_numeric(rho_l, axis))) <= 1e-10
+
+
+@pytest.mark.parametrize("source", ["closed", "open"])
+def test_empty_detection_sector_exit_2(tmp_path, capsys, source):
+    # without hopping the photon stays left, so the R sector holds nothing at t_d to image
+    out = tmp_path / source
+    argv = ["wigner", "--preset", "figS5", "--set", f"source={source}", "--set", "initial=left"]
+    argv += ["--set", "xi=0", "--set", "delta=1", "--set", "t_d=0.2", "--set", "n_max=6"]
+    argv += ["--set", "grid_extent=1", "--set", "grid_step=0.5", "--out", str(out)]
+    capsys.readouterr()
+    assert cli.main(argv) == 2
+    assert "sector R probability 0.000e+00 below 1e-12 at t_d=0.2" in capsys.readouterr().err
+    assert not any(out.iterdir())
+
+
+def test_xi_past_bessel_range_exit_2(tmp_path, monkeypatch, capsys):
+    # model.bessel_j is accurate for 2|xi| <= 50 (and loops O(xi) times past it); a larger
+    # xi, xi_list entry or swept xi is refused under its key before anything runs
+    monkeypatch.setenv(cli.OUT_ENV, str(tmp_path))
+    named = [
+        (["detect-times", "--preset", "fig2", "--set", "xi=1e7"], "xi = 10000000.0"),
+        (["open", "--preset", "fig2", "--set", "xi=-25.5"], "xi = -25.5"),
+        (["closed", "--preset", "figS1", "--set", "sweep_values=1.5,30"], "xi = 30.0"),
+        (["sweep", "--preset", "fig1a", "--set", "xi_list=1.5,26"], "xi_list = 26.0"),
+    ]
+    capsys.readouterr()
+    for argv, key in named:
+        assert cli.main(argv) == 2, argv
+        assert f"{key}: 2|xi| must be <= 50" in capsys.readouterr().err, argv
+    assert not any(tmp_path.iterdir())
+    assert parse_config(preset="fig2", overrides={"xi": "-25"}).xi == -25.0
+    assert parse_config(preset="fig1a", overrides={"xi_list": "25"}).xi_list == (25.0,)
 
 
 def test_non_finite_integers_exit_2(tmp_path, monkeypatch, capsys):
@@ -514,7 +550,30 @@ def test_initial_file_errors_exit_2(tmp_path, monkeypatch):
     (tmp_path / "bad.json").write_text("{not json")
     (tmp_path / "partial.json").write_text(json.dumps({"a_re": [1.0], "a_im": [0.0]}))
     (tmp_path / "list.json").write_text("[1, 2]")
+    # a NaN amplitude fails the normalization check (exit 2), not the norm guard (exit 3)
+    zeros = [0.0] * 5
+    nan = {"a_re": [1.0, math.nan, 0.0, 0.0, 0.0], "a_im": zeros, "b_re": zeros, "b_im": zeros}
+    (tmp_path / "nan.json").write_text(json.dumps(nan))
     short = ["--set", "t_end=0.1", "--set", "n_max=4"]
-    for name in ("missing.json", "bad.json", "partial.json", "list.json"):
+    for name in ("missing.json", "bad.json", "partial.json", "list.json", "nan.json"):
         argv = ["closed", "--preset", "fig2", "--set", f"initial=file:{tmp_path / name}", *short]
         assert cli.main(argv) == 2, name
+
+
+def test_benchmark_tracer_names_resolve(monkeypatch):
+    # perfbench/spans.py wraps names where their callers look them up: each must resolve,
+    # be wrapped while tracing and be its original object again afterwards
+    import catforge
+    import catforge.cli
+    import catforge.trajectory
+
+    monkeypatch.syspath_prepend(str(pathlib.Path(__file__).resolve().parents[1] / "perfbench"))
+    spans = importlib.import_module("spans")
+    sites = [(functools.reduce(getattr, path.split("."), catforge), attr) for _, path, attr in spans.SPANNED]
+    sites += [(catforge.open_system._Generators, "apply"), (catforge.closed, "_interaction_rhs")]
+    originals = [owner.__dict__[attr] for owner, attr in sites]
+    with spans.Tracer(catforge):
+        for (owner, attr), original in zip(sites, originals):
+            assert owner.__dict__[attr] is not original, attr
+    for (owner, attr), original in zip(sites, originals):
+        assert owner.__dict__[attr] is original, attr

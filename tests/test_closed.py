@@ -307,6 +307,14 @@ def test_step_size_validation():
         SolverConfig(dt=1e-3, t_end=1.0, t_mark=2.0)
 
 
+def test_nan_initial_state_refused():
+    # a NaN amplitude fails the normalization check, not the norm guard at t = 0
+    state = closed.initial_state("bell", 6)
+    state.a[3] = math.nan
+    with pytest.raises(ValueError, match="normalized"):
+        closed.evolve_closed(state, fig2_params(), SolverConfig(dt=1e-3, t_end=0.1))
+
+
 def test_norm_abort_diagnostic():
     # the coarsest admissible step accumulates visible drift on a long run: at
     # omega_m = 4 g0 it drifts 1.4e-5 over 4 pi/delta, the default step 4.3e-8

