@@ -28,7 +28,7 @@ import numpy as np
 
 from . import __version__, analysis, closed, model, open_system
 from .closed import P_FLOOR, SolverAbort, SolverConfig
-from .model import SystemParams, derive
+from .model import XI_MAX, SystemParams, derive
 from .trajectory import format_column, write_columns
 
 __all__ = ["ConfigError", "RunConfig", "parse_config", "config_from_manifest", "run", "main"]
@@ -42,9 +42,6 @@ SWEEPABLE = ("gamma_c", "gamma_m", "n_th", "xi", "omega_m", "delta", "delta_over
 
 DEFAULT_OUT = "catforge-out"
 OUT_ENV = "CATFORGE_OUT"
-
-# model.bessel_j is accurate for arguments up to 50, and the coupling evaluates it at 2 xi
-XI_MAX = 25.0
 
 
 class ConfigError(ValueError):
@@ -599,8 +596,11 @@ def _mechanical_states_at_td(config: RunConfig, res: _Resolved):
 
 
 def _execute_single(config: RunConfig, out_dir: str, sweep_value: float | None = None) -> dict:
-    """Run one concrete job into out_dir; returns its manifest dict."""
-    os.makedirs(out_dir, exist_ok=True)
+    """Run one concrete job into out_dir; returns its manifest dict.
+
+    out_dir is made only when the first output is written, so a job refused
+    on the way (an unreadable initial file, an empty detection sector) leaves
+    no directory behind."""
     t_start = time.perf_counter()
     mode = config.mode
 
@@ -610,32 +610,33 @@ def _execute_single(config: RunConfig, out_dir: str, sweep_value: float | None =
         doc["sweep"] = {"key": config.sweep, "value": sweep_value}
     outputs = []
 
+    def output(name: str) -> str:
+        """Make out_dir, list name among the outputs and return its path."""
+        os.makedirs(out_dir, exist_ok=True)
+        outputs.append(name)
+        return os.path.join(out_dir, name)
+
     if mode == "sweep":
         deltas = np.arange(config.delta_min, config.delta_max + config.delta_step / 2, config.delta_step)
         rows = analysis.sweep_beta_max(config.xi_list, deltas, config.n0, config.g0)
-        write_columns(os.path.join(out_dir, "beta_max.csv"), ("xi", "delta", "beta_max"), zip(*rows))
-        outputs.append("beta_max.csv")
+        write_columns(output("beta_max.csv"), ("xi", "delta", "beta_max"), zip(*rows))
         doc["xi_list"] = list(config.xi_list)
         doc["delta_grid"] = {"min": config.delta_min, "max": config.delta_max, "step": config.delta_step}
 
     elif mode == "detect-times":
         center = config.t_d if config.t_d is not None else math.pi / abs(res.d.delta)
         cands = analysis.detection_time_candidates(res.params, res.d, center)
-        path = os.path.join(out_dir, "detection_times.csv")
-        write_columns(path, ("t", "beta_abs"), zip(*cands))
-        outputs.append("detection_times.csv")
+        write_columns(output("detection_times.csv"), ("t", "beta_abs"), zip(*cands))
         doc["window_center"] = center
         doc["n_candidates"] = len(cands)
 
     elif mode in ("closed", "open"):
         run_ = _evolve(mode, config, res)
-        run_.record.write_csv(os.path.join(out_dir, "trajectory.csv"))
-        outputs.append("trajectory.csv")
+        run_.record.write_csv(output("trajectory.csv"))
         if mode == "open":
             for name, rho in (("snapshot_final.json", run_.final), ("snapshot_t_d.json", run_.marked)):
                 if rho is not None:
-                    open_system.write_snapshot(os.path.join(out_dir, name), rho)
-                    outputs.append(name)
+                    open_system.write_snapshot(output(name), rho)
         doc["invariants"] = run_.invariants
         doc["initial"] = config.initial
         if res.t_mark is not None:
@@ -662,9 +663,7 @@ def _execute_single(config: RunConfig, out_dir: str, sweep_value: float | None =
                     if config.source == "analytic"
                     else analysis.wigner_numeric(st, grid)
                 )
-                name = f"wigner_{tag}.csv"
-                write_columns(os.path.join(out_dir, name), ("eta_re", "eta_im", "W"), (*eta_cells, w))
-                outputs.append(name)
+                write_columns(output(f"wigner_{tag}.csv"), ("eta_re", "eta_im", "W"), (*eta_cells, w))
                 doc[f"wigner_{tag}_integral"] = grid.integrate(w)
         else:
             theta = config.theta
@@ -679,9 +678,7 @@ def _execute_single(config: RunConfig, out_dir: str, sweep_value: float | None =
                     p = analysis.quadrature_numeric(st, axis)
                 # clamp tiny negative roundoff in emitted files only
                 emitted = np.where((p < 0) & (p > -1e-10), 0.0, p)
-                name = f"quadrature_{tag}.csv"
-                write_columns(os.path.join(out_dir, name), ("x", "P"), (axis.x_values, emitted))
-                outputs.append(name)
+                write_columns(output(f"quadrature_{tag}.csv"), ("x", "P"), (axis.x_values, emitted))
                 doc[f"quadrature_{tag}_integral"] = axis.integrate(p)
 
     doc["outputs"] = outputs

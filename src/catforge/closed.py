@@ -21,19 +21,19 @@ at fig2).  That leaves the generator
 which varies on the slow coupling scales.  The cavity frequency omega_c
 contributes only a global phase and is gauged to zero inside the solver.
 
-The generator is rank-1 in photon space, so each RK4 stage is r'_k (x) x_k
-with a phonon vector x_k of length d = n_max + 1, and a step works on
-d-element operands.  The state y = [phi_L; phi_R] and the stages x1..x4 are
-the rows of one (6, d) buffer.  The stage matrices, projections and combine
-weights are evaluated for a chunk of steps at a time, already scaled by each
-RK4 stage's step fraction; one store per step writes a step's row into the
-kernel's memory, and the step is then four projections, four d x d products
-and one combine into the other buffer: ten numpy calls.  Records are read
-off the frame state: the norm, the truncation tail, the phonon number and
-<x> are traces over the photon pair, unchanged by either frame (<x> up to one
-global phase); nL and nR rotate the 2 x 2 photon trace, and the fidelities
-take the targets into the frame.  A lab-frame state is built only for kept
-states, the marked state and the final state.
+The generator is rank-1 in photon space, so each of a step's s stages
+(_TABLEAU, RK4) is r'_k (x) x_k with a phonon vector x_k of length
+d = n_max + 1, and a step works on d-element operands.  The state
+y = [phi_L; phi_R] and the stages x_1..x_s are the rows of one (s + 2, d)
+buffer.  The stage matrices and the photon block of projections and combine
+weights are evaluated for a chunk of steps at a time; one store per step
+writes a step's row into the kernel's memory, and the step is then s
+projections, s d x d products and one combine into the other buffer.
+Records are read off the frame state: the norm, the truncation tail, the
+phonon number and <x> are traces over the photon pair, unchanged by either
+frame (<x> up to one global phase); nL and nR rotate the 2 x 2 photon trace,
+and the fidelities take the targets into the frame.  A lab-frame state is
+built only for kept states, the marked state and the final state.
 """
 
 from __future__ import annotations
@@ -125,7 +125,7 @@ class SinglePhotonState:
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Fixed-step RK4 configuration.
+    """Fixed-step configuration of both solvers, which step with _TABLEAU (RK4).
 
     The step must resolve the fastest retained oscillation: dt <= T/40 with
     T = 2 pi / max(omega_m, omega_0 (2 n0 + 2)).  t_mark forces a step and a
@@ -192,111 +192,101 @@ def initial_state(kind: str, n_max: int) -> SinglePhotonState:
     return SinglePhotonState(a, b, 0.0)
 
 
-# Steps whose stage tables are built together.  A step's row holds the four
-# stage matrices' 8 (d - 1) ladder entries and 18 photon coefficients, so at
-# n_max = 22 a chunk's table takes 128 * 194 * 16 B = 0.40 MB.
+# Steps whose stage tables are built together: at n_max = 22 a chunk's RK4
+# table takes 128 * 212 * 16 B = 0.43 MB.
 _CHUNK = 128
 
-# RK4 stage times and step fractions, in units of the step h.  With the stages
-# pre-scaled to a1 = h/2 k1, a2 = h/2 k2, a3 = h k3 and a4 = h/6 k4, the update
-# h/6 (k1 + 2 k2 + 2 k3 + k4) is _RK4_WEIGHTS . [a1; a2; a3; a4].
-_STAGE_TIMES = np.array([0.0, 0.5, 0.5, 1.0])
-_STAGE_SCALES = np.array([1 / 2, 1 / 2, 1.0, 1 / 6])
-_RK4_WEIGHTS = np.array([1 / 3, 2 / 3, 1 / 3, 1.0])
+# The classical RK4 as the Butcher tableau (c, A, b) both solvers step with
+# (Hairer, Norsett & Wanner, Solving ODEs I, section II.1): stage k of a step h
+# from t is f_k = f(t + c_k h, y + h sum_j A_kj f_j), and the step returns
+# y + h sum_k b_k f_k.  A is strictly lower-triangular.
+_TABLEAU = (
+    np.array([0.0, 0.5, 0.5, 1.0]),
+    np.array([[0.0, 0.0, 0.0, 0.0], [0.5, 0.0, 0.0, 0.0], [0.0, 0.5, 0.0, 0.0], [0.0, 0.0, 1.0, 0.0]]),
+    np.array([1.0, 2.0, 2.0, 1.0]) / 6.0,
+)
 
 
 def _kernel_layout(d: int) -> np.ndarray:
-    """Flat indices of a stage-table row's entries in the kernel's memory.
-
-    The memory holds the four d x d stage matrices, the projection rows
-    p1..p4 (lengths 2..5, over the buffer rows y_L, y_R, x1, x2, x3) and the
-    2 x 6 combine matrix.  A row fills, stage by stage, the lowering (m, m+1)
-    and raising (m+1, m) entries; then the L entries of p1..p4, their R
-    entries, the overlaps (last entries of p2 and p4), and the stage columns
-    of the combine's L row and R row.  The other entries are constant zeros
-    and ones.
-    """
+    """Flat indices of a stage-table row's entries in the kernel's memory:
+    the s stage matrices' lowering (m, m+1) and raising (m+1, m) entries,
+    stage by stage, then the whole (s + 2) x (s + 2) photon block that
+    follows the matrices.  The matrices' other entries stay zero."""
+    s = len(_TABLEAU[0])
     m = np.arange(d - 1)
     ladder = np.concatenate([m * d + m + 1, (m + 1) * d + m])
-    base = 4 * d * d
-    return np.concatenate([
-        (ladder + d * d * np.arange(4)[:, None]).reshape(-1),
-        base + np.array([0, 2, 5, 9, 1, 3, 6, 10, 4, 13]),
-        base + 14 + np.array([2, 3, 4, 5, 8, 9, 10, 11]),
-    ])
+    stages = (ladder + d * d * np.arange(s)[:, None]).reshape(-1)
+    return np.concatenate([stages, s * d * d + np.arange((s + 2) ** 2)])
 
 
 def _stage_table(params: SystemParams, n_max: int, ts: np.ndarray, h: float) -> np.ndarray:
-    """Stage-table rows, in _kernel_layout order, for RK4 steps of size h starting at ts.
+    """Stage-table rows, in _kernel_layout order, for steps of size h starting at ts.
 
-    At the stage times t_k = t + c_k h a row holds: the stage matrices
-    s_k h i g0 X(t_k) (lowering entries i g0 sqrt(m+1) e^{-i omega_m t_k},
-    raising entries their e^{+i omega_m t_k} partners, times the step
-    fraction s_k h); the projections <r'_k| = <R|U_h(t_k) with the overlaps
-    <r'_2|r'_1> and <r'_4|r'_3> (<r'_3|r'_2> = 1, since t_3 = t_2); and the
-    combine columns w_k |r'_k>.  8 (d - 1) + 18 entries.
+    At the stage times t_k = t + c_k h a row holds the stage matrices
+    h i g0 X(t_k) (lowering entries i g0 sqrt(m+1) e^{-i omega_m t_k} h,
+    raising entries their e^{+i omega_m t_k} partners) and the photon block
+    over the buffer rows [y_L, y_R, x_1..x_s]: its row k projects
+    u_k = <r'_k|y + sum_j A_kj <r'_k|r'_j> x_j, with <r'_k| = <R|U_h(t_k),
+    and its last two rows combine y + sum_k b_k |r'_k> (x) x_k.
     """
-    d = n_max + 1
-    k = 8 * (d - 1)
-    t = ts[:, None] + h * _STAGE_TIMES
-    out = np.empty((ts.size, k + 18), dtype=complex)
-    low = np.exp(-1j * params.omega_m * t) * (1j * params.g0 * h * _STAGE_SCALES)
+    c, a, b = _TABLEAU
+    s, d = len(c), n_max + 1
+    k = 2 * s * (d - 1)
+    t = ts[:, None] + h * c
+    out = np.empty((ts.size, k + (s + 2) ** 2), dtype=complex)
+    low = np.exp(-1j * params.omega_m * t) * (1j * params.g0 * h)
     rungs = np.stack([low, -low.conj()], axis=2)[..., None]
-    np.multiply(rungs, np.sqrt(np.arange(1.0, d)), out=out[:, :k].reshape(ts.size, 4, 2, d - 1))
-    r = hopping_unitary(params, t)[1]  # <r'_k|, shape (2, steps, 4)
-    proj = out[:, k:]
-    proj[:, 0:4], proj[:, 4:8] = r
-    # the overlaps <r'_j|r'_k> = <R|U_h(t_j) U_h(t_k)^dag|R> = cos((mu_j - mu_k)/2)
+    np.multiply(rungs, np.sqrt(np.arange(1.0, d)), out=out[:, :k].reshape(ts.size, s, 2, d - 1))
+    r = hopping_unitary(params, t)[1]  # <r'_k|, shape (2, steps, s)
+    block = out[:, k:].reshape(ts.size, s + 2, s + 2)
+    block[:, :s, 0], block[:, :s, 1] = r
+    # the overlaps <r'_k|r'_j> = <R|U_h(t_k) U_h(t_j)^dag|R> = cos((mu_k - mu_j)/2),
+    # evaluated for the non-zero entries of A
     half = mu_of_t(params, t) / 2.0
-    proj[:, 8:10] = np.cos(half[:, 1::2] - half[:, ::2])
-    np.multiply(proj[:, 0:8].conj(), np.tile(_RK4_WEIGHTS, 2), out=proj[:, 10:18])
+    i, j = np.nonzero(a)
+    block[:, :s, 2:] = 0.0
+    block[:, i, j + 2] = a[i, j] * np.cos(half[:, i] - half[:, j])
+    block[:, s:, :2] = np.eye(2)
+    block[:, s:, 2:] = np.moveaxis(r.conj(), 0, 1) * b
     return out
 
 
 def _row_views(buf: np.ndarray) -> tuple:
-    """The views of a (6, d) step buffer [y_L; y_R; x1; x2; x3; x4] that the
-    kernel reads and writes: its leading 2, 3, 4, 5 and 6 rows, then x1..x4."""
-    return (buf[:2], buf[:3], buf[:4], buf[:5], buf, buf[2], buf[3], buf[4], buf[5])
+    """The views of an (s + 2, d) step buffer [y_L; y_R; x_1..x_s] that the
+    kernel reads and writes: the state rows, the whole buffer and the stage
+    rows x_1..x_s."""
+    return buf[:2], buf, list(buf[2:])
 
 
-def _interaction_rhs(params: SystemParams, n_max: int):
-    """RK4 step kernel step(row, a, b) for the hopping-frame amplitudes.
+def _interaction_rhs(n_max: int):
+    """Step kernel step(row, a, b) for the hopping-frame amplitudes.
 
-    a and b are the _row_views of two (6, d) buffers; the state y = [phi_L;
-    phi_R] is their first two rows.  The generator i g0 |r'><r'| (x) X(t) is
-    rank-1 in photon space, so stage k is r'_k (x) x_k with
-    x_k = s_k h i g0 X(t_k) u_k and u_k = <r'_k|y + <r'_k|r'_{k-1}> x_{k-1}.
+    a and b are the _row_views of two (s + 2, d) buffers, which must hold
+    finite numbers (a projection's zero weights still multiply the rows of
+    later stages); the state y = [phi_L; phi_R] is their first two rows.  h
+    times stage k's derivative is r'_k (x) x_k with x_k = h i g0 X(t_k) u_k.
     One store writes a _stage_table row into the kernel's memory; then each
-    stage is a projection u_k = p_k . [y; x1..x_{k-1}] and a d x d product into
-    a's row x_k, and one (2 x 6) . (6 x d) combine writes
-    y + sum_k w_k r'_k (x) x_k into b's first two rows.  b is returned.  The
-    name and the params argument stay because the benchmark tracer
-    (perfbench/spans.py) wraps this factory by them and counts the kernel's
-    calls.
+    stage is a projection u_k = (photon block row k) . a and a d x d product
+    into a's row x_k, and the block's last two rows combine a into b's first
+    two.  b is returned.  The benchmark tracer (perfbench/spans.py) wraps
+    this factory by its name.
     """
-    d = n_max + 1
-    mem = np.zeros(4 * d * d + 26, dtype=complex)
-    m1, m2, m3, m4 = mem[: 4 * d * d].reshape(4, d, d)
-    p1, p2, p3, p4, comb = np.split(mem[4 * d * d :], [2, 5, 9, 14])
-    comb = comb.reshape(2, 6)
-    p3[3] = comb[0, 0] = comb[1, 1] = 1.0
+    s, d = len(_TABLEAU[0]), n_max + 1
+    mem = np.zeros(s * d * d + (s + 2) ** 2, dtype=complex)
+    block = mem[s * d * d :].reshape(s + 2, s + 2)
+    stages = [(p.dot, m.dot) for p, m in zip(block[:s], mem[: s * d * d].reshape(s, d, d))]
+    combine = block[s:].dot
     idx = _kernel_layout(d)
     u = np.empty(d, dtype=complex)
 
-    # ndarray.dot(..., out=) is the cheapest product call: at these sizes every
-    # call is overhead-bound, and np.dot's dispatch costs more than the product
+    # bound ndarray.dot methods with out= are the cheapest product call: at these
+    # sizes every call is overhead-bound, and np.dot's dispatch costs more than the product
     def step(row: np.ndarray, a: tuple, b: tuple) -> tuple:
         mem[idx] = row
-        y2, y3, y4, y5, y6, x1, x2, x3, x4 = a
-        p1.dot(y2, out=u)
-        m1.dot(u, out=x1)
-        p2.dot(y3, out=u)
-        m2.dot(u, out=x2)
-        p3.dot(y4, out=u)
-        m3.dot(u, out=x3)
-        p4.dot(y5, out=u)
-        m4.dot(u, out=x4)
-        comb.dot(y6, out=b[0])
+        _, buf, xs = a
+        for (project, multiply), x in zip(stages, xs):
+            multiply(project(buf, out=u), out=x)
+        combine(buf, out=b[0])
         return b
 
     return step
@@ -459,7 +449,7 @@ def evolve_closed(
 
     d = derive(params)
     n_max = initial.n_max
-    step = _interaction_rhs(params, n_max)
+    step = _interaction_rhs(n_max)
     m = np.arange(n_max + 1)
     # record weights on the flattened state [phi_L; phi_R]: the norm, the tail,
     # nb and <x> are traces over the photon pair, which neither U_h nor the
@@ -501,7 +491,7 @@ def evolve_closed(
     # No BLAS call is larger than one d x d product: OpenBLAS runs larger
     # products on all cores for no wall-time gain at this size.
     def advance(y, t0, dt, n):
-        bufs = np.empty((2, 6, n_max + 1), dtype=complex)
+        bufs = np.zeros((2, len(_TABLEAU[0]) + 2, n_max + 1), dtype=complex)
         bufs[0, :2] = y
         a, b = _row_views(bufs[0]), _row_views(bufs[1])
         for c0 in range(0, n, _CHUNK):

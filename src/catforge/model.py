@@ -26,6 +26,7 @@ __all__ = [
     "SystemParams",
     "DerivedModulation",
     "CatState",
+    "XI_MAX",
     "bessel_j",
     "coupling",
     "derive",
@@ -77,6 +78,8 @@ class SystemParams:
             raise ValueError("decay rates must be non-negative")
         if self.n_th < 0:
             raise ValueError("n_th must be non-negative")
+        if abs(self.xi) > XI_MAX:
+            raise ValueError(f"|xi| must be <= {XI_MAX:g}: the coupling evaluates bessel_j at 2 xi")
 
     @classmethod
     def with_detuning(cls, omega_m: float, xi: float, delta: float, n0: int = 1, **kw) -> "SystemParams":
@@ -100,16 +103,24 @@ class DerivedModulation:
     beta_max: float
 
 
+# The largest |xi| a model takes: bessel_j is accurate for |z| <= 50, and the
+# coupling evaluates it at 2 xi
+XI_MAX = 25.0
+
+
 def bessel_j(order: int, z: float) -> float:
     """Bessel function of the first kind J_n(z) for integer n >= 0.
 
     Downward Miller recurrence normalized with J_0 + 2 sum_k J_{2k} = 1.
-    Accurate to ~1e-12 for n <= 60, |z| <= 50.
+    Accurate to ~1e-12 for n <= 60, |z| <= 2 XI_MAX = 50; a larger |z| (whose
+    recurrence runs O(|z|) steps) raises ValueError.
     """
     n = int(order)
     if n < 0:
         raise ValueError("order must be >= 0")
     z = float(z)
+    if not abs(z) <= 2 * XI_MAX:
+        raise ValueError(f"|z| = {abs(z):g} is past bessel_j's range |z| <= {2 * XI_MAX:g}")
     if z == 0.0:
         return 1.0 if n == 0 else 0.0
     sign = 1.0

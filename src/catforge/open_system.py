@@ -43,7 +43,7 @@ from enum import Enum
 import numpy as np
 
 from .closed import (
-    P_FLOOR, TAIL_ABORT, Run, SolverConfig, _frame_targets, _Guards, initial_state, integrate
+    _TABLEAU, P_FLOOR, TAIL_ABORT, Run, SolverConfig, _frame_targets, _Guards, initial_state, integrate
 )
 from .model import SystemParams, derive, hopping_unitary
 from .model import target_states  # unused here; perfbench/spans.py wraps this module-level name
@@ -167,11 +167,11 @@ class _Generators:
     photon operator |r'><r'| with |r'> = U_h^dag |R>.
 
     apply writes scale times the time derivative: evolve_open builds one
-    generator per segment with scale h/2, so the RK4 stages come out
-    pre-scaled and the weights are scaled once per segment.  The phonon
-    jumps act through shifted contiguous slices of the flat blocks, which is
-    several times faster than dense matrix products or strided views at
-    these dimensions.  tests/oracles.py holds an independent dense lab-frame
+    generator per segment with scale h, so each stage comes out as h f_k, the
+    form the tableau's weights multiply, and the generator's own weights are
+    scaled once per segment.  The phonon jumps act through shifted contiguous
+    slices of the flat blocks, which is several times faster than dense
+    matrix products or strided views at these dimensions.  tests/oracles.py holds an independent dense lab-frame
     generator that pins these kernels.
 
     For a Hermitian one-photon block rho every term of the generator is a
@@ -370,29 +370,31 @@ def evolve_open(
         )
 
     def advance(y, t0, dt, n_steps):
-        # the generator writes h/2 times the derivative, so the stages come out
-        # pre-scaled, h/2 k1, h/2 k2, h k3 (doubled once) and h/2 k4, and their sum
-        # acc = h/2 (k1 + 2 k2 + 2 k3 + k4) makes the update y += acc/3
-        gen = _Generators(params, n - 1, dt / 2)
-        # each step's stage times t, t + h/2, t + h and the hopping rows <R|U_h there
-        ts = (t0 + np.arange(n_steps) * dt)[:, None] + dt * np.array([0.0, 0.5, 1.0])
+        # the generator writes h times the derivative: stage k writes
+        # hf[k] = h f(t + c_k h, y + sum_j A_kj hf[j]), and the update scales each hf[k]
+        # by b_k in place and adds it to y
+        c, a, b = _TABLEAU
+        gen = _Generators(params, n - 1, dt)
+        ts = (t0 + np.arange(n_steps) * dt)[:, None] + dt * c
         hops = np.moveaxis(hopping_unitary(params, ts)[1], 0, -1).tolist()
-        acc, a, v = (np.empty_like(y) for _ in range(3))
-        for (t, t_mid, t_next), (hop, hop_mid, hop_next) in zip(ts.tolist(), hops):
-            gen.apply(t, hop, y, acc)
-            np.add(y, acc, out=v)
-            gen.apply(t_mid, hop_mid, v, a)
-            np.add(y, a, out=v)
-            acc += a
-            acc += a
-            gen.apply(t_mid, hop_mid, v, a)
-            a += a
-            np.add(y, a, out=v)
-            acc += a
-            gen.apply(t_next, hop_next, v, a)
-            acc += a
-            acc *= 1 / 3
-            y += acc
+        hf = [np.empty_like(y) for _ in c]
+        # Python floats: a NumPy scalar operand adds overhead to every ufunc call
+        terms = [[(float(a[i, j]), hf[j]) for j in np.flatnonzero(a[i])] for i in range(len(c))]
+        updates = list(zip(b.tolist(), hf))
+        v, tmp = np.empty_like(y), np.empty_like(y)
+        for t_stages, hop_stages in zip(ts.tolist(), hops):
+            for t, hop, row, out in zip(t_stages, hop_stages, terms, hf):
+                x = y
+                if row:  # in place: a three-operand add costs about two in-place ones here
+                    x = np.multiply(row[0][1], row[0][0], out=v)
+                    for w, hf_j in row[1:]:
+                        np.multiply(hf_j, w, out=tmp)
+                        v += tmp
+                    v += y
+                gen.apply(t, hop, x, out)
+            for w, out in updates:
+                out *= w
+                y += out
             yield y
 
     # apply's one-photon block Z + Z^H is the generator only on Hermitian input;

@@ -8,7 +8,9 @@ interaction-frame, hopping-frame and live-block routines are checked against
 these.  Also the scalar and single-item forms of library routines (one
 displacement matrix, one eigenfunction, one CSV cell, the fidelities of a
 kept open state) and the estimates and figures of merit that only the tests
-evaluate (photon survival, fringe visibility).
+evaluate (photon survival, fringe visibility), and a second explicit
+Runge-Kutta tableau with dense rows (Kutta's 3/8 rule) to swap in for the
+solvers' RK4.
 """
 
 from __future__ import annotations
@@ -21,6 +23,14 @@ from catforge.closed import P_FLOOR, SinglePhotonState
 from catforge.fock import _check_cutoff, displacement_matrices
 from catforge.model import DerivedModulation, SystemParams, target_states
 from catforge.open_system import PhotonSector, SystemDensityMatrix
+
+
+# Kutta's 3/8 rule as (c, A, b): fourth order, with rows of A that use every earlier stage
+KUTTA_38 = (
+    np.array([0.0, 1 / 3, 2 / 3, 1.0]),
+    np.array([[0.0, 0.0, 0.0, 0.0], [1 / 3, 0.0, 0.0, 0.0], [-1 / 3, 1.0, 0.0, 0.0], [1.0, -1.0, 1.0, 0.0]]),
+    np.array([1.0, 3.0, 3.0, 1.0]) / 8.0,
+)
 
 
 def destroy(n_max: int) -> np.ndarray:

@@ -452,7 +452,7 @@ def test_empty_detection_sector_exit_2(tmp_path, capsys, source):
     capsys.readouterr()
     assert cli.main(argv) == 2
     assert "sector R probability 0.000e+00 below 1e-12 at t_d=0.2" in capsys.readouterr().err
-    assert not any(out.iterdir())
+    assert not out.exists()
 
 
 def test_xi_past_bessel_range_exit_2(tmp_path, monkeypatch, capsys):
@@ -558,6 +558,8 @@ def test_initial_file_errors_exit_2(tmp_path, monkeypatch):
     for name in ("missing.json", "bad.json", "partial.json", "list.json", "nan.json"):
         argv = ["closed", "--preset", "fig2", "--set", f"initial=file:{tmp_path / name}", *short]
         assert cli.main(argv) == 2, name
+    # the file is read at run time, after parsing, and a refused run leaves no output directory
+    assert not (tmp_path / "out").exists()
 
 
 def test_benchmark_tracer_names_resolve(monkeypatch):

@@ -83,37 +83,82 @@ def test_interaction_frame_consistency():
     assert np.max(np.abs(dlab - np.concatenate([da_lab, db_lab]))) < 1e-12
 
 
+def kernel_case(seed):
+    # fig2-like rates at n_max = 10, the default step, a random unit state and the
+    # explicit hopping-frame rhs
+    rng = np.random.default_rng(seed)
+    n_max = 10
+    params = model.SystemParams(omega_m=20.0, xi=XI, omega_0=9.878)
+    y = rng.normal(size=2 * n_max + 2) + 1j * rng.normal(size=2 * n_max + 2)
+    return params, n_max, closed.default_dt(params), y / np.linalg.norm(y), (
+        lambda s, v: hopping_generator(params, n_max, s) @ v
+    )
+
+
+def kernel_step(params, n_max, y, t0, h, i):
+    # one kernel call on row i of the chunked stage table, from random finite buffers holding y
+    c0 = i - i % closed._CHUNK
+    ts = t0 + np.arange(c0, c0 + closed._CHUNK) * h
+    row = closed._stage_table(params, n_max, ts, h)[i - c0]
+    step = closed._interaction_rhs(n_max)
+    rng = np.random.default_rng(i)
+    bufs = rng.normal(size=(2, len(closed._TABLEAU[0]) + 2, n_max + 1)) * (1 + 1j)
+    bufs[0, :2] = y.reshape(2, -1)
+    out = step(row, closed._row_views(bufs[0]), closed._row_views(bufs[1]))
+    assert np.array_equal(bufs[0, :2].reshape(-1), y)
+    assert np.shares_memory(out[0], bufs[1])
+    return out[0].reshape(-1)
+
+
 def test_step_kernel_matches_textbook_rk4():
     # one kernel call on a row of the chunked stage table against four explicit stages
-    rng = np.random.default_rng(7)
-    n_max = 10
-    d = n_max + 1
-    params = model.SystemParams(omega_m=20.0, xi=XI, omega_0=9.878)
-    t0, h = 0.29, closed.default_dt(params)
-    step = closed._interaction_rhs(params, n_max)
-    y = rng.normal(size=2 * d) + 1j * rng.normal(size=2 * d)
-    y /= np.linalg.norm(y)
-
-    def f(s, v):
-        return hopping_generator(params, n_max, s) @ v
-
+    params, n_max, h, y, f = kernel_case(7)
+    t0 = 0.29
     # a chunk-interior step, the last step of the first chunk and the first of the second
     for i in (37, closed._CHUNK - 1, closed._CHUNK):
-        c0 = i - i % closed._CHUNK
-        ts = t0 + np.arange(c0, c0 + closed._CHUNK) * h
-        row = closed._stage_table(params, n_max, ts, h)[i - c0]
         t = t0 + i * h
         k1 = f(t, y)
         k2 = f(t + h / 2, y + h / 2 * k1)
         k3 = f(t + h / 2, y + h / 2 * k2)
         k4 = f(t + h, y + h * k3)
         ref = y + h / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
-        bufs = rng.normal(size=(2, 6, d)) + 1j * rng.normal(size=(2, 6, d))
-        bufs[0, :2] = y.reshape(2, d)
-        out = step(row, closed._row_views(bufs[0]), closed._row_views(bufs[1]))
-        assert np.array_equal(bufs[0, :2].reshape(-1), y)
-        assert np.shares_memory(out[0], bufs[1])
-        assert np.max(np.abs(out[0].reshape(-1) - ref)) < 1e-14
+        assert np.max(np.abs(kernel_step(params, n_max, y, t0, h, i) - ref)) < 1e-14
+
+
+def test_step_kernel_dense_rows(monkeypatch):
+    # the kernel reads its step rule from the tableau: with Kutta's 3/8 rule, whose
+    # rows of A use every earlier stage, one step matches the textbook 3/8 step
+    monkeypatch.setattr(closed, "_TABLEAU", oracles.KUTTA_38)
+    params, n_max, h, y, f = kernel_case(8)
+    t0, i = 0.29, 37
+    t = t0 + i * h
+    k1 = f(t, y)
+    k2 = f(t + h / 3, y + h / 3 * k1)
+    k3 = f(t + 2 * h / 3, y + h * (k2 - k1 / 3))
+    k4 = f(t + h, y + h * (k1 - k2 + k3))
+    ref = y + h / 8 * (k1 + 3 * k2 + 3 * k3 + k4)
+    assert np.max(np.abs(kernel_step(params, n_max, y, t0, h, i) - ref)) < 1e-14
+
+
+@pytest.mark.parametrize("tableau", [closed._TABLEAU, oracles.KUTTA_38], ids=["rk4", "kutta_38"])
+def test_tableau_order_conditions(tableau):
+    # an explicit tableau of order 4: A strictly lower-triangular, c_i = sum_j a_ij,
+    # and the eight order conditions of the rooted trees with at most four nodes
+    c, a, b = tableau
+    assert np.array_equal(a, np.tril(a, -1))
+    assert np.max(np.abs(a.sum(axis=1) - c)) < 1e-15
+    conditions = [
+        (b.sum(), 1.0),
+        (b @ c, 1 / 2),
+        (b @ c**2, 1 / 3),
+        (b @ a @ c, 1 / 6),
+        (b @ c**3, 1 / 4),
+        (b @ (c * (a @ c)), 1 / 8),
+        (b @ a @ c**2, 1 / 12),
+        (b @ a @ a @ c, 1 / 24),
+    ]
+    for got, want in conditions:
+        assert abs(got - want) < 1e-15
 
 
 def test_records_match_observables():

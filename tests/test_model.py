@@ -25,6 +25,21 @@ def test_bessel_against_scipy():
     assert worst < 1e-12
 
 
+def test_bessel_refuses_past_range():
+    # the recurrence runs O(|z|) steps and is accurate only up to |z| = 2 XI_MAX = 50,
+    # the edge test_bessel_against_scipy checks
+    for z in (50.5, -2e6, math.nan):
+        with pytest.raises(ValueError):
+            model.bessel_j(2, z)
+
+
+def test_params_refuse_xi_past_range():
+    assert model.SystemParams(omega_m=20.0, xi=-model.XI_MAX, omega_0=9.878).xi == -25.0
+    for xi in (25.5, -1e5):
+        with pytest.raises(ValueError, match="xi"):
+            model.SystemParams(omega_m=20.0, xi=xi, omega_0=9.878)
+
+
 def test_bessel_recurrence_identity():
     for z in (0.5, 3.05, 9.97):
         for n in range(1, 21):
