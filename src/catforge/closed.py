@@ -25,27 +25,33 @@ The generator is rank-1 in photon space, so each of a step's s stages
 (_TABLEAU, RK4) is r'_k (x) x_k with a phonon vector x_k of length
 d = n_max + 1, and a step works on d-element operands.  The state
 y = [phi_L; phi_R] and the stages x_1..x_s are the rows of one (s + 2, d)
-buffer.  The stage matrices and the photon block of projections and combine
-weights are evaluated for a chunk of steps at a time; one store per step
-writes a step's row into the kernel's memory, and the step is then s
-projections, s d x d products and one combine into the other buffer.
-Records are read off the frame state: the norm, the truncation tail, the
-phonon number and <x> are traces over the photon pair, unchanged by either
-frame (<x> up to one global phase); nL and nR rotate the 2 x 2 photon trace,
-and the fidelities take the targets into the frame.  A lab-frame state is
-built only for kept states, the marked state and the final state.
+buffer.  The stage matrices and the varying entries of the photon block of
+projections and combine weights are evaluated for a chunk of steps at a
+time; one store per step writes a step's row into the kernel's memory, and
+the step is then s projections, s d x d products and one combine into the
+other buffer.  Between two records the steps run as a plain loop over table
+rows.
+
+At each record only the guards run (norm drift and truncation tail) and the
+frame state is kept; the record columns are computed once after the solve,
+over the stack of kept frame states.  The norm, the tail, the phonon number
+and <x> are traces over the photon pair, unchanged by either frame (<x> up
+to one global phase); nL and nR rotate the 2 x 2 photon trace, and the
+fidelities take the targets of all record times into the frame at once.  A
+lab-frame state is built only for kept states, the marked state and the
+final state.
 """
 
 from __future__ import annotations
 
-import cmath
+import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .fock import coherent_cutoff, tail_population
-from .model import DerivedModulation, SystemParams, derive, hopping_unitary, mu_of_t, target_states
+from .model import DerivedModulation, SystemParams, beta_of_t, derive, hopping_unitary, mu_of_t, target_states
 from .trajectory import TrajectoryRecord
 
 __all__ = [
@@ -193,8 +199,10 @@ def initial_state(kind: str, n_max: int) -> SinglePhotonState:
 
 
 # Steps whose stage tables are built together: at n_max = 22 a chunk's RK4
-# table takes 128 * 212 * 16 B = 0.43 MB.
-_CHUNK = 128
+# table takes 256 * 195 * 16 B = 0.80 MB.  Between two records advance steps
+# through a chunk's rows in a plain loop, so a longer chunk means fewer table
+# builds and fewer loop restarts per solve.
+_CHUNK = 256
 
 # The classical RK4 as the Butcher tableau (c, A, b) both solvers step with
 # (Hairer, Norsett & Wanner, Solving ODEs I, section II.1): stage k of a step h
@@ -210,13 +218,21 @@ _TABLEAU = (
 def _kernel_layout(d: int) -> np.ndarray:
     """Flat indices of a stage-table row's entries in the kernel's memory:
     the s stage matrices' lowering (m, m+1) and raising (m+1, m) entries,
-    stage by stage, then the whole (s + 2) x (s + 2) photon block that
-    follows the matrices.  The matrices' other entries stay zero."""
-    s = len(_TABLEAU[0])
+    stage by stage, then the entries of the (s + 2) x (s + 2) photon block
+    that follows the matrices which vary from step to step: the projection
+    rows' columns y_L and y_R, their entries at the non-zero A_kj and the
+    combine rows' stage columns.  The other entries are constant (the
+    combine rows' 2 x 2 identity, zeros) and _interaction_rhs writes them
+    once."""
+    _, a, _ = _TABLEAU
+    s, w = len(a), len(a) + 2
     m = np.arange(d - 1)
     ladder = np.concatenate([m * d + m + 1, (m + 1) * d + m])
     stages = (ladder + d * d * np.arange(s)[:, None]).reshape(-1)
-    return np.concatenate([stages, s * d * d + np.arange((s + 2) ** 2)])
+    i, j = np.nonzero(a)
+    rows = np.arange(w)[:, None] * w
+    block = [(rows[:s] + [0, 1]).reshape(-1), i * w + j + 2, (rows[s:] + 2 + np.arange(s)).reshape(-1)]
+    return np.concatenate([stages, *(s * d * d + x for x in block)])
 
 
 def _stage_table(params: SystemParams, n_max: int, ts: np.ndarray, h: float) -> np.ndarray:
@@ -224,30 +240,28 @@ def _stage_table(params: SystemParams, n_max: int, ts: np.ndarray, h: float) -> 
 
     At the stage times t_k = t + c_k h a row holds the stage matrices
     h i g0 X(t_k) (lowering entries i g0 sqrt(m+1) e^{-i omega_m t_k} h,
-    raising entries their e^{+i omega_m t_k} partners) and the photon block
-    over the buffer rows [y_L, y_R, x_1..x_s]: its row k projects
-    u_k = <r'_k|y + sum_j A_kj <r'_k|r'_j> x_j, with <r'_k| = <R|U_h(t_k),
-    and its last two rows combine y + sum_k b_k |r'_k> (x) x_k.
+    raising entries their e^{+i omega_m t_k} partners) and the varying
+    entries of the photon block over the buffer rows [y_L, y_R, x_1..x_s]:
+    its row k projects u_k = <r'_k|y + sum_j A_kj <r'_k|r'_j> x_j, with
+    <r'_k| = <R|U_h(t_k), and its last two rows combine
+    y + sum_k b_k |r'_k> (x) x_k.
     """
     c, a, b = _TABLEAU
     s, d = len(c), n_max + 1
-    k = 2 * s * (d - 1)
+    i, j = np.nonzero(a)
+    k, p = 2 * s * (d - 1), 2 * s + i.size
     t = ts[:, None] + h * c
-    out = np.empty((ts.size, k + (s + 2) ** 2), dtype=complex)
+    out = np.empty((ts.size, k + p + 2 * s), dtype=complex)
     low = np.exp(-1j * params.omega_m * t) * (1j * params.g0 * h)
     rungs = np.stack([low, -low.conj()], axis=2)[..., None]
     np.multiply(rungs, np.sqrt(np.arange(1.0, d)), out=out[:, :k].reshape(ts.size, s, 2, d - 1))
     r = hopping_unitary(params, t)[1]  # <r'_k|, shape (2, steps, s)
-    block = out[:, k:].reshape(ts.size, s + 2, s + 2)
-    block[:, :s, 0], block[:, :s, 1] = r
-    # the overlaps <r'_k|r'_j> = <R|U_h(t_k) U_h(t_j)^dag|R> = cos((mu_k - mu_j)/2),
-    # evaluated for the non-zero entries of A
+    projections = out[:, k : k + 2 * s].reshape(ts.size, s, 2)
+    projections[..., 0], projections[..., 1] = r
+    # the overlaps <r'_k|r'_j> = <R|U_h(t_k) U_h(t_j)^dag|R> = cos((mu_k - mu_j)/2)
     half = mu_of_t(params, t) / 2.0
-    i, j = np.nonzero(a)
-    block[:, :s, 2:] = 0.0
-    block[:, i, j + 2] = a[i, j] * np.cos(half[:, i] - half[:, j])
-    block[:, s:, :2] = np.eye(2)
-    block[:, s:, 2:] = np.moveaxis(r.conj(), 0, 1) * b
+    out[:, k + 2 * s : k + p] = a[i, j] * np.cos(half[:, i] - half[:, j])
+    out[:, k + p :].reshape(ts.size, 2, s)[...] = np.moveaxis(r.conj(), 0, 1) * b
     return out
 
 
@@ -268,12 +282,14 @@ def _interaction_rhs(n_max: int):
     One store writes a _stage_table row into the kernel's memory; then each
     stage is a projection u_k = (photon block row k) . a and a d x d product
     into a's row x_k, and the block's last two rows combine a into b's first
-    two.  b is returned.  The benchmark tracer (perfbench/spans.py) wraps
-    this factory by its name.
+    two.  b is returned.  The block's constant entries are written here,
+    once.  The benchmark tracer (perfbench/spans.py) wraps this factory by
+    its name.
     """
     s, d = len(_TABLEAU[0]), n_max + 1
     mem = np.zeros(s * d * d + (s + 2) ** 2, dtype=complex)
     block = mem[s * d * d :].reshape(s + 2, s + 2)
+    block[s:, :2] = np.eye(2)
     stages = [(p.dot, m.dot) for p, m in zip(block[:s], mem[: s * d * d].reshape(s, d, d))]
     combine = block[s:].dot
     idx = _kernel_layout(d)
@@ -301,26 +317,29 @@ def _segment_steps(dt_target: float, t0: float, t1: float) -> tuple[int, float]:
 def integrate(y: np.ndarray, cfg: SolverConfig, advance, emit, lab_state, keep: bool = False):
     """Fixed-step driver over [0, cfg.t_end]; returns the lab-frame (final, marked, kept).
 
-    The run is split at t_mark so a step lands on it.  advance(y, t0, dt, n)
-    is a generator yielding the state after each of a segment's n steps of
-    size dt from t0.  emit(t, y) records the initial state, every
-    record_stride-th state of a segment and the segment's last, whose time is
-    the segment end itself.  lab_state(t, y) builds a lab-frame state: for the
-    record at t_mark (marked, else None), for every record when keep (kept,
-    else None) and for the last state (final).
+    The run is split at t_mark so a step lands on it.  A segment of n steps
+    of size dt from t0 records every record_stride-th state and its last,
+    whose time is the segment end itself: advance(y, t0, dt, gaps) is a
+    generator that runs gaps[0] steps, yields the state, runs gaps[1] steps,
+    yields, and so on, with gaps the step counts between the segment's
+    records (summing to n).  emit(t, y) takes the initial state and each
+    yielded one.  lab_state(t, y) builds a lab-frame state: for the record
+    at t_mark (marked, else None), for every record when keep (kept, else
+    None) and for the last state (final).
     """
     bounds = [0.0]
     if cfg.t_mark is not None and cfg.t_mark < cfg.t_end:
         bounds.append(cfg.t_mark)
     bounds.append(cfg.t_end)
+    stride = cfg.record_stride
 
     def records(y):
         yield 0.0, y
         for t0, t1 in zip(bounds[:-1], bounds[1:]):
             n, dt = _segment_steps(cfg.dt, t0, t1)
-            for i, y in enumerate(advance(y, t0, dt, n), start=1):
-                if i % cfg.record_stride == 0 or i == n:
-                    yield (t0 + i * dt if i < n else t1), y
+            gaps = [stride] * (n // stride) + ([n % stride] if n % stride else [])
+            for i, y in zip(itertools.accumulate(gaps), advance(y, t0, dt, gaps)):
+                yield (t0 + i * dt if i < n else t1), y
 
     marked, kept = None, [] if keep else None
     for t, y in records(y):
@@ -366,14 +385,42 @@ def _target_vectors(
 
 
 def _frame_targets(
-    params: SystemParams, d: DerivedModulation, t: float, n_max: int, u_h: np.ndarray
+    params: SystemParams, d: DerivedModulation, t, n_max: int, u_h: np.ndarray
 ) -> np.ndarray:
-    """The targets in the solvers' frame, as the rows of a (2, 2d) array:
-    w_s = U_h^dag |s> (x) e^{i omega_m t n} v_s for s = L, R, with u_h = U_h(t).
-    For a frame state phi with lab state psi, <v_s|psi_s> = <w_s|phi>."""
-    phases = np.exp(1j * params.omega_m * t * np.arange(n_max + 1))
-    x = np.stack(_target_vectors(params, d, t, n_max)) * phases
-    return (u_h.conj()[:, :, None] * x[:, None, :]).reshape(2, -1)
+    """The targets in the solvers' frame at a time or an array of times t,
+    with u_h = hopping_unitary(params, t): w_s = U_h^dag |s> (x) e^{i omega_m t n} v_s
+    for s = L, R, in an array of shape t.shape + (2, 2d).  For a frame state
+    phi with lab state psi, <v_s|psi_s> = <w_s|phi>.  evolve_closed builds
+    the targets of all its record times in one call, evolve_open those of
+    one record per call.
+
+    v_L is target_states' phi_L = w_+ |beta> + w_- |-beta>, with the weights
+    (w_+, w_-) row 0 of u_h and the coherent coefficients, as in
+    fock.coherent_coeffs, the running product along the Fock axis of
+    exp(-|beta|^2/2) and beta/sqrt(n); v_R is v_L with its odd entries
+    negated (_target_vectors).  w_+ is real and w_- imaginary, so the cat
+    norm has no overlap term.
+    """
+    t = np.asarray(t, dtype=float)
+    beta = [beta_of_t(d, params.omega_m, s) for s in t.reshape(-1).tolist()]
+    n = np.arange(n_max + 1)
+    factors = np.empty((t.size, n_max + 1), dtype=complex)
+    # math.exp, as coherent_coeffs: np.exp differs from it in the last bit for
+    # some arguments, and the open records take their targets from here too
+    factors[:, 0] = [math.exp(-0.5 * abs(b) ** 2) for b in beta]
+    factors[:, 1:] = np.array(beta)[:, None] / np.sqrt(n[1:])
+    c = np.cumprod(factors, axis=1).reshape(t.shape + (n_max + 1,))
+
+    def flip(v):  # the expansion of -beta from that of beta
+        out = v.copy()
+        out[..., 1::2] = -v[..., 1::2]
+        return out
+
+    w_plus, w_minus = u_h[0][..., None]
+    v_l = (w_plus * c + w_minus * flip(c)) / np.sqrt(abs(w_plus) ** 2 + abs(w_minus) ** 2)
+    x = np.stack([v_l, flip(v_l)], axis=-2) * np.exp(1j * params.omega_m * t[..., None, None] * n)
+    u = np.moveaxis(u_h, (0, 1), (-2, -1))
+    return (u.conj()[..., None] * x[..., None, :]).reshape(t.shape + (2, 2 * n_max + 2))
 
 
 def fidelity_total(state: SinglePhotonState, params: SystemParams, d: DerivedModulation) -> float:
@@ -460,11 +507,11 @@ def evolve_closed(
     sq = np.sqrt(np.arange(1.0, n_max + 1))
     x_weight = np.concatenate([sq, [0.0], sq])
 
-    record = TrajectoryRecord(CLOSED_COLUMNS)
     guards = _Guards(
         norm_drift=("norm drift", NORM_ABORT, 1, f"reduce dt (current {cfg.dt:g})"),
         tail_max=("phonon tail population", TAIL_ABORT, 1, f"increase n_max (current {n_max})"),
     )
+    times, frames = [], []
 
     def lab_state(t, y) -> SinglePhotonState:
         # psi = U_h phi, then the phonon phases e^{-i m omega_m t}
@@ -472,35 +519,53 @@ def evolve_closed(
         return SinglePhotonState(psi[0], psi[1], t)
 
     def emit(t, y):
-        flat = y.reshape(-1)
-        p = np.abs(flat) ** 2
+        # only the guards run per record; the columns are computed after the solve
+        p = np.abs(y.reshape(-1)) ** 2
         guards.check(t, norm_drift=abs(float(p.sum()) - norm0), tail_max=float(p[top].sum()))
-        # photon populations: the diagonal of U_h tau U_h^dag, tau = y y^dag the
-        # 2 x 2 photon trace of phi
-        u_h = hopping_unitary(params, t)
-        n_l, n_r = (u_h @ (y @ y.conj().T) @ u_h.conj().T).diagonal().real.tolist()
-        x = 2.0 * (np.vdot(flat[:-1] * x_weight, flat[1:]) * cmath.exp(-1j * params.omega_m * t)).real
-        row = dict(t=t, nL=n_l, nR=n_r, x_over_x0=x, nb=float(n_weight @ p), P_L=n_l, P_R=n_r)
-        if compute_fidelities:
-            amp_l, amp_r = _frame_targets(params, d, t, n_max, u_h).conj() @ flat
-            row["F"] = abs(amp_l + amp_r) ** 2 / 2.0
-            row["F_L"] = abs(amp_l) ** 2 / n_l if n_l > P_FLOOR else math.nan
-            row["F_R"] = abs(amp_r) ** 2 / n_r if n_r > P_FLOOR else math.nan
-        record.append(**row)
+        times.append(t)
+        frames.append(y.copy())
 
     # No BLAS call is larger than one d x d product: OpenBLAS runs larger
     # products on all cores for no wall-time gain at this size.
-    def advance(y, t0, dt, n):
+    def advance(y, t0, dt, gaps):
         bufs = np.zeros((2, len(_TABLEAU[0]) + 2, n_max + 1), dtype=complex)
         bufs[0, :2] = y
         a, b = _row_views(bufs[0]), _row_views(bufs[1])
-        for c0 in range(0, n, _CHUNK):
-            ts = t0 + np.arange(c0, min(c0 + _CHUNK, n)) * dt
-            for row in _stage_table(params, n_max, ts, dt):
-                a, b = step(row, a, b), a
-                yield a[0]
+        n, i = sum(gaps), 0
+        for stop in itertools.accumulate(gaps):
+            while i < stop:  # the steps up to the next record, cut where a chunk's table ends
+                c0 = i - i % _CHUNK
+                if i == c0:
+                    table = _stage_table(params, n_max, t0 + np.arange(c0, min(c0 + _CHUNK, n)) * dt, dt)
+                end = min(stop, c0 + _CHUNK)
+                for row in table[i - c0 : end - c0]:
+                    a, b = step(row, a, b), a
+                i = end
+            yield a[0]
 
     # at t = 0 the hopping and phonon frames coincide with the lab frame
     y = np.stack([initial.a, initial.b])
     final, marked, kept = integrate(y, cfg, advance, emit, lab_state, keep)
+
+    # every column at once, over the (R, 2, d) stack of the records' frame states
+    ts, ys = np.array(times), np.stack(frames)
+    flat = ys.reshape(ts.size, -1)
+    u_h = hopping_unitary(params, ts)
+    u = np.moveaxis(u_h, -1, 0)
+    # photon populations: the diagonal of U_h tau U_h^dag, tau = y y^dag the
+    # 2 x 2 photon trace of phi
+    tau = ys @ ys.conj().swapaxes(1, 2)
+    n_l, n_r = (u @ tau @ u.conj().swapaxes(1, 2)).diagonal(axis1=1, axis2=2).real.T
+    ladder = np.sum((flat[:, :-1] * x_weight).conj() * flat[:, 1:], axis=1)
+    x = 2.0 * (ladder * np.exp(-1j * params.omega_m * ts)).real
+    nb = (np.abs(flat) ** 2) @ n_weight
+    columns = dict(t=ts, nL=n_l, nR=n_r, x_over_x0=x, nb=nb, P_L=n_l, P_R=n_r)
+    if compute_fidelities:
+        amp_l, amp_r = np.einsum("rsk,rk->sr", _frame_targets(params, d, ts, n_max, u_h).conj(), flat)
+        columns["F"] = abs(amp_l + amp_r) ** 2 / 2.0
+        for name, amp, p_s in (("F_L", amp_l, n_l), ("F_R", amp_r, n_r)):
+            # NaN where the sector's probability is at most P_FLOOR
+            columns[name] = np.divide(abs(amp) ** 2, p_s, out=np.full(ts.size, math.nan), where=p_s > P_FLOOR)
+    record = TrajectoryRecord(CLOSED_COLUMNS)
+    record.extend(**columns)
     return Run(record, final, marked, guards.worst, kept)

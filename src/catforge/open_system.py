@@ -35,6 +35,7 @@ coherences, so it does not enter the solver.
 from __future__ import annotations
 
 import cmath
+import itertools
 import json
 import math
 from dataclasses import dataclass
@@ -369,32 +370,34 @@ def evolve_open(
             F_L=f_l, F_R=f_r, trace_err=tr_err, min_eig=mineig,
         )
 
-    def advance(y, t0, dt, n_steps):
+    def advance(y, t0, dt, gaps):
         # the generator writes h times the derivative: stage k writes
         # hf[k] = h f(t + c_k h, y + sum_j A_kj hf[j]), and the update scales each hf[k]
         # by b_k in place and adds it to y
         c, a, b = _TABLEAU
         gen = _Generators(params, n - 1, dt)
-        ts = (t0 + np.arange(n_steps) * dt)[:, None] + dt * c
+        ts = (t0 + np.arange(sum(gaps)) * dt)[:, None] + dt * c
         hops = np.moveaxis(hopping_unitary(params, ts)[1], 0, -1).tolist()
+        steps = zip(ts.tolist(), hops)
         hf = [np.empty_like(y) for _ in c]
         # Python floats: a NumPy scalar operand adds overhead to every ufunc call
         terms = [[(float(a[i, j]), hf[j]) for j in np.flatnonzero(a[i])] for i in range(len(c))]
         updates = list(zip(b.tolist(), hf))
         v, tmp = np.empty_like(y), np.empty_like(y)
-        for t_stages, hop_stages in zip(ts.tolist(), hops):
-            for t, hop, row, out in zip(t_stages, hop_stages, terms, hf):
-                x = y
-                if row:  # in place: a three-operand add costs about two in-place ones here
-                    x = np.multiply(row[0][1], row[0][0], out=v)
-                    for w, hf_j in row[1:]:
-                        np.multiply(hf_j, w, out=tmp)
-                        v += tmp
-                    v += y
-                gen.apply(t, hop, x, out)
-            for w, out in updates:
-                out *= w
-                y += out
+        for gap in gaps:
+            for t_stages, hop_stages in itertools.islice(steps, gap):
+                for t, hop, row, out in zip(t_stages, hop_stages, terms, hf):
+                    x = y
+                    if row:  # in place: a three-operand add costs about two in-place ones here
+                        x = np.multiply(row[0][1], row[0][0], out=v)
+                        for w, hf_j in row[1:]:
+                            np.multiply(hf_j, w, out=tmp)
+                            v += tmp
+                        v += y
+                    gen.apply(t, hop, x, out)
+                for w, out in updates:
+                    out *= w
+                    y += out
             yield y
 
     # apply's one-photon block Z + Z^H is the generator only on Hermitian input;

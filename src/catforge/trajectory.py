@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 __all__ = ["TrajectoryRecord", "format_column", "write_columns"]
@@ -26,31 +24,41 @@ def write_columns(path, header: tuple[str, ...], columns):
 
 
 class TrajectoryRecord:
-    """Ordered record of per-time observables with fixed columns."""
+    """Ordered record of per-time observables with fixed columns, held column
+    by column; a cell never given is None (an empty CSV cell)."""
 
     def __init__(self, columns: tuple[str, ...]):
         self.columns = tuple(columns)
-        self._rows: list[tuple] = []
+        self._cells: dict[str, list] = {c: [] for c in self.columns}
 
     def append(self, **values):
-        unknown = set(values) - set(self.columns)
+        """Add one row."""
+        self.extend(**{name: [v] for name, v in values.items()})
+
+    def extend(self, **columns):
+        """Add rows given column-wise, as sequences or 1-D arrays of equal length."""
+        unknown = set(columns) - set(self.columns)
         if unknown:
             raise KeyError(f"unknown trajectory columns: {sorted(unknown)}")
-        self._rows.append(tuple(values.get(c) for c in self.columns))
+        sizes = {len(v) for v in columns.values()}
+        if len(sizes) != 1:
+            raise ValueError(f"trajectory columns of unequal lengths {sorted(sizes)}")
+        n = sizes.pop()
+        for name, cells in self._cells.items():
+            cells.extend(np.asarray(columns[name]).tolist() if name in columns else [None] * n)
 
     def __len__(self) -> int:
-        return len(self._rows)
+        return len(self._cells[self.columns[0]])
 
     def column(self, name: str) -> np.ndarray:
-        i = self.columns.index(name)
-        return np.array([math.nan if r[i] is None else float(r[i]) for r in self._rows])
+        return np.asarray(self._cells[name], dtype=float)
 
     def row_at(self, t: float, atol: float = 1e-9) -> dict:
         ts = self.column("t")
         i = int(np.argmin(np.abs(ts - t)))
         if abs(ts[i] - t) > atol:
             raise KeyError(f"no record at t={t} (closest {ts[i]})")
-        return dict(zip(self.columns, self._rows[i]))
+        return {name: cells[i] for name, cells in self._cells.items()}
 
     def write_csv(self, path):
-        write_columns(path, self.columns, zip(*self._rows))
+        write_columns(path, self.columns, map(self.column, self.columns))

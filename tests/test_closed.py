@@ -227,14 +227,14 @@ def test_closed_matches_solve_ivp():
 
 
 def counted_records(cfg):
-    """Run the driver with a stepper whose state counts its yields and a lab
-    frame that pairs a state with its time; return the records (t, yields so
-    far) and the driver's (final, marked, kept)."""
+    """Run the driver with a stepper whose state counts the steps it was
+    handed and a lab frame that pairs a state with its time; return the
+    records (t, steps so far) and the driver's (final, marked, kept)."""
     records = []
 
-    def advance(y, t0, dt, n):
-        for _ in range(n):
-            y += 1
+    def advance(y, t0, dt, gaps):
+        for gap in gaps:
+            y += gap
             yield y
 
     def emit(t, y):
@@ -265,14 +265,16 @@ def test_integrate_time_grid_records_and_mark():
 
 
 def test_closed_and_open_share_the_record_times():
-    # both solvers record on the driver's grid, 178 + 218 steps, each past a chunk boundary
+    # both solvers record on the driver's grid, 266 + 290 steps, each past a chunk boundary
     params = fig2_params()
-    cfg = SolverConfig(dt=closed.default_dt(params), t_end=0.245, record_stride=7, t_mark=0.11)
+    cfg = SolverConfig(dt=closed.default_dt(params), t_end=0.69, record_stride=7, t_mark=0.33)
+    for t0, t1 in ((0.0, 0.33), (0.33, 0.69)):
+        assert closed._CHUNK < closed._segment_steps(cfg.dt, t0, t1)[0] < 2 * closed._CHUNK
     crun = closed.evolve_closed(closed.initial_state("bell", 6), params, cfg)
     orun = osys.evolve_open(osys.initial_density("bell", 6), params, cfg)
     times = [t for t, _ in counted_records(cfg)[0]]
     assert crun.record.column("t").tolist() == orun.record.column("t").tolist() == times
-    assert crun.marked.t == orun.marked.t == 0.11
+    assert crun.marked.t == orun.marked.t == 0.33
 
 
 def test_free_evolution_preserves_moduli():
@@ -370,7 +372,9 @@ def test_norm_abort_diagnostic():
         cfg = SolverConfig(dt=closed.default_dt(params, ppp), t_end=4 * math.pi / d.delta, record_stride=64)
         return closed.evolve_closed(closed.initial_state("bell", 22), params, cfg)
 
-    with pytest.raises(SolverAbort, match="reduce dt"):
+    # the guard reads the record states, so the abort names the record where it trips
+    message = "norm drift 1.295e-06 at t=13.3749 exceeds 1e-06; reduce dt (current 0.0209063)"
+    with pytest.raises(SolverAbort, match=f"^{re.escape(message)}$"):
         run(40)
     assert run(128).invariants["norm_drift"] < 1e-7
 
@@ -398,7 +402,8 @@ def test_guard_table_ceiling_and_floor():
 def test_tail_abort_diagnostic():
     params = fig2_params(gamma_c=0.0, gamma_m=0.0, n_th=0.0)
     cfg = SolverConfig(dt=closed.default_dt(params), t_end=4.0, record_stride=64)
-    with pytest.raises(SolverAbort, match="n_max"):
+    message = "phonon tail population 2.153e-06 at t=1.27205 exceeds 1e-06; increase n_max (current 5)"
+    with pytest.raises(SolverAbort, match=f"^{re.escape(message)}$"):
         closed.evolve_closed(closed.initial_state("bell", 5), params, cfg)
 
 
@@ -445,6 +450,25 @@ def test_target_vectors_flip_matches_two_expansions():
         v_l, v_r = closed._target_vectors(params, d, t, n_max)
         assert v_l.tobytes() == phi_l.fock_vector(n_max).tobytes()
         assert np.array_equal(v_r, phi_r.fock_vector(n_max))
+
+
+def test_frame_targets_batched_at_large_beta():
+    # the targets of all record times at once against the per-time expansion of
+    # target_states, on the record grid of a figS4 delta/g = 0.5 run (|beta| up to 4)
+    params = model.SystemParams.with_detuning(20.0, XI, 0.5 * coupling_g())
+    d = model.derive(params)
+    n_max = closed.default_n_max(params, d)
+    cfg = SolverConfig(dt=closed.default_dt(params), t_end=math.pi / d.delta, record_stride=430)
+    ts = np.array([t for t, _ in counted_records(cfg)[0]])
+    assert n_max == 49 and ts.size == 50
+    assert max(abs(model.beta_of_t(d, params.omega_m, t)) for t in ts) > 3.99
+    batch = closed._frame_targets(params, d, ts, n_max, model.hopping_unitary(params, ts))
+    phases = np.exp(1j * params.omega_m * ts[:, None] * np.arange(n_max + 1))
+    for t, ph, w in zip(ts, phases, batch):
+        v = closed._target_vectors(params, d, t, n_max)
+        u_h = model.hopping_unitary(params, t)
+        ref = np.stack([np.kron(u_h[s].conj(), v[s] * ph) for s in (0, 1)])
+        assert np.max(np.abs(w - ref)) < 1e-14
 
 
 def test_fidelity_trivia(closed_runs):
