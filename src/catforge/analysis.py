@@ -83,6 +83,8 @@ class QuadratureAxis:
 
     def __post_init__(self):
         object.__setattr__(self, "x_values", np.asarray(self.x_values, dtype=float))
+        if not math.isfinite(self.theta):
+            raise ValueError(f"theta must be finite, got {self.theta!r}")
         if self.x_values.ndim != 1 or self.x_values.size < 2:
             raise ValueError("x_values must be a 1-D grid")
         if np.any(np.diff(self.x_values) <= 0):
@@ -243,8 +245,9 @@ def detection_time_candidates(
 
     Solves tan(mu(t)/2) = +-1, i.e. 2 xi sin(omega_0 t) = L for each level
     L = +-(k + 1/2) pi, in closed form: omega_0 t = asin(L/2xi) or
-    pi - asin(L/2xi), modulo 2 pi.  Returns (t, |beta(t)|) pairs sorted in
-    time; empty when 2 xi < pi/2 (equal weights unreachable).
+    pi - asin(L/2xi), modulo 2 pi.  The levels within reach are those up to
+    |2 xi|, for xi of either sign.  Returns (t, |beta(t)|) pairs sorted in
+    time; empty when 2|xi| < pi/2 (equal weights unreachable).
     """
     if half_width is None:
         half_width = math.pi / params.omega_0
@@ -254,7 +257,7 @@ def detection_time_candidates(
     two_xi = 2.0 * params.xi
     phases = set()  # omega_0 t modulo 2 pi; a level at an extremum has one phase
     k = 0
-    while (k + 0.5) * math.pi <= two_xi:
+    while (k + 0.5) * math.pi <= abs(two_xi):
         for level in ((k + 0.5) * math.pi, -(k + 0.5) * math.pi):
             a = math.asin(level / two_xi)
             phases.update((a % two_pi, (math.pi - a) % two_pi))

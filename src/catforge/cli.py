@@ -390,15 +390,13 @@ def _sweep_values(config: RunConfig) -> tuple[float, ...] | None:
 
 @dataclass(frozen=True)
 class _Resolved:
-    """One concrete solver job: params plus fully numeric solver settings."""
+    """One concrete job: its params, phonon cutoff and, for a job that runs a
+    solver, the solver's step settings (else None)."""
 
     params: SystemParams
     d: model.DerivedModulation
-    dt: float
-    t_end: float | None
-    record_stride: int
     n_max: int
-    t_mark: float | None
+    solver: SolverConfig | None
 
 
 def _resolve(config: RunConfig, sweep_value: float | None = None) -> _Resolved:
@@ -410,7 +408,7 @@ def _resolve(config: RunConfig, sweep_value: float | None = None) -> _Resolved:
         else:  # delta, or delta_over_g in units of g
             delta = float(sweep_value)
     # model.coupling and the analytic tomography read these before SystemParams can name them
-    _require_finite(xi=kw["xi"], t_d=config.t_d)
+    _require_finite(xi=kw["xi"], t_d=config.t_d, theta=None if config.theta == "auto" else config.theta)
 
     tomography = config.mode in ("wigner", "quadrature")
     is_open = config.mode == "open" or (tomography and config.source == "open")
@@ -434,40 +432,29 @@ def _resolve(config: RunConfig, sweep_value: float | None = None) -> _Resolved:
         if config.n_max is not None:
             n_max = config.n_max
         elif is_open:
-            n_max = max(30, closed.default_n_max(params, d))
+            n_max = max(30, closed.default_n_max(d))
         else:
-            n_max = closed.default_n_max(params, d)
+            n_max = closed.default_n_max(d)
         if n_max < 1:
             raise ValueError(f"n_max must be >= 1, got {n_max}")
 
-        dt = config.dt if config.dt is not None else closed.default_dt(params, 64 if is_open else 128)
-
-        t_end = config.t_end
-        if tomography:
-            t_end = config.t_d
-        elif isinstance(t_end, str):
-            if d.delta == 0.0:
-                raise ConfigError(f"t_end={t_end!r} undefined at delta=0; give a number")
-            t_end = (math.pi if t_end == "pi/delta" else 2.0 * math.pi) / abs(d.delta)
-        elif t_end is None and config.mode in ("closed", "open"):
-            if d.delta == 0.0:
-                raise ConfigError("t_end required when delta=0")
-            t_end = 2.0 * math.pi / abs(d.delta)
-
-        t_mark = None
-        if config.t_d is not None and t_end is not None and config.mode in ("closed", "open"):
-            if config.t_d <= t_end:
-                t_mark = config.t_d
-
-        if config.record_stride is not None:
-            stride = config.record_stride
-        else:  # about 600 records; a dt or t_end the solver refuses gets 1 and is refused below
-            steps = t_end / dt if t_end is not None and dt > 0 else 0.0
-            stride = max(1, round(steps / 600)) if math.isfinite(steps) else 1
-        res = _Resolved(params, d, dt, t_end, stride, n_max, t_mark)
-
+        if config.mode == "detect-times" and config.t_d is None and d.delta == 0.0:
+            raise ConfigError("detect-times at delta=0 needs t_d (the window center pi/delta is undefined)")
+        solver = None
         if runs_solver:
-            _solver_config(res).validate(params)
+            dt = config.dt if config.dt is not None else closed.default_dt(params, 64 if is_open else 128)
+            t_end = config.t_d if tomography else config.t_end
+            if t_end is None or isinstance(t_end, str):  # None runs to 2pi/delta
+                if d.delta == 0.0:
+                    raise ConfigError(f"t_end={t_end or '2pi/delta'!r} undefined at delta=0; give a number")
+                t_end = (math.pi if t_end == "pi/delta" else 2.0 * math.pi) / abs(d.delta)
+            t_mark = config.t_d if not tomography and config.t_d is not None and config.t_d <= t_end else None
+            stride = config.record_stride
+            if stride is None:  # about 600 records; a dt or t_end the solver refuses gets 1
+                steps = t_end / dt if dt > 0 else 0.0
+                stride = max(1, round(steps / 600)) if math.isfinite(steps) else 1
+            solver = SolverConfig(dt=dt, t_end=t_end, record_stride=stride, t_mark=t_mark)
+            solver.validate(params)
         if config.mode == "wigner":
             analysis.PhaseSpaceGrid.square(config.grid_extent, config.grid_step)
         elif config.mode == "quadrature":
@@ -475,13 +462,7 @@ def _resolve(config: RunConfig, sweep_value: float | None = None) -> _Resolved:
             analysis.QuadratureAxis.around_cat(0.0, abs(beta), config.x_step)
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
-    return res
-
-
-def _solver_config(res: _Resolved) -> SolverConfig:
-    return SolverConfig(
-        dt=res.dt, t_end=res.t_end, record_stride=res.record_stride, t_mark=res.t_mark
-    )
+    return _Resolved(params, d, n_max, solver)
 
 
 def _load_initial_closed(kind: str, n_max: int) -> closed.SinglePhotonState:
@@ -506,9 +487,9 @@ def _evolve(solver: str, config: RunConfig, res: _Resolved, **kw):
     """Run the closed or open solver from the config's initial state."""
     if solver == "closed":
         state = _load_initial_closed(config.initial, res.n_max)
-        return closed.evolve_closed(state, res.params, _solver_config(res), **kw)
+        return closed.evolve_closed(state, res.params, res.solver, **kw)
     rho0 = open_system.initial_density(config.initial, res.n_max)
-    return open_system.evolve_open(rho0, res.params, _solver_config(res), **kw)
+    return open_system.evolve_open(rho0, res.params, res.solver, **kw)
 
 
 def _manifest(path, doc: dict):
@@ -533,14 +514,9 @@ def _base_manifest(config: RunConfig, res: _Resolved | None) -> dict:
             "beta_max": res.d.beta_max if math.isfinite(res.d.beta_max) else "unbounded",
             "rwa_regime_ok": res.params.rwa_regime_ok,
         }
-        doc["solver"] = {
-            "method": "rk4",
-            "dt": res.dt,
-            "t_end": res.t_end,
-            "record_stride": res.record_stride,
-            "n_max": res.n_max,
-            "t_mark": res.t_mark,
-        }
+        doc["solver"] = {"n_max": res.n_max}
+        if res.solver is not None:
+            doc["solver"].update(method="rk4", **asdict(res.solver))
         if not res.params.rwa_regime_ok:
             log.warning("parameters are outside the RWA regime (|delta|, g0/2 vs omega_0/5, omega_m/5)")
     return doc
@@ -639,10 +615,10 @@ def _execute_single(config: RunConfig, out_dir: str, sweep_value: float | None =
                     open_system.write_snapshot(output(name), rho)
         doc["invariants"] = run_.invariants
         doc["initial"] = config.initial
-        if res.t_mark is not None:
-            doc["t_d"] = res.t_mark
-            doc["at_t_d"] = run_.record.row_at(res.t_mark)
-        doc["final"] = run_.record.row_at(res.t_end)
+        if res.solver.t_mark is not None:
+            doc["t_d"] = res.solver.t_mark
+            doc["at_t_d"] = run_.record.row_at(res.solver.t_mark)
+        doc["final"] = run_.record.row_at(res.solver.t_end)
 
     elif mode in ("wigner", "quadrature"):
         state_l, state_r, beta = _mechanical_states_at_td(config, res)

@@ -38,8 +38,7 @@ over the stack of kept frame states.  The norm, the tail, the phonon number
 and <x> are traces over the photon pair, unchanged by either frame (<x> up
 to one global phase); nL and nR rotate the 2 x 2 photon trace, and the
 fidelities take the targets of all record times into the frame at once.  A
-lab-frame state is built only for kept states, the marked state and the
-final state.
+lab-frame state is built only for the marked state and the final state.
 """
 
 from __future__ import annotations
@@ -50,7 +49,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fock import coherent_cutoff, tail_population
+from .fock import coherent_coeffs, coherent_cutoff, tail_population
 from .model import DerivedModulation, SystemParams, beta_of_t, derive, hopping_unitary, mu_of_t, target_states
 from .trajectory import TrajectoryRecord
 
@@ -176,9 +175,8 @@ def default_dt(params: SystemParams, points_per_period: int = 128) -> float:
     return (2.0 * math.pi / w_max) / points_per_period
 
 
-def default_n_max(params: SystemParams, d: DerivedModulation | None = None) -> int:
-    """Phonon cutoff covering the peak coherent displacement."""
-    d = derive(params) if d is None else d
+def default_n_max(d: DerivedModulation) -> int:
+    """Phonon cutoff covering the peak coherent displacement |beta|_max of d."""
     beta = d.beta_max if math.isfinite(d.beta_max) else 4.0
     return coherent_cutoff(beta)
 
@@ -314,8 +312,8 @@ def _segment_steps(dt_target: float, t0: float, t1: float) -> tuple[int, float]:
     return n, span / n
 
 
-def integrate(y: np.ndarray, cfg: SolverConfig, advance, emit, lab_state, keep: bool = False):
-    """Fixed-step driver over [0, cfg.t_end]; returns the lab-frame (final, marked, kept).
+def integrate(y: np.ndarray, cfg: SolverConfig, advance, emit, lab_state):
+    """Fixed-step driver over [0, cfg.t_end]; returns the lab-frame (final, marked).
 
     The run is split at t_mark so a step lands on it.  A segment of n steps
     of size dt from t0 records every record_stride-th state and its last,
@@ -324,8 +322,7 @@ def integrate(y: np.ndarray, cfg: SolverConfig, advance, emit, lab_state, keep: 
     yields, and so on, with gaps the step counts between the segment's
     records (summing to n).  emit(t, y) takes the initial state and each
     yielded one.  lab_state(t, y) builds a lab-frame state: for the record
-    at t_mark (marked, else None), for every record when keep (kept, else
-    None) and for the last state (final).
+    at t_mark (marked, else None) and for the last state (final).
     """
     bounds = [0.0]
     if cfg.t_mark is not None and cfg.t_mark < cfg.t_end:
@@ -341,15 +338,12 @@ def integrate(y: np.ndarray, cfg: SolverConfig, advance, emit, lab_state, keep: 
             for i, y in zip(itertools.accumulate(gaps), advance(y, t0, dt, gaps)):
                 yield (t0 + i * dt if i < n else t1), y
 
-    marked, kept = None, [] if keep else None
+    marked = None
     for t, y in records(y):
         emit(t, y)
-        is_mark = cfg.t_mark is not None and abs(t - cfg.t_mark) < 1e-12
-        if is_mark:
+        if cfg.t_mark is not None and abs(t - cfg.t_mark) < 1e-12:
             marked = lab_state(t, y)
-        if keep:
-            kept.append(marked if is_mark else lab_state(t, y))
-    return lab_state(cfg.t_end, y), marked, kept
+    return lab_state(cfg.t_end, y), marked
 
 
 def observables(state: SinglePhotonState) -> dict:
@@ -395,21 +389,15 @@ def _frame_targets(
     one record per call.
 
     v_L is target_states' phi_L = w_+ |beta> + w_- |-beta>, with the weights
-    (w_+, w_-) row 0 of u_h and the coherent coefficients, as in
-    fock.coherent_coeffs, the running product along the Fock axis of
-    exp(-|beta|^2/2) and beta/sqrt(n); v_R is v_L with its odd entries
-    negated (_target_vectors).  w_+ is real and w_- imaginary, so the cat
-    norm has no overlap term.
+    (w_+, w_-) row 0 of u_h and the coherent coefficients of every beta(t)
+    from one coherent_coeffs call; v_R is v_L with its odd entries negated
+    (_target_vectors).  w_+ is real and w_- imaginary, so the cat norm has
+    no overlap term.
     """
     t = np.asarray(t, dtype=float)
     beta = [beta_of_t(d, params.omega_m, s) for s in t.reshape(-1).tolist()]
     n = np.arange(n_max + 1)
-    factors = np.empty((t.size, n_max + 1), dtype=complex)
-    # math.exp, as coherent_coeffs: np.exp differs from it in the last bit for
-    # some arguments, and the open records take their targets from here too
-    factors[:, 0] = [math.exp(-0.5 * abs(b) ** 2) for b in beta]
-    factors[:, 1:] = np.array(beta)[:, None] / np.sqrt(n[1:])
-    c = np.cumprod(factors, axis=1).reshape(t.shape + (n_max + 1,))
+    c = coherent_coeffs(np.reshape(beta, t.shape), n_max)
 
     def flip(v):  # the expansion of -beta from that of beta
         out = v.copy()
@@ -458,15 +446,13 @@ def fidelity_conditional(
 
 @dataclass
 class Run:
-    """A solve: its records, the lab-frame final and marked (at t_mark) states,
-    the worst value of each guarded invariant by manifest name, and the
-    lab-frame state of every record when kept."""
+    """A solve: its records, the lab-frame final and marked (at t_mark) states
+    and the worst value of each guarded invariant by manifest name."""
 
     record: TrajectoryRecord
     final: object
     marked: object | None
     invariants: dict[str, float]
-    kept: list | None = None
 
 
 def evolve_closed(
@@ -474,7 +460,6 @@ def evolve_closed(
     params: SystemParams,
     cfg: SolverConfig,
     compute_fidelities: bool | None = None,
-    keep: bool = False,
 ) -> Run:
     """Propagate the amplitude equations and record observables.
 
@@ -482,8 +467,7 @@ def evolve_closed(
     analytic target exists for that preparation); pass compute_fidelities to
     override the auto-detection.  Aborts when the norm drifts by more than
     1e-6 or the top-two-level phonon population exceeds 1e-6; the Run's
-    invariants hold the worst norm_drift and tail_max.  keep keeps the
-    SinglePhotonState of every record in Run.kept.
+    invariants hold the worst norm_drift and tail_max.
     """
     cfg.validate(params)
     norm0 = initial.norm_sq()
@@ -545,7 +529,7 @@ def evolve_closed(
 
     # at t = 0 the hopping and phonon frames coincide with the lab frame
     y = np.stack([initial.a, initial.b])
-    final, marked, kept = integrate(y, cfg, advance, emit, lab_state, keep)
+    final, marked = integrate(y, cfg, advance, emit, lab_state)
 
     # every column at once, over the (R, 2, d) stack of the records' frame states
     ts, ys = np.array(times), np.stack(frames)
@@ -568,4 +552,4 @@ def evolve_closed(
             columns[name] = np.divide(abs(amp) ** 2, p_s, out=np.full(ts.size, math.nan), where=p_s > P_FLOOR)
     record = TrajectoryRecord(CLOSED_COLUMNS)
     record.extend(**columns)
-    return Run(record, final, marked, guards.worst, kept)
+    return Run(record, final, marked, guards.worst)

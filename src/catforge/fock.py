@@ -47,18 +47,22 @@ def coherent_cutoff(beta_abs: float) -> int:
     return max(20, math.ceil(nbar + 8.0 * math.sqrt(nbar + 1.0)))
 
 
-def coherent_coeffs(beta: complex, n_max: int) -> np.ndarray:
+def coherent_coeffs(beta, n_max: int) -> np.ndarray:
     """Fock expansion coefficients c_n = exp(-|beta|^2/2) beta^n / sqrt(n!).
 
-    Computed as the running product of c_0 = exp(-|beta|^2/2) and the factors
-    beta / sqrt(n), i.e. the recurrence c_{n} = c_{n-1} * beta / sqrt(n); it
-    starts from c_0, so it cannot overflow for |beta|^2 in float range.
+    beta is an amplitude or an array of them; the coefficients run along a
+    new last axis, shape beta.shape + (n_max+1,).  Computed as the running
+    product of c_0 = exp(-|beta|^2/2) and the factors beta / sqrt(n), i.e.
+    the recurrence c_{n} = c_{n-1} * beta / sqrt(n); it starts from c_0, so
+    it cannot overflow for |beta|^2 in float range.  c_0 takes one math.exp
+    per amplitude: np.exp differs from it in the last bit for some arguments.
     """
     n_max = _check_cutoff(n_max)
-    factors = np.empty(n_max + 1, dtype=complex)
-    factors[0] = math.exp(-0.5 * abs(beta) ** 2)
-    factors[1:] = beta / np.sqrt(np.arange(1.0, n_max + 1))
-    return np.cumprod(factors)
+    beta = np.asarray(beta)  # a real beta keeps its real division
+    factors = np.empty(beta.shape + (n_max + 1,), dtype=complex)
+    factors[..., 0] = np.reshape([math.exp(-0.5 * abs(b) ** 2) for b in beta.ravel().tolist()], beta.shape)
+    factors[..., 1:] = beta[..., None] / np.sqrt(np.arange(1.0, n_max + 1))
+    return np.cumprod(factors, axis=-1)
 
 
 def displacement_matrices(etas: np.ndarray, n_max: int) -> np.ndarray:

@@ -27,7 +27,7 @@ period of the fastest retained oscillation (closed.default_dt) a fig2 solve
 to t = 2 is within about 2e-10 of a 1024-point one.  Records read the trace,
 the phonon number, the truncation tail and the spectrum straight off the
 frame blocks, where they are unchanged; P_L, P_R and the fidelities rotate a
-2 x 2 trace and the target vectors; only kept, marked and final states are
+2 x 2 trace and the target vectors; only the marked and final states are
 rotated back to the lab frame.  omega_c multiplies only the dropped
 coherences, so it does not enter the solver.
 """
@@ -304,7 +304,6 @@ def evolve_open(
     initial: SystemDensityMatrix,
     params: SystemParams,
     cfg: SolverConfig,
-    keep: bool = False,
 ) -> Run:
     """Propagate the master equation, recording probabilities and fidelities.
 
@@ -313,8 +312,7 @@ def evolve_open(
     the trace drifts by more than 1e-6, an eigenvalue dips below -1e-6 or the
     top-two-level phonon population exceeds 1e-6 (all checked at record
     times; positivity is an O(dim^3) solve per block); the Run's invariants
-    hold the worst trace_err_max, min_eig_min and tail_max.  keep keeps the
-    SystemDensityMatrix of every record in Run.kept.
+    hold the worst trace_err_max, min_eig_min and tail_max.
     """
     cfg.validate(params)
     # written as not (error <= bound) so that a NaN entry is refused too
@@ -403,8 +401,8 @@ def evolve_open(
     # apply's one-photon block Z + Z^H is the generator only on Hermitian input;
     # at t = 0 the hopping frame coincides with the lab frame
     y = np.concatenate([(0.5 * (b + b.conj().T)).ravel() for b in (initial.one, initial.vac)])
-    final, marked, kept = integrate(y, cfg, advance, emit, lab_state, keep)
-    return Run(record, final, marked, guards.worst, kept)
+    final, marked = integrate(y, cfg, advance, emit, lab_state)
+    return Run(record, final, marked, guards.worst)
 
 
 def write_snapshot(path, sdm: SystemDensityMatrix):

@@ -1,5 +1,7 @@
 """Shared parameter sets and the expensive solver runs, computed once per session."""
 
+import contextlib
+
 import numpy as np
 import pytest
 
@@ -18,6 +20,29 @@ def fig2_params(**overrides):
     kw = dict(gamma_c=0.2, gamma_m=1e-4, n_th=4.0)
     kw.update(overrides)
     return model.SystemParams.with_detuning(20.0, XI, coupling_g(), **kw)
+
+
+@contextlib.contextmanager
+def keeping_states():
+    """Collect the lab-frame state of every record of the solves run inside the block.
+
+    Both solvers look integrate up by name; the wrapper hands it an emit that
+    also builds each record's state with the solver's own lab_state.
+    """
+    kept = []
+    integrate = closed.integrate
+
+    def keeping(y, cfg, advance, emit, lab_state):
+        def emit_and_keep(t, y):
+            emit(t, y)
+            kept.append(lab_state(t, y))
+
+        return integrate(y, cfg, advance, emit_and_keep, lab_state)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(closed, "integrate", keeping)
+        mp.setattr(osys, "integrate", keeping)
+        yield kept
 
 
 def open_run_to_td(params, n_max=30, ppp=64, stride=16):
@@ -72,7 +97,8 @@ def closed_runs():
 
 @pytest.fixture(scope="session")
 def equivalence_runs():
-    """Dissipation-free closed and open runs on identical record grids."""
+    """Every record's lab-frame state of dissipation-free closed and open runs
+    on identical record grids."""
     params = model.SystemParams.with_detuning(20.0, XI, coupling_g())
     d = model.derive(params)
     n_max = 22
@@ -80,10 +106,8 @@ def equivalence_runs():
     t_end = np.pi / d.delta
     stride = max(1, round(t_end / dt / 12))
     ccfg = closed.SolverConfig(dt=dt, t_end=t_end, record_stride=stride)
-    crun = closed.evolve_closed(
-        closed.initial_state("bell", n_max), params, ccfg, keep=True
-    )
-    orun = osys.evolve_open(
-        osys.initial_density("bell", n_max), params, ccfg, keep=True
-    )
-    return params, d, crun, orun
+    with keeping_states() as ckept:
+        closed.evolve_closed(closed.initial_state("bell", n_max), params, ccfg)
+    with keeping_states() as okept:
+        osys.evolve_open(osys.initial_density("bell", n_max), params, ccfg)
+    return params, d, ckept, okept

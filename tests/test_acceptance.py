@@ -110,10 +110,10 @@ def test_criterion_6_oracle_equivalences(equivalence_runs):
         np.abs(analysis.quadrature_numeric(rho, axis) - analysis.quadrature_analytic(phi_l, axis, n_max=30))
     )
 
-    eq_params, _, crun, orun = equivalence_runs
-    n_max = crun.final.n_max
+    eq_params, _, ckept, okept = equivalence_runs
+    n_max = ckept[0].n_max
     elem_err = 0.0
-    for st, sdm in zip(crun.kept, orun.kept):
+    for st, sdm in zip(ckept, okept):
         amp = np.concatenate([st.a, st.b, np.zeros(n_max + 1, complex)])
         elem_err = max(elem_err, np.max(np.abs(sdm.rho - np.outer(amp, amp.conj()))))
 

@@ -33,6 +33,9 @@ def test_axis_validation():
         QuadratureAxis(0.0, [0.0, 0.0, 1.0])
     axis = QuadratureAxis.around_cat(0.3, 2.0, step=0.01)
     assert axis.x_values[0] == -(math.sqrt(2) * 2.0 + 6.0)
+    for theta in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="theta must be finite"):
+            QuadratureAxis.around_cat(theta, 2.0)
 
 
 def test_wigner_vacuum():
@@ -251,15 +254,16 @@ def test_detection_time_candidates_contain_reference_values():
 
 def test_detection_time_candidates_complete():
     # every equal-weight root in the window once: the candidates against a dense
-    # sign-change scan of 2 xi sin(omega_0 t) - L at each level L = +-(k + 1/2) pi
+    # sign-change scan of 2 xi sin(omega_0 t) - L at each level L = +-(k + 1/2) pi,
+    # for xi of either sign: mu(t) = 2 xi sin(omega_0 t) reaches the same levels
     rng = np.random.default_rng(5)
     n = 100_000
     for _ in range(40):
-        xi = rng.uniform(0.5, 6.0)
+        xi = rng.choice((-1.0, 1.0)) * rng.uniform(0.5, 6.0)
         params = model.SystemParams.with_detuning(rng.uniform(5.0, 100.0), xi, rng.uniform(0.05, 1.0))
         center, half = rng.uniform(0.0, 30.0), rng.uniform(0.1, 3.0)
         lo, hi = max(center - half, 0.0), center + half
-        levels = [s * (k + 0.5) * math.pi for k in range(4) for s in (1, -1) if (k + 0.5) * math.pi <= 2 * xi]
+        levels = [s * (k + 0.5) * math.pi for k in range(4) for s in (1, -1) if (k + 0.5) * math.pi <= 2 * abs(xi)]
         scan = np.sort(np.concatenate([np.empty(0)] + [
             oracles.sign_change_times(lambda t: 2 * xi * np.sin(params.omega_0 * t) - level, lo, hi, n)
             for level in levels

@@ -65,7 +65,7 @@ def test_document_parsing():
     assert cfg.delta == "g"
     assert cfg.initial == "right"
     res = cli._resolve(cfg)
-    assert abs(res.t_end - 2 * math.pi / res.d.delta) < 1e-12
+    assert abs(res.solver.t_end - 2 * math.pi / res.d.delta) < 1e-12
 
 
 def test_parse_errors():
@@ -104,13 +104,13 @@ def test_units_preset_matches_dimensionless_twin():
         for field_ in ("omega_c", "omega_m", "omega_0", "xi", "gamma_c", "gamma_m", "n_th"):
             x, y = getattr(a.params, field_), getattr(b.params, field_)
             assert abs(x - y) <= 1e-12 * max(1.0, abs(x)), field_
-        assert abs(a.t_mark - b.t_mark) <= 1e-12 * a.t_mark
+        assert abs(a.solver.t_mark - b.solver.t_mark) <= 1e-12 * a.solver.t_mark
     assert abs(member.params.gamma_m - a.params.gamma_m) <= 1e-12 * a.params.gamma_m
     # a time override is given in seconds
-    dt = a.dt / 2
-    stepped = cli._resolve(parse_config(preset="fig2units", overrides={"dt": repr(dt / (2 * math.pi * 500e3))}))
+    dt = a.solver.dt / 2
+    stepped = cli._resolve(parse_config(preset="fig2units", overrides={"dt": repr(dt / (2 * math.pi * 500e3))})).solver
     assert abs(stepped.dt - dt) <= 1e-12 * dt
-    assert stepped.record_stride == cli._resolve(parse_config(preset="fig2", overrides={"dt": dt})).record_stride
+    assert stepped.record_stride == cli._resolve(parse_config(preset="fig2", overrides={"dt": dt})).solver.record_stride
     # n_th has no unit
     assert parse_config(preset="fig2units", overrides={"sweep": "n_th", "sweep_values": "5"}).sweep_values == (5.0,)
 
@@ -229,6 +229,10 @@ def test_detect_times_output(tmp_path):
     cli.run(cfg)
     rows = np.genfromtxt(tmp_path / "detection_times.csv", delimiter=",", names=True)
     assert np.min(np.abs(rows["t"] - 12.6664)) < 2e-4
+    # mu(t) = 2 xi sin(omega_0 t) reaches the same levels for -xi, and |beta(t)| is even in xi
+    flipped = tmp_path / "flipped"
+    cli.run(parse_config(preset="fig2", mode="detect-times", overrides={"xi": -XI}, out=str(flipped)))
+    assert (flipped / "detection_times.csv").read_bytes() == (tmp_path / "detection_times.csv").read_bytes()
 
 
 def test_figS1_preset_series(tmp_path):
@@ -258,8 +262,8 @@ def test_manifest_round_trip(tmp_path):
     a = cli._resolve(cfg)
     b = cli._resolve(back)
     assert a.params == b.params
-    assert (a.dt, a.record_stride, a.n_max) == (b.dt, b.record_stride, b.n_max)
-    assert abs(a.t_end - b.t_end) < 1e-12
+    assert (a.solver.dt, a.solver.record_stride, a.n_max) == (b.solver.dt, b.solver.record_stride, b.n_max)
+    assert abs(a.solver.t_end - b.solver.t_end) < 1e-12
     manifest = json.loads((tmp_path / "manifest.json").read_text())
     for key in ("omega_c", "omega_m", "g0", "xi", "n0", "omega_0", "gamma_c", "gamma_m", "n_th"):
         assert key in manifest["params"]
@@ -308,6 +312,37 @@ def test_preset_config_round_trip(tmp_path, preset):
     assert outputs
     for name in outputs:
         assert (first / name).read_bytes() == (second / name).read_bytes(), name
+
+
+def test_manifest_solver_blocks(tmp_path):
+    # a job that runs a solver records its step settings, as before; one that runs none only n_max
+    solver_jobs = {
+        "closed": (
+            ["closed", "--preset", "fig2", "--set", "t_end=3", "--set", "t_d=1.5", "--set", "n_max=8"],
+            {"dt": 0.0012422939900311497, "t_end": 3.0, "record_stride": 4, "t_mark": 1.5, "n_max": 8},
+        ),
+        "open": (
+            ["open", "--preset", "fig2", "--set", "t_end=0.2", "--set", "t_d=0.1", "--set", "n_max=6"]
+            + ["--set", "record_stride=20"],
+            {"dt": 0.0024845879800622995, "t_end": 0.2, "record_stride": 20, "t_mark": 0.1, "n_max": 6},
+        ),
+        "tomography": (
+            ["quadrature", "--preset", "figS5", "--set", "source=closed", "--set", "t_d=0.3", "--set", "n_max=8"],
+            {"dt": 0.0012422939900311497, "t_end": 0.3, "record_stride": 1, "t_mark": None, "n_max": 8},
+        ),
+    }
+    for name, (argv, solver) in solver_jobs.items():
+        assert cli.main(argv + ["--out", str(tmp_path / name)]) == 0
+        assert json.loads((tmp_path / name / "manifest.json").read_text())["solver"] == dict(solver, method="rk4")
+    analytic = [
+        ["wigner", "--preset", "figS5", "--set", "grid_extent=1", "--set", "grid_step=0.5"],
+        ["quadrature", "--preset", "figS5"],
+        ["detect-times", "--preset", "fig2"],
+    ]
+    for argv in analytic:
+        out = tmp_path / argv[0]
+        assert cli.main(argv + ["--out", str(out)]) == 0
+        assert list(json.loads((out / "manifest.json").read_text())["solver"]) == ["n_max"]
 
 
 def test_manifest_without_config_is_refused(tmp_path):
@@ -376,6 +411,8 @@ def test_cli_exit_codes(tmp_path, monkeypatch):
         ["wigner", "--preset", "figS5", "--set", "source=closed", "--set", "t_d=-1"],
         ["quadrature", "--preset", "figS5", "--set", "x_step=0"],
         ["quadrature", "--preset", "figS5", "--set", "n_max=0"],
+        # at delta = 0 the detection window has no default center pi/delta
+        ["detect-times", "--set", "omega_m=20", "--set", "xi=1.5271", "--set", "omega_0=10"],
         # the sweep mode's delta grid is refused before its output directory is made
         ["sweep", "--preset", "fig1a", "--set", "delta_step=0"],
         ["sweep", "--preset", "fig1a", "--set", "delta_max=nan"],
@@ -386,6 +423,8 @@ def test_cli_exit_codes(tmp_path, monkeypatch):
     for argv in refused:
         assert cli.main(argv) == 2, argv
     assert not (tmp_path / "env-out").exists()
+    with pytest.raises(ConfigError, match="delta=0 needs t_d"):
+        parse_config(mode="detect-times", overrides={"omega_m": 20, "xi": XI, "omega_0": 10})
     # undersized phonon ladder trips the truncation guard -> exit 3
     code = cli.main(
         ["closed", "--preset", "fig2", "--set", "n_max=5", "--set", "t_end=4.0", "--set", "t_d=4.0"]
@@ -490,6 +529,8 @@ def test_non_finite_integers_exit_2(tmp_path, monkeypatch, capsys):
         (["quadrature", "--preset", "figS5", "--set", "t_d=nan"], "t_d"),
         (["detect-times", "--preset", "fig2", "--set", "t_d=nan"], "t_d"),
         (["detect-times", "--preset", "fig2", "--set", "t_d=inf"], "t_d"),
+        (["quadrature", "--preset", "figS5", "--set", "theta=nan"], "theta"),
+        (["quadrature", "--preset", "figS5", "--set", "theta=inf"], "theta"),
         (["closed", "--preset", "figS1", "--set", "sweep_values=1.5,nan"], "xi"),
         (["sweep", "--preset", "fig1a", "--set", "xi_list=nan"], "xi_list"),
     ]

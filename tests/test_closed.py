@@ -10,7 +10,7 @@ from catforge import open_system as osys
 from catforge.closed import SolverAbort, SolverConfig
 
 import oracles
-from conftest import T_D, XI, coupling_g, fig2_params
+from conftest import T_D, XI, coupling_g, fig2_params, keeping_states
 
 
 def free_params(**kw):
@@ -175,11 +175,12 @@ def test_records_match_observables():
     cfg = SolverConfig(
         dt=closed.default_dt(params), t_end=t_end, record_stride=7, t_mark=rng.uniform(0.1, 0.4)
     )
-    run = closed.evolve_closed(start, params, cfg, compute_fidelities=True, keep=True)
-    assert len(run.kept) == len(run.record) > 10
+    with keeping_states() as kept:
+        run = closed.evolve_closed(start, params, cfg, compute_fidelities=True)
+    assert len(kept) == len(run.record) > 10
     assert run.marked.t == cfg.t_mark and run.final.t == t_end
     cols = {c: run.record.column(c) for c in closed.CLOSED_COLUMNS}
-    for i, st in enumerate(run.kept):
+    for i, st in enumerate(kept):
         obs = closed.observables(st)
         f_l, f_r = closed.fidelity_conditional(st, params, d)
         expect = dict(
@@ -190,8 +191,8 @@ def test_records_match_observables():
             assert abs(cols[name][i] - value) < 1e-14, name
     inv = run.invariants
     assert inv["tail_max"] > 0
-    assert abs(inv["norm_drift"] - max(abs(st.norm_sq() - start.norm_sq()) for st in run.kept)) < 1e-14
-    assert abs(inv["tail_max"] - max(st.tail_population() for st in run.kept)) < 1e-14
+    assert abs(inv["norm_drift"] - max(abs(st.norm_sq() - start.norm_sq()) for st in kept)) < 1e-14
+    assert abs(inv["tail_max"] - max(st.tail_population() for st in kept)) < 1e-14
 
 
 def test_closed_matches_solve_ivp():
@@ -229,7 +230,7 @@ def test_closed_matches_solve_ivp():
 def counted_records(cfg):
     """Run the driver with a stepper whose state counts the steps it was
     handed and a lab frame that pairs a state with its time; return the
-    records (t, steps so far) and the driver's (final, marked, kept)."""
+    records (t, steps so far) and the driver's (final, marked)."""
     records = []
 
     def advance(y, t0, dt, gaps):
@@ -240,7 +241,7 @@ def counted_records(cfg):
     def emit(t, y):
         records.append((t, y))
 
-    return records, closed.integrate(0, cfg, advance, emit, lambda t, y: (t, y), keep=True)
+    return records, closed.integrate(0, cfg, advance, emit, lambda t, y: (t, y))
 
 
 def test_integrate_time_grid_records_and_mark():
@@ -252,14 +253,14 @@ def test_integrate_time_grid_records_and_mark():
     )
     for t_mark, segments in cases:
         cfg = SolverConfig(dt=0.01, t_end=3.0, record_stride=7, t_mark=t_mark)
-        records, (final, marked, kept) = counted_records(cfg)
+        records, (final, marked) = counted_records(cfg)
         expect, done = [(0.0, 0)], 0
         for t0, t1, n in segments:
             assert n % closed._CHUNK != 0
             h = (t1 - t0) / n
             expect += [(t0 + i * h, done + i) for i in range(7, n, 7)] + [(t1, done + n)]
             done += n
-        assert records == kept == expect
+        assert records == expect
         assert final == (3.0, done)
         assert (marked and marked[0]) == t_mark
 
@@ -457,7 +458,7 @@ def test_frame_targets_batched_at_large_beta():
     # target_states, on the record grid of a figS4 delta/g = 0.5 run (|beta| up to 4)
     params = model.SystemParams.with_detuning(20.0, XI, 0.5 * coupling_g())
     d = model.derive(params)
-    n_max = closed.default_n_max(params, d)
+    n_max = closed.default_n_max(d)
     cfg = SolverConfig(dt=closed.default_dt(params), t_end=math.pi / d.delta, record_stride=430)
     ts = np.array([t for t, _ in counted_records(cfg)[0]])
     assert n_max == 49 and ts.size == 50

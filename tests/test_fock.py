@@ -37,6 +37,17 @@ def test_coherent_coeffs_match_factorial_formula():
         assert np.all(np.abs(c - ref) <= 1e-14 * np.abs(ref))
 
 
+def test_coherent_coeffs_batch_matches_single_calls():
+    # an array of amplitudes gives, bit for bit, each amplitude's own expansion along a new last axis
+    rng = np.random.default_rng(3)
+    for shape in ((), (7,), (3, 5)):
+        beta = rng.uniform(0.0, 4.0, shape) * np.exp(1j * rng.uniform(0.0, 2 * math.pi, shape))
+        c = fock.coherent_coeffs(beta, 49)
+        assert c.shape == shape + (50,)
+        for i in np.ndindex(shape):
+            assert np.array_equal(c[i], fock.coherent_coeffs(complex(beta[i]), 49))
+
+
 def test_coherent_cutoff_leaves_small_tail():
     for beta_abs in (0.3, 1.0, 2.0, 3.0):
         n_max = fock.coherent_cutoff(beta_abs)

@@ -10,7 +10,7 @@ from catforge.closed import SolverConfig
 from catforge.open_system import PhotonSector, SystemDensityMatrix
 
 import oracles
-from conftest import T_D, XI, fig2_params
+from conftest import T_D, XI, fig2_params, keeping_states
 
 
 def element_equation_rhs(rho, t, params, n_max):
@@ -271,12 +271,12 @@ def test_thermal_fixed_point():
 
 
 def test_open_matches_closed_without_dissipation(equivalence_runs):
-    params, d, crun, orun = equivalence_runs
-    n_max = crun.final.n_max
+    params, d, ckept, okept = equivalence_runs
+    n_max = ckept[0].n_max
     dim = 3 * (n_max + 1)
-    assert len(crun.kept) == len(orun.kept)
+    assert len(ckept) == len(okept)
     worst = 0.0
-    for st, sdm in zip(crun.kept, orun.kept):
+    for st, sdm in zip(ckept, okept):
         assert abs(st.t - sdm.t) < 1e-12
         amp = np.concatenate([st.a, st.b, np.zeros(n_max + 1, complex)])
         worst = max(worst, np.max(np.abs(sdm.rho - np.outer(amp, amp.conj()))))
@@ -284,8 +284,8 @@ def test_open_matches_closed_without_dissipation(equivalence_runs):
 
 
 def test_fidelity_open_matches_closed(equivalence_runs):
-    params, d, crun, orun = equivalence_runs
-    for st, sdm in zip(crun.kept, orun.kept):
+    params, d, ckept, okept = equivalence_runs
+    for st, sdm in zip(ckept, okept):
         fc = closed.fidelity_conditional(st, params, d)
         fo = oracles.fidelity_open(sdm, params, d)
         assert abs(fc[0] - fo[0]) < 1e-6
@@ -298,9 +298,10 @@ def test_record_row_matches_rotated_lab_state():
     params = fig2_params(gamma_m=0.05, n_th=2.0)
     d = model.derive(params)
     cfg = SolverConfig(dt=closed.default_dt(params, 64), t_end=0.6, record_stride=23)
-    run = osys.evolve_open(osys.initial_density("bell", 8), params, cfg, keep=True)
-    assert len(run.kept) == len(run.record) > 3
-    for i, st in enumerate(run.kept):
+    with keeping_states() as kept:
+        run = osys.evolve_open(osys.initial_density("bell", 8), params, cfg)
+    assert len(kept) == len(run.record) > 3
+    for i, st in enumerate(kept):
         f_l, f_r = oracles.fidelity_open(st, params, d)
         expected = {
             "t": st.t,
