@@ -73,9 +73,7 @@ def _as_choice(options):
 
 
 def _as_float_list(key, v):
-    if isinstance(v, (tuple, list)):
-        return tuple(float(x) for x in v)
-    parts = [p.strip() for p in str(v).split(",") if p.strip()]
+    parts = v if isinstance(v, (tuple, list)) else [p.strip() for p in str(v).split(",") if p.strip()]
     if not parts:
         raise ConfigError(f"{key}: expected a comma-separated list of numbers")
     return tuple(_as_float(key, p) for p in parts)
@@ -336,6 +334,8 @@ def parse_config(
             merged[key] = _in_g0_units(val, dim, scale)
     merged["preset"] = preset
     config = RunConfig(**merged, overrides=logged_overrides)
+    if config.workers < 1:
+        raise ConfigError(f"workers must be >= 1, got {config.workers}")
 
     members = _sweep_values(config)
     detuning_swept = members is not None and config.sweep in ("delta", "delta_over_g")
@@ -385,7 +385,18 @@ def _sweep_values(config: RunConfig) -> tuple[float, ...] | None:
         return None
     if not config.sweep_values:
         raise ConfigError("sweep requires sweep_values")
+    shared: dict[str, list] = {}
+    for v in config.sweep_values:
+        shared.setdefault(_member_dir(config, v), []).append(v)
+    for name, vs in shared.items():
+        if len(vs) > 1:
+            raise ConfigError(f"sweep_values {', '.join(map(repr, vs))} share the output directory {name!r}")
     return config.sweep_values
+
+
+def _member_dir(config: RunConfig, value: float) -> str:
+    """The output directory of a sweep member, under the run's output root."""
+    return f"{config.sweep}={value:g}"
 
 
 @dataclass(frozen=True)
@@ -675,9 +686,11 @@ def run(config: RunConfig) -> dict:
         return _execute_single(config, out_root)
 
     t_start = time.perf_counter()
-    jobs = [(config, os.path.join(out_root, f"{config.sweep}={v:g}"), v) for v in values]
-    if config.workers > 1:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=config.workers) as pool:
+    jobs = [(config, os.path.join(out_root, _member_dir(config, v)), v) for v in values]
+    # no more processes than members: a fork-started pool launches all of them at once
+    workers = min(config.workers, len(jobs))
+    if workers > 1:
+        with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
             futures = [pool.submit(_execute_single, *job) for job in jobs]
             docs = [f.result() for f in futures]
     else:

@@ -29,16 +29,18 @@ buffer.  The stage matrices and the varying entries of the photon block of
 projections and combine weights are evaluated for a chunk of steps at a
 time; one store per step writes a step's row into the kernel's memory, and
 the step is then s projections, s d x d products and one combine into the
-other buffer.  Between two records the steps run as a plain loop over table
-rows.
+other buffer.  The tables are built lazily, one chunk at a time, and
+chained into one stream of rows; between two records the steps run over an
+islice of that stream.
 
 At each record only the guards run (norm drift and truncation tail) and the
 frame state is kept; the record columns are computed once after the solve,
 over the stack of kept frame states.  The norm, the tail, the phonon number
 and <x> are traces over the photon pair, unchanged by either frame (<x> up
-to one global phase); nL and nR rotate the 2 x 2 photon trace, and the
-fidelities take the targets of all record times into the frame at once.  A
-lab-frame state is built only for the marked state and the final state.
+to one global phase).  nL = P_L, nR = P_R and the fidelities come from
+_detection_columns, shared with the open solver, with the targets of all
+record times taken into the frame at once.  A lab-frame state is built
+only for the marked state and the final state.
 """
 
 from __future__ import annotations
@@ -197,9 +199,9 @@ def initial_state(kind: str, n_max: int) -> SinglePhotonState:
 
 
 # Steps whose stage tables are built together: at n_max = 22 a chunk's RK4
-# table takes 256 * 195 * 16 B = 0.80 MB.  Between two records advance steps
-# through a chunk's rows in a plain loop, so a longer chunk means fewer table
-# builds and fewer loop restarts per solve.
+# table takes 256 * 195 * 16 B = 0.80 MB.  advance steps through the chained
+# rows of the chunks' tables, so a longer chunk means fewer table builds per
+# solve.
 _CHUNK = 256
 
 # The classical RK4 as the Butcher tableau (c, A, b) both solvers step with
@@ -411,6 +413,20 @@ def _frame_targets(
     return (u.conj()[..., None] * x[..., None, :]).reshape(t.shape + (2, 2 * n_max + 2))
 
 
+def _detection_columns(u_h: np.ndarray, tau: np.ndarray, num: np.ndarray | None) -> dict:
+    """P_L, P_R and, given num, F_L, F_R of R records, for both solvers: u_h
+    (R, 2, 2) holds the records' hopping unitaries, tau (R, 2, 2) the 2 x 2
+    photon traces of their frame states and num (R, 2) the numerators
+    <w_s|phi|w_s> with the _frame_targets w_s.  P_s is the diagonal of
+    U_h tau U_h^dag and F_s = num_s / P_s, NaN where P_s <= P_FLOOR."""
+    p = (u_h @ tau @ u_h.conj().swapaxes(1, 2)).diagonal(axis1=1, axis2=2).real
+    columns = {"P_L": p[:, 0], "P_R": p[:, 1]}
+    if num is not None:
+        f = np.divide(num, p, out=np.full(p.shape, math.nan), where=p > P_FLOOR)
+        columns.update(F_L=f[:, 0], F_R=f[:, 1])
+    return columns
+
+
 def fidelity_total(state: SinglePhotonState, params: SystemParams, d: DerivedModulation) -> float:
     """Overlap fidelity |<Psi(t)|psi_RWA(t)>|^2 against the analytic entangled state.
 
@@ -515,16 +531,12 @@ def evolve_closed(
         bufs = np.zeros((2, len(_TABLEAU[0]) + 2, n_max + 1), dtype=complex)
         bufs[0, :2] = y
         a, b = _row_views(bufs[0]), _row_views(bufs[1])
-        n, i = sum(gaps), 0
-        for stop in itertools.accumulate(gaps):
-            while i < stop:  # the steps up to the next record, cut where a chunk's table ends
-                c0 = i - i % _CHUNK
-                if i == c0:
-                    table = _stage_table(params, n_max, t0 + np.arange(c0, min(c0 + _CHUNK, n)) * dt, dt)
-                end = min(stop, c0 + _CHUNK)
-                for row in table[i - c0 : end - c0]:
-                    a, b = step(row, a, b), a
-                i = end
+        n = sum(gaps)
+        chunks = (t0 + np.arange(c, min(c + _CHUNK, n)) * dt for c in range(0, n, _CHUNK))
+        rows = itertools.chain.from_iterable(_stage_table(params, n_max, ts, dt) for ts in chunks)
+        for gap in gaps:
+            for row in itertools.islice(rows, gap):
+                a, b = step(row, a, b), a
             yield a[0]
 
     # at t = 0 the hopping and phonon frames coincide with the lab frame
@@ -535,21 +547,15 @@ def evolve_closed(
     ts, ys = np.array(times), np.stack(frames)
     flat = ys.reshape(ts.size, -1)
     u_h = hopping_unitary(params, ts)
-    u = np.moveaxis(u_h, -1, 0)
-    # photon populations: the diagonal of U_h tau U_h^dag, tau = y y^dag the
-    # 2 x 2 photon trace of phi
-    tau = ys @ ys.conj().swapaxes(1, 2)
-    n_l, n_r = (u @ tau @ u.conj().swapaxes(1, 2)).diagonal(axis1=1, axis2=2).real.T
+    tau = ys @ ys.conj().swapaxes(1, 2)  # tau = y y^dag, the 2 x 2 photon trace of phi
     ladder = np.sum((flat[:, :-1] * x_weight).conj() * flat[:, 1:], axis=1)
     x = 2.0 * (ladder * np.exp(-1j * params.omega_m * ts)).real
-    nb = (np.abs(flat) ** 2) @ n_weight
-    columns = dict(t=ts, nL=n_l, nR=n_r, x_over_x0=x, nb=nb, P_L=n_l, P_R=n_r)
+    columns = dict(t=ts, x_over_x0=x, nb=(np.abs(flat) ** 2) @ n_weight)
+    num = None
     if compute_fidelities:
-        amp_l, amp_r = np.einsum("rsk,rk->sr", _frame_targets(params, d, ts, n_max, u_h).conj(), flat)
-        columns["F"] = abs(amp_l + amp_r) ** 2 / 2.0
-        for name, amp, p_s in (("F_L", amp_l, n_l), ("F_R", amp_r, n_r)):
-            # NaN where the sector's probability is at most P_FLOOR
-            columns[name] = np.divide(abs(amp) ** 2, p_s, out=np.full(ts.size, math.nan), where=p_s > P_FLOOR)
-    record = TrajectoryRecord(CLOSED_COLUMNS)
-    record.extend(**columns)
+        amps = np.einsum("rsk,rk->sr", _frame_targets(params, d, ts, n_max, u_h).conj(), flat)
+        columns["F"] = abs(amps[0] + amps[1]) ** 2 / 2.0
+        num = abs(amps.T) ** 2
+    columns.update(_detection_columns(np.moveaxis(u_h, -1, 0), tau, num))
+    record = TrajectoryRecord(CLOSED_COLUMNS, nL=columns["P_L"], nR=columns["P_R"], **columns)
     return Run(record, final, marked, guards.worst)

@@ -37,14 +37,14 @@ from __future__ import annotations
 import cmath
 import itertools
 import json
-import math
 from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 
 from .closed import (
-    _TABLEAU, P_FLOOR, TAIL_ABORT, Run, SolverConfig, _frame_targets, _Guards, initial_state, integrate
+    _TABLEAU, P_FLOOR, TAIL_ABORT, Run, SolverConfig, _detection_columns, _frame_targets, _Guards,
+    initial_state, integrate,
 )
 from .model import SystemParams, derive, hopping_unitary
 from .model import target_states  # unused here; perfbench/spans.py wraps this module-level name
@@ -325,7 +325,7 @@ def evolve_open(
     n = initial.n_max + 1
     k = 2 * n
     levels = np.arange(n)
-    record = TrajectoryRecord(OPEN_COLUMNS)
+    gathered = []  # per record: t, U_h, tau, the two fidelity numerators, P_V, nb, trace_err, min_eig
     guards = _Guards(
         trace_err_max=("trace drift", TRACE_ABORT, 1, "reduce dt"),
         min_eig_min=("negative eigenvalue", EIG_ABORT, -1, "reduce dt or increase n_max"),
@@ -345,7 +345,8 @@ def evolve_open(
     def emit(t: float, y: np.ndarray):
         # the trace, the phonon diagonal summed over photon sectors and the
         # spectrum are the same in the frame and in the lab, so the guards and
-        # nb read the frame blocks; only P_L, P_R and the fidelities rotate
+        # nb read the frame blocks; P_L, P_R and the fidelities rotate, from what
+        # is gathered here as Python numbers (small arrays cost more) after the solve
         one = y[: k * k].reshape(k, k)
         frame = SystemDensityMatrix(one, y[k * k :].reshape(n, n), t)
         tr_err = frame.trace_error()
@@ -354,19 +355,12 @@ def evolve_open(
         # fock.tail_population's gauge: population of the top two phonon levels, all sectors
         tail = float(np.sum(diag.reshape(3, n)[:, -2:]))
         guards.check(t, trace_err_max=tr_err, min_eig_min=mineig, tail_max=tail)
-        # photon populations: the diagonal of U_h tau U_h^dag, tau the 2 x 2
-        # photon trace of phi; <v_s| rho_ss |v_s> = <w_s| phi |w_s>
+        # tau is the 2 x 2 photon trace of phi; <v_s| rho_ss |v_s> = <w_s| phi |w_s>
         u_h = hopping_unitary(params, t)
         tau = np.trace(one.reshape(2, n, 2, n), axis1=1, axis2=3)
-        p_l, p_r = (u_h @ tau @ u_h.conj().T).diagonal().real.tolist()
-        f_l, f_r = (
-            float(np.real(np.vdot(w, one @ w)) / p) if p > P_FLOOR else math.nan
-            for w, p in zip(_frame_targets(params, d, t, n - 1, u_h), (p_l, p_r))
-        )
-        record.append(
-            t=t, P_L=p_l, P_R=p_r, P_V=float(np.sum(diag[k:])), nb=mean_phonon_number(frame),
-            F_L=f_l, F_R=f_r, trace_err=tr_err, min_eig=mineig,
-        )
+        num = [float(np.real(np.vdot(w, one @ w))) for w in _frame_targets(params, d, t, n - 1, u_h)]
+        p_v = float(np.sum(diag[k:]))
+        gathered.append((t, u_h.tolist(), tau.tolist(), num, p_v, mean_phonon_number(frame), tr_err, mineig))
 
     def advance(y, t0, dt, gaps):
         # the generator writes h times the derivative: stage k writes
@@ -402,6 +396,11 @@ def evolve_open(
     # at t = 0 the hopping frame coincides with the lab frame
     y = np.concatenate([(0.5 * (b + b.conj().T)).ravel() for b in (initial.one, initial.vac)])
     final, marked = integrate(y, cfg, advance, emit, lab_state)
+    t, u_h, tau, num, p_v, nb, tr_err, mineig = zip(*gathered)
+    record = TrajectoryRecord(
+        OPEN_COLUMNS, t=t, P_V=p_v, nb=nb, trace_err=tr_err, min_eig=mineig,
+        **_detection_columns(np.array(u_h), np.array(tau), np.array(num)),
+    )
     return Run(record, final, marked, guards.worst)
 
 

@@ -25,30 +25,19 @@ def write_columns(path, header: tuple[str, ...], columns):
 
 class TrajectoryRecord:
     """Ordered record of per-time observables with fixed columns, held column
-    by column; a cell never given is None (an empty CSV cell)."""
+    by column.  The cells are given column-wise, as sequences or 1-D arrays of
+    one length; a column not given holds None (an empty CSV cell) in every row."""
 
-    def __init__(self, columns: tuple[str, ...]):
-        self.columns = tuple(columns)
-        self._cells: dict[str, list] = {c: [] for c in self.columns}
-
-    def append(self, **values):
-        """Add one row."""
-        self.extend(**{name: [v] for name, v in values.items()})
-
-    def extend(self, **columns):
-        """Add rows given column-wise, as sequences or 1-D arrays of equal length."""
-        unknown = set(columns) - set(self.columns)
+    def __init__(self, columns: tuple[str, ...], **cells):
+        unknown = set(cells) - set(columns)
         if unknown:
             raise KeyError(f"unknown trajectory columns: {sorted(unknown)}")
-        sizes = {len(v) for v in columns.values()}
+        sizes = {len(v) for v in cells.values()}
         if len(sizes) != 1:
-            raise ValueError(f"trajectory columns of unequal lengths {sorted(sizes)}")
+            raise ValueError(f"trajectory columns need one length, got {sorted(sizes)}")
         n = sizes.pop()
-        for name, cells in self._cells.items():
-            cells.extend(np.asarray(columns[name]).tolist() if name in columns else [None] * n)
-
-    def __len__(self) -> int:
-        return len(self._cells[self.columns[0]])
+        self.columns = tuple(columns)
+        self._cells = {c: np.asarray(cells[c]).tolist() if c in cells else [None] * n for c in self.columns}
 
     def column(self, name: str) -> np.ndarray:
         return np.asarray(self._cells[name], dtype=float)

@@ -1,3 +1,4 @@
+import concurrent.futures
 import dataclasses
 import functools
 import importlib
@@ -185,9 +186,7 @@ def test_csv_columns_match_per_cell_format(tmp_path):
     columns = [np.array([r[i] for r in rows], dtype=float) for i in range(3)]
     write_columns(tmp_path / "arrays.csv", ("a", "b", "c"), columns)
     assert (tmp_path / "arrays.csv").read_bytes() == expected.encode("ascii")
-    record = TrajectoryRecord(("a", "b", "c"))
-    for a, b, c in rows:
-        record.append(a=a, b=b, c=c)
+    record = TrajectoryRecord(("a", "b", "c"), **dict(zip("abc", zip(*rows))))
     record.write_csv(tmp_path / "record.csv")
     assert (tmp_path / "record.csv").read_bytes() == expected.encode("ascii")
     write_columns(tmp_path / "empty.csv", ("t", "beta_abs"), zip(*[]))
@@ -390,6 +389,62 @@ def test_sweep_manifest_wall_times(tmp_path, monkeypatch):
     written = json.loads((tmp_path / "manifest.json").read_text())
     assert written["wall_time_s"] == top["wall_time_s"]
     assert written["members_wall_time_s"] == 10.0
+
+
+def test_sweep_workers_capped_at_members(tmp_path, monkeypatch):
+    # a fork-started pool launches all max_workers processes at its first submit;
+    # this one records max_workers and runs each member inline
+    pools = []
+
+    class InlinePool:
+        def __init__(self, max_workers):
+            pools.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def submit(self, fn, *args):
+            future = concurrent.futures.Future()
+            future.set_result(fn(*args))
+            return future
+
+    monkeypatch.setattr(cli.concurrent.futures, "ProcessPoolExecutor", InlinePool)
+    monkeypatch.setattr(cli, "_execute_single", lambda config, out_dir, sweep_value=None: {"wall_time_s": 0.0})
+    top = cli.run(parse_config(preset="figS3", out=str(tmp_path), workers=64))
+    assert pools == [3]
+    assert top["runs"] == ["omega_m=20", "omega_m=40", "omega_m=100"]
+    # a single member runs in this process
+    cli.run(parse_config(preset="figS3", overrides={"sweep_values": "40"}, out=str(tmp_path), workers=64))
+    assert pools == [3]
+    for workers in (0, -2):
+        with pytest.raises(ConfigError, match=f"workers must be >= 1, got {workers}"):
+            parse_config(preset="figS3", workers=workers)
+        assert cli.main(["closed", "--preset", "figS3", "--workers", str(workers), "--out", str(tmp_path / "w")]) == 2
+    assert not (tmp_path / "w").exists()
+
+
+def test_sweep_values_sharing_a_directory_exit_2(tmp_path, capsys):
+    # members are written to f"{sweep}={value:g}"; two values that format alike
+    # would overwrite one another
+    out = tmp_path / "out"
+    for values, named in (("20,40,20", "20.0, 20.0"), ("20,20.0000001", "20.0, 20.0000001")):
+        assert cli.main(["closed", "--preset", "figS3", "--set", f"sweep_values={values}", "--out", str(out)]) == 2
+        assert f"sweep_values {named} share the output directory 'omega_m=20'" in capsys.readouterr().err
+    assert not out.exists()
+    with pytest.raises(ConfigError, match="share the output directory 'delta_over_g=0.5'"):
+        parse_config(preset="figS4", overrides={"sweep_values": (0.5, 0.50000001)})
+
+
+def test_sequence_entries_cast_by_key():
+    for key, preset in (("sweep_values", "fig3a"), ("xi_list", "fig1a")):
+        for bad in (("a",), [None]):
+            with pytest.raises(ConfigError, match=f"{key}: expected a number, got"):
+                parse_config(preset=preset, overrides={key: bad})
+        with pytest.raises(ConfigError, match=f"{key}: expected a comma-separated list"):
+            parse_config(preset=preset, overrides={key: ()})
 
 
 def test_cli_exit_codes(tmp_path, monkeypatch):

@@ -10,7 +10,7 @@ from catforge.closed import SolverConfig
 from catforge.open_system import PhotonSector, SystemDensityMatrix
 
 import oracles
-from conftest import T_D, XI, fig2_params, keeping_states
+from conftest import T_D, XI, coupling_g, fig2_params, keeping_states
 
 
 def element_equation_rhs(rho, t, params, n_max):
@@ -300,7 +300,7 @@ def test_record_row_matches_rotated_lab_state():
     cfg = SolverConfig(dt=closed.default_dt(params, 64), t_end=0.6, record_stride=23)
     with keeping_states() as kept:
         run = osys.evolve_open(osys.initial_density("bell", 8), params, cfg)
-    assert len(kept) == len(run.record) > 3
+    assert len(kept) == run.record.column("t").size > 3
     for i, st in enumerate(kept):
         f_l, f_r = oracles.fidelity_open(st, params, d)
         expected = {
@@ -323,6 +323,27 @@ def test_fidelity_open_empty_sector_is_nan():
     f_l, f_r = oracles.fidelity_open(osys.initial_density("left", 10), params, model.derive(params))
     assert abs(f_l - 1.0) < 1e-12
     assert math.isnan(f_r)
+
+
+def test_empty_sector_fidelity_is_nan_in_both_solvers_records(tmp_path):
+    # at xi = 0, U_h = I: a photon started left never reaches R, so P_R is 0 at
+    # every record and both solvers' records hold F_R = NaN, an empty CSV cell
+    params = model.SystemParams.with_detuning(20.0, 0.0, coupling_g(), gamma_c=0.2, gamma_m=1e-4, n_th=4.0)
+    cfg = SolverConfig(dt=closed.default_dt(params, 64), t_end=0.5, record_stride=5)
+    runs = {
+        "open": osys.evolve_open(osys.initial_density("left", 8), params, cfg),
+        "closed": closed.evolve_closed(closed.initial_state("left", 8), params, cfg, compute_fidelities=True),
+    }
+    for tag, run in runs.items():
+        record = run.record
+        assert record.column("t").size > 3, tag
+        assert np.all(record.column("P_R") == 0.0), tag
+        assert np.all(np.isnan(record.column("F_R"))), tag
+        assert np.all(np.isfinite(record.column("F_L"))), tag
+        record.write_csv(tmp_path / f"{tag}.csv")
+        header, *rows = (line.split(",") for line in (tmp_path / f"{tag}.csv").read_text().splitlines())
+        f_l, f_r = header.index("F_L"), header.index("F_R")
+        assert all(row[f_r] == "" and row[f_l] != "" for row in rows), tag
 
 
 def test_reduce_mechanical_trivia():
