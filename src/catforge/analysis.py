@@ -90,12 +90,17 @@ class QuadratureAxis:
         if np.any(np.diff(self.x_values) <= 0):
             raise ValueError("x_values must be strictly increasing")
 
+    @staticmethod
+    def half_width(beta_abs: float) -> float:
+        """Half-width of the around_cat axis: the lobes sit at +-sqrt(2)|beta|,
+        and 6 units of margin bury the Gaussian tails."""
+        return math.sqrt(2.0) * beta_abs + 6.0
+
     @classmethod
     def around_cat(cls, theta: float, beta_abs: float, step: float = 0.01) -> "QuadratureAxis":
         if not step > 0:
             raise ValueError("x step must be positive")
-        # lobes sit at +-sqrt(2)|beta|; 6 units of margin buries the Gaussian tails
-        half = math.sqrt(2.0) * beta_abs + 6.0
+        half = cls.half_width(beta_abs)
         n = int(round(2 * half / step)) + 1
         return cls(theta, np.linspace(-half, half, n))
 

@@ -51,13 +51,13 @@ class ConfigError(ValueError):
 def _as_float(key, v):
     try:
         return float(v)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         raise ConfigError(f"{key}: expected a number, got {v!r}") from None
 
 
 def _as_int(key, v):
     f = _as_float(key, v)
-    if not math.isfinite(f) or f != int(f):
+    if not f.is_integer():  # nor inf nor nan
         raise ConfigError(f"{key}: expected an integer, got {v!r}")
     return int(f)
 
@@ -195,12 +195,38 @@ PRESETS = {
 }
 
 
-def _key(cast, default=None, dim=0):
+# Work-size ceilings, checked when a job is resolved and before anything is
+# allocated; each sits next to the largest preset value it covers.
+# figS5's Wigner grid has 181^2 = 32,761 points; a map takes a few grid-sized
+# complex arrays, 16 MB each at the ceiling.
+MAX_GRID_POINTS = 1_000_000
+# figS5's quadrature axis has 1,766 points; at this ceiling and MAX_N_MAX the
+# quadrature holds three (n_max + 1)-row arrays over the axis, about 0.4 GB.
+MAX_AXIS_POINTS = 20_000
+# figS4's delta/g = 0.5 resolves n_max = 49.
+MAX_N_MAX = 500
+# figS3's omega_m = 100 takes 104,986 closed steps.  The open advance holds a
+# whole segment's stage times and <R|U_h> rows, about 920 B a step: 0.9 GB here.
+MAX_STEPS = 1_000_000
+# fig1a's delta grid has 91 points.
+MAX_DELTA_POINTS = 100_000
+
+# Key domains: (test, refusal formatted with the key and the value)
+_FINITE = (math.isfinite, "{key} must be finite, got {v!r}")
+_POSITIVE = (lambda v: v > 0, "{key} must be positive, got {v:.6g}")
+_NON_NEGATIVE = (lambda v: v >= 0, "{key} must be non-negative, got {v:.6g}")
+_AT_LEAST_1 = (lambda v: v >= 1, "{key} must be >= 1, got {v:.6g}")
+_N0 = (lambda v: 1 <= v <= 30, "{key} must be in [1, 30], got {v:.6g}")  # bessel_j's orders <= 60
+_XI = (lambda v: abs(v) <= XI_MAX, f"{{key}} = {{v!r}}: 2|xi| must be <= {2 * XI_MAX:g} (bessel_j's range)")
+
+
+def _key(cast, default=None, dim=0, domain=None):
     """A RunConfig field that is also the config key of its name, read by ``cast``.
 
     ``dim`` is the power of g0 in the key's unit: 1 for a rate, -1 for a time.
+    Every number the key holds must be finite and pass ``domain``, if given.
     """
-    return field(default=default, metadata={"cast": cast, "dim": dim})
+    return field(default=default, metadata={"cast": cast, "dim": dim, "domain": domain})
 
 
 @dataclass(frozen=True)
@@ -212,36 +238,37 @@ class RunConfig:
     """
 
     mode: str = _key(_as_choice(MODES), MISSING)
-    omega_m: float | None = _key(_as_float, dim=1)
-    xi: float | None = _key(_as_float)
-    omega_0: float | None = _key(_as_float, dim=1)
+    omega_m: float | None = _key(_as_float, dim=1, domain=_POSITIVE)
+    xi: float | None = _key(_as_float, domain=_XI)
+    omega_0: float | None = _key(_as_float, dim=1, domain=_POSITIVE)
     delta: float | str | None = _key(_as_float_or("g"), dim=1)
-    g0: float = _key(_as_float, 1.0, dim=1)
+    g0: float = _key(_as_float, 1.0, dim=1, domain=_POSITIVE)
     omega_c: float = _key(_as_float, 0.0, dim=1)
-    n0: int = _key(_as_int, 1)
-    gamma_c: float = _key(_as_float, 0.0, dim=1)
-    gamma_m: float = _key(_as_float, 0.0, dim=1)
-    n_th: float = _key(_as_float, 0.0)
-    dt: float | None = _key(_as_float, dim=-1)
+    n0: int = _key(_as_int, 1, domain=_N0)
+    gamma_c: float = _key(_as_float, 0.0, dim=1, domain=_NON_NEGATIVE)
+    gamma_m: float = _key(_as_float, 0.0, dim=1, domain=_NON_NEGATIVE)
+    n_th: float = _key(_as_float, 0.0, domain=_NON_NEGATIVE)
+    dt: float | None = _key(_as_float, dim=-1, domain=_POSITIVE)
     t_end: float | str | None = _key(_as_float_or("pi/delta", "2pi/delta"), dim=-1)
-    record_stride: int | None = _key(_as_int)
-    n_max: int | None = _key(_as_int)
+    record_stride: int | None = _key(_as_int, domain=_AT_LEAST_1)
+    n_max: int | None = _key(_as_int, domain=_AT_LEAST_1)
     t_d: float | None = _key(_as_float, dim=-1)
     initial: str = _key(_as_initial, "bell")
     source: str = _key(_as_choice(SOURCES), "open")
     theta: float | str = _key(_as_float_or("auto"), "auto")
     grid_extent: float = _key(_as_float, 4.5)
-    grid_step: float = _key(_as_float, 0.05)
-    x_step: float = _key(_as_float, 0.01)
+    grid_step: float = _key(_as_float, 0.05, domain=_POSITIVE)
+    x_step: float = _key(_as_float, 0.01, domain=_POSITIVE)
     sweep: str | None = _key(_as_choice(SWEEPABLE))
+    # a sweep value takes the unit and domain of the key it replaces (_sweep_meta)
     sweep_values: tuple[float, ...] | None = _key(_as_float_list)
-    xi_list: tuple[float, ...] | None = _key(_as_float_list)
-    delta_min: float | None = _key(_as_float, dim=1)
+    xi_list: tuple[float, ...] | None = _key(_as_float_list, domain=_XI)
+    delta_min: float | None = _key(_as_float, dim=1, domain=_POSITIVE)
     delta_max: float | None = _key(_as_float, dim=1)
-    delta_step: float | None = _key(_as_float, dim=1)
+    delta_step: float | None = _key(_as_float, dim=1, domain=_POSITIVE)
     out: str | None = _key(_as_str)
     preset: str | None = _key(_as_str)
-    workers: int = _key(_as_int, 1)
+    workers: int = _key(_as_int, 1, domain=_AT_LEAST_1)
     overrides: dict = field(default_factory=dict)
 
 
@@ -250,6 +277,11 @@ def _field_meta(key: str) -> dict:
     if f is None or "cast" not in f.metadata:
         raise ConfigError(f"unknown key {key!r}")
     return f.metadata
+
+
+def _sweep_meta(sweep: str | None) -> dict:
+    """The unit and domain of sweep_values: the swept key's; delta_over_g's are none."""
+    return _field_meta(sweep) if sweep in RunConfig.__dataclass_fields__ else {"dim": 0, "domain": None}
 
 
 def _cast(key: str, val):
@@ -319,23 +351,32 @@ def parse_config(
         if val is not None:
             merged[key] = _cast(key, val)
 
-    if "mode" not in merged:
-        raise ConfigError("missing required field: mode")
-
     if merged.pop("units", "g0") == "physical":
         scale = merged.get("g0")
         if scale is None or not 0.0 < scale < math.inf:
             raise ConfigError("units=physical requires an explicit positive, finite g0")
-        # sweep_values take the unit of the swept key; delta_over_g has none
-        swept = merged.get("sweep")
-        swept_dim = _field_meta(swept)["dim"] if swept in RunConfig.__dataclass_fields__ else 0
+        swept_dim = _sweep_meta(merged.get("sweep"))["dim"]
         for key, val in merged.items():
             dim = swept_dim if key == "sweep_values" else _field_meta(key)["dim"]
             merged[key] = _in_g0_units(val, dim, scale)
     merged["preset"] = preset
-    config = RunConfig(**merged, overrides=logged_overrides)
-    if config.workers < 1:
-        raise ConfigError(f"workers must be >= 1, got {config.workers}")
+    return _checked(merged, logged_overrides)
+
+
+def _checked(values: dict, overrides: dict) -> RunConfig:
+    """The RunConfig of cast values in g0 units, once every number lies in its
+    key's domain, the cross-key rules hold and every job it fans out to resolves."""
+    if "mode" not in values:
+        raise ConfigError("missing required field: mode")
+    config = RunConfig(**values, overrides=overrides)
+    for f in fields(RunConfig)[:-1]:  # all but overrides
+        key, meta, value = f.name, f.metadata, getattr(config, f.name)
+        if key == "sweep_values":  # named and bounded as the key each value replaces
+            key, meta = config.sweep or key, _sweep_meta(config.sweep)
+        for v in value if isinstance(value, tuple) else (value,):
+            for test, says in (_FINITE, meta["domain"] or _FINITE):  # finite, then in the domain
+                if not (v is None or isinstance(v, str) or test(v)):
+                    raise ConfigError(says.format(key=key, v=v))
 
     members = _sweep_values(config)
     detuning_swept = members is not None and config.sweep in ("delta", "delta_over_g")
@@ -352,31 +393,17 @@ def parse_config(
         raise ConfigError(f"missing required fields for mode={config.mode}: {', '.join(required)}")
     if config.omega_0 is not None and (config.delta is not None or detuning_swept):
         raise ConfigError("give either omega_0 or delta, not both")
-    # refuse what the library would (a bad delta grid, negative rates, a coarse dt, ...)
-    # before anything is written
+    # refuse what the library would (a bad delta grid, a coarse dt, ...) before anything is written
     if config.mode == "sweep":
-        _require_finite(**{k: getattr(config, k) for k in needed})
-        if not 0 < config.delta_min <= config.delta_max or config.delta_step <= 0:
-            raise ConfigError("delta grid needs 0 < delta_min <= delta_max and delta_step > 0")
-        if config.n0 < 1:
-            raise ConfigError("n0 must be a positive integer")
+        if config.delta_min > config.delta_max:
+            raise ConfigError("delta grid needs delta_min <= delta_max")
+        points = (config.delta_max - config.delta_min) / config.delta_step + 1
+        if not points <= MAX_DELTA_POINTS:
+            raise ConfigError(f"the delta grid has {points:.4g} points, past {MAX_DELTA_POINTS:,}")
     else:
         for value in members or (None,):
             _resolve(config, value)
     return config
-
-
-def _require_finite(**values):
-    """Refuse a non-finite number, or list entry, under the key that gave it, and an
-    xi or xi_list entry past XI_MAX."""
-    for key, value in values.items():
-        for v in value if isinstance(value, tuple) else (value,):
-            if v is None:
-                continue
-            if not math.isfinite(v):
-                raise ConfigError(f"{key} must be finite, got {v!r}")
-            if key in ("xi", "xi_list") and not abs(v) <= XI_MAX:
-                raise ConfigError(f"{key} = {v!r}: 2|xi| must be <= {2 * XI_MAX:g} (bessel_j's range)")
 
 
 def _sweep_values(config: RunConfig) -> tuple[float, ...] | None:
@@ -401,13 +428,14 @@ def _member_dir(config: RunConfig, value: float) -> str:
 
 @dataclass(frozen=True)
 class _Resolved:
-    """One concrete job: its params, phonon cutoff and, for a job that runs a
-    solver, the solver's step settings (else None)."""
+    """One concrete job: its params and phonon cutoff, and (else None) a solver
+    job's step settings and a tomography job's Wigner grid or quadrature axis."""
 
     params: SystemParams
     d: model.DerivedModulation
     n_max: int
     solver: SolverConfig | None
+    grid: analysis.PhaseSpaceGrid | analysis.QuadratureAxis | None
 
 
 def _resolve(config: RunConfig, sweep_value: float | None = None) -> _Resolved:
@@ -418,8 +446,6 @@ def _resolve(config: RunConfig, sweep_value: float | None = None) -> _Resolved:
             kw[config.sweep] = float(sweep_value)
         else:  # delta, or delta_over_g in units of g
             delta = float(sweep_value)
-    # model.coupling and the analytic tomography read these before SystemParams can name them
-    _require_finite(xi=kw["xi"], t_d=config.t_d, theta=None if config.theta == "auto" else config.theta)
 
     tomography = config.mode in ("wigner", "quadrature")
     is_open = config.mode == "open" or (tomography and config.source == "open")
@@ -440,17 +466,17 @@ def _resolve(config: RunConfig, sweep_value: float | None = None) -> _Resolved:
             params = SystemParams.with_detuning(delta=delta, **kw)
         d = derive(params)
 
-        if config.n_max is not None:
-            n_max = config.n_max
-        elif is_open:
-            n_max = max(30, closed.default_n_max(d))
-        else:
-            n_max = closed.default_n_max(d)
-        if n_max < 1:
-            raise ValueError(f"n_max must be >= 1, got {n_max}")
+        # the domain keeps a given n_max and record_stride >= 1; open runs default to at least 30
+        n_max = config.n_max or max(30 if is_open else 1, closed.default_n_max(d))
+        if n_max > MAX_N_MAX:
+            raise ConfigError(f"n_max = {n_max} (|beta|_max = {d.beta_max:.4g}) is past {MAX_N_MAX}")
 
-        if config.mode == "detect-times" and config.t_d is None and d.delta == 0.0:
-            raise ConfigError("detect-times at delta=0 needs t_d (the window center pi/delta is undefined)")
+        if config.mode == "detect-times":
+            if config.t_d is None and d.delta == 0.0:
+                raise ConfigError("detect-times at delta=0 needs t_d (the window center pi/delta is undefined)")
+            # beta_of_t raises past float range, here at the far end of the window
+            center = config.t_d if config.t_d is not None else math.pi / abs(d.delta)
+            model.beta_of_t(d, params.omega_m, center + math.pi / params.omega_0)
         solver = None
         if runs_solver:
             dt = config.dt if config.dt is not None else closed.default_dt(params, 64 if is_open else 128)
@@ -460,20 +486,31 @@ def _resolve(config: RunConfig, sweep_value: float | None = None) -> _Resolved:
                     raise ConfigError(f"t_end={t_end or '2pi/delta'!r} undefined at delta=0; give a number")
                 t_end = (math.pi if t_end == "pi/delta" else 2.0 * math.pi) / abs(d.delta)
             t_mark = config.t_d if not tomography and config.t_d is not None and config.t_d <= t_end else None
-            stride = config.record_stride
-            if stride is None:  # about 600 records; a dt or t_end the solver refuses gets 1
-                steps = t_end / dt if dt > 0 else 0.0
-                stride = max(1, round(steps / 600)) if math.isfinite(steps) else 1
+            steps = t_end / dt if dt > 0 and t_end > 0 else 0.0  # SolverConfig refuses the others
+            if not steps <= MAX_STEPS:
+                raise ConfigError(f"t_end/dt = {steps:.4g} steps is past {MAX_STEPS:,}")
+            stride = config.record_stride or max(1, round(steps / 600))  # about 600 records
             solver = SolverConfig(dt=dt, t_end=t_end, record_stride=stride, t_mark=t_mark)
             solver.validate(params)
-        if config.mode == "wigner":
-            analysis.PhaseSpaceGrid.square(config.grid_extent, config.grid_step)
-        elif config.mode == "quadrature":
+
+        grid = None
+        if tomography:  # raises past float range
             beta = model.beta_of_t(d, params.omega_m, config.t_d)
-            analysis.QuadratureAxis.around_cat(0.0, abs(beta), config.x_step)
+        if config.mode == "wigner":
+            n = 2 * config.grid_extent / config.grid_step + 1
+            points = n * n  # inf, not OverflowError, past float range
+            if not points <= MAX_GRID_POINTS:
+                raise ConfigError(f"the Wigner grid has {points:.4g} points, past {MAX_GRID_POINTS:,}")
+            grid = analysis.PhaseSpaceGrid.square(config.grid_extent, config.grid_step)
+        elif config.mode == "quadrature":
+            points = 2 * analysis.QuadratureAxis.half_width(abs(beta)) / config.x_step + 1
+            if not points <= MAX_AXIS_POINTS:
+                raise ConfigError(f"the quadrature axis has {points:.4g} points, past {MAX_AXIS_POINTS:,}")
+            theta = analysis.default_theta(beta) if config.theta == "auto" else config.theta
+            grid = analysis.QuadratureAxis.around_cat(theta, abs(beta), config.x_step)
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
-    return _Resolved(params, d, n_max, solver)
+    return _Resolved(params, d, n_max, solver, grid)
 
 
 def _load_initial_closed(kind: str, n_max: int) -> closed.SinglePhotonState:
@@ -533,24 +570,21 @@ def _base_manifest(config: RunConfig, res: _Resolved | None) -> dict:
     return doc
 
 
-def _tuples(v):
-    """JSON arrays back to the tuples a RunConfig holds, also inside overrides."""
-    if isinstance(v, list):
-        return tuple(v)
-    if isinstance(v, dict):
-        return {k: _tuples(x) for k, x in v.items()}
-    return v
-
-
 def config_from_manifest(path) -> RunConfig:
     """The RunConfig a manifest (or an abort's diagnostics.json) was written from.
 
     A sweep member's manifest gives the whole sweep's config."""
     with open(path, encoding="ascii") as fh:
         doc = json.load(fh)
-    if "config" not in doc:
+    config = doc.get("config") if isinstance(doc, dict) else None
+    if not isinstance(config, dict):
         raise ConfigError(f"{path}: no 'config' section (written before manifests carried their config)")
-    return RunConfig(**_tuples(doc["config"]))
+    overrides = config.get("overrides", {})
+    if not isinstance(overrides, dict):
+        raise ConfigError(f"{path}: config 'overrides' is not a table")
+    # cast (JSON arrays back to tuples) and checked as when the run was parsed
+    values = {k: v if v is None else _field_meta(k)["cast"](k, v) for k, v in config.items() if k != "overrides"}
+    return _checked(values, {k: _cast(k, v) for k, v in overrides.items()})
 
 
 def _mechanical_states_at_td(config: RunConfig, res: _Resolved):
@@ -637,7 +671,7 @@ def _execute_single(config: RunConfig, out_dir: str, sweep_value: float | None =
         doc["source"] = config.source
         doc["beta_at_t_d"] = {"re": beta.real, "im": beta.imag}
         if mode == "wigner":
-            grid = analysis.PhaseSpaceGrid.square(config.grid_extent, config.grid_step)
+            grid = res.grid
             # rows run over eta_re fastest, the row-major order of w; each axis
             # cell is formatted once and repeated
             eta_cells = (
@@ -653,11 +687,8 @@ def _execute_single(config: RunConfig, out_dir: str, sweep_value: float | None =
                 write_columns(output(f"wigner_{tag}.csv"), ("eta_re", "eta_im", "W"), (*eta_cells, w))
                 doc[f"wigner_{tag}_integral"] = grid.integrate(w)
         else:
-            theta = config.theta
-            if theta == "auto":
-                theta = analysis.default_theta(beta)
-            axis = analysis.QuadratureAxis.around_cat(theta, abs(beta), config.x_step)
-            doc["theta"] = theta
+            axis = res.grid
+            doc["theta"] = axis.theta
             for tag, st in (("L", state_l), ("R", state_r)):
                 if config.source == "analytic":
                     p = analysis.quadrature_analytic(st, axis, n_max=res.n_max)

@@ -43,6 +43,8 @@ def coherent_cutoff(beta_abs: float) -> int:
     Poisson-tail bound: keeping nbar + 8*sqrt(nbar+1) levels (nbar = |beta|^2)
     leaves less than ~1e-8 of the population above the cutoff.
     """
+    if not abs(beta_abs) < 1e150:  # nbar would overflow, or beta_abs is NaN
+        raise ValueError(f"no Fock cutoff covers |beta| = {beta_abs:g}")
     nbar = float(beta_abs) ** 2
     return max(20, math.ceil(nbar + 8.0 * math.sqrt(nbar + 1.0)))
 

@@ -350,11 +350,12 @@ def evolve_open(
         one = y[: k * k].reshape(k, k)
         frame = SystemDensityMatrix(one, y[k * k :].reshape(n, n), t)
         tr_err = frame.trace_error()
+        guards.check(t, trace_err_max=tr_err)  # first: eigvalsh raises on a non-finite state
         mineig = frame.min_eigenvalue()
         diag = np.real(frame.diagonal())
         # fock.tail_population's gauge: population of the top two phonon levels, all sectors
         tail = float(np.sum(diag.reshape(3, n)[:, -2:]))
-        guards.check(t, trace_err_max=tr_err, min_eig_min=mineig, tail_max=tail)
+        guards.check(t, min_eig_min=mineig, tail_max=tail)
         # tau is the 2 x 2 photon trace of phi; <v_s| rho_ss |v_s> = <w_s| phi |w_s>
         u_h = hopping_unitary(params, t)
         tau = np.trace(one.reshape(2, n, 2, n), axis1=1, axis2=3)

@@ -492,6 +492,15 @@ def test_cli_exit_codes(tmp_path, monkeypatch):
     )
 
 
+def test_non_finite_open_state_exit_3(tmp_path):
+    # rates far past what dt resolves blow the state up; the trace guard aborts before eigvalsh sees it
+    out = tmp_path / "blowup"
+    argv = ["open", "--preset", "fig2", "--set", "gamma_c=1e300", "--set", "t_end=0.05", "--set", "n_max=6"]
+    with np.errstate(over="ignore", invalid="ignore"):  # the blow-up itself
+        assert cli.main(argv + ["--out", str(out)]) == 3
+    assert "trace drift nan" in json.loads((out / "diagnostics.json").read_text())["error"]
+
+
 def test_open_tail_guard_exit_3(tmp_path):
     # without D[b^dag] heating the trace stays put, so only the tail guard sees n_max=4 is too small
     out = tmp_path / "tail"
@@ -675,3 +684,94 @@ def test_benchmark_tracer_names_resolve(monkeypatch):
             assert owner.__dict__[attr] is not original, attr
     for (owner, attr), original in zip(sites, originals):
         assert owner.__dict__[attr] is original, attr
+
+
+def test_manifest_config_refused_like_parse_config(tmp_path):
+    # config_from_manifest casts and checks a manifest's config as parse_config does
+    config = dataclasses.asdict(parse_config(preset="fig2"))
+    path = tmp_path / "manifest.json"
+    for doc in [{"config": {**config, **change}} for change in ({"n0": 0}, {"mode": "nope"}, {"bogus": 1})] + [
+        {"config": {**config, "overrides": 5}},
+        [config],
+    ]:
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ConfigError):
+            cli.config_from_manifest(path)
+    # and gives back the config it was written from, in every mode
+    for mode in cli.MODES:
+        cfg = parse_config(preset="fig1a" if mode == "sweep" else "fig2", mode=mode)
+        path.write_text(json.dumps({"config": dataclasses.asdict(cfg)}, default=float))
+        assert cli.config_from_manifest(path) == cfg, mode
+
+
+# the enumeration's bases, as cli.main takes them: (mode, preset)
+ENUMERATION_BASES = [
+    ("open", "fig2"),
+    ("open", "fig3a"),
+    ("closed", "figS1"),
+    ("closed", "figS3"),
+    ("closed", "figS4"),
+    ("wigner", "figS5"),
+    ("quadrature", "figS5"),
+    ("detect-times", "fig2"),
+    ("sweep", "fig1a"),
+]
+BOUNDARY_VALUES = ("nan", "inf", "-inf", "0", "-1", "1e308", "-1e308", "1e-320", "", "fast", [0.5, 1.5])
+
+
+def ceiling_cases():
+    """(mode, preset, key, value, inside) just inside and just outside each work-size ceiling."""
+    half = float(cli._resolve(parse_config(preset="figS5", mode="quadrature")).grid.x_values[-1])
+    dt = cli._resolve(parse_config(preset="fig2")).solver.dt
+    n = math.isqrt(cli.MAX_GRID_POINTS)
+    cases = [
+        ("wigner", "figS5", "grid_step", 9.0 / (n - 2), True),  # figS5's grid_extent is 4.5
+        ("wigner", "figS5", "grid_step", 9.0 / (n + 1), False),
+        ("quadrature", "figS5", "x_step", 2 * half / (cli.MAX_AXIS_POINTS - 2), True),
+        ("quadrature", "figS5", "x_step", 2 * half / cli.MAX_AXIS_POINTS, False),
+        ("closed", "figS3", "n_max", cli.MAX_N_MAX, True),
+        ("closed", "figS3", "n_max", cli.MAX_N_MAX + 1, False),
+        ("quadrature", "figS5", "delta", 1e-6, False),  # the default n_max
+        ("open", "fig2", "t_end", dt * (cli.MAX_STEPS - 1), True),
+        ("open", "fig2", "t_end", dt * (cli.MAX_STEPS + 1), False),
+        ("sweep", "fig1a", "delta_step", 0.45 / (cli.MAX_DELTA_POINTS - 2), True),
+        ("sweep", "fig1a", "delta_step", 0.45 / cli.MAX_DELTA_POINTS, False),
+    ]
+    return [(mode, preset, key, repr(v), inside) for mode, preset, key, v, inside in cases]
+
+
+def test_every_key_value_is_a_config_or_a_config_error(tmp_path):
+    # every key x the boundary values of its domain, on every base, parses to a
+    # RunConfig or a ConfigError and never raises anything else
+    keys = [f.name for f in dataclasses.fields(cli.RunConfig) if f.name != "overrides"] + ["units"]
+    cases = [(m, p, k, v, None) for m, p in ENUMERATION_BASES for k in keys for v in BOUNDARY_VALUES]
+    ceilings = ceiling_cases()
+    refused = []
+    for mode, preset, key, value, inside in cases + ceilings:
+        try:
+            parse_config(preset=preset, mode=mode, overrides={key: value})
+        except ConfigError as exc:
+            assert inside is not True, (mode, preset, key, value)
+            assert inside is not False or "past" in str(exc), exc  # refused by the ceiling itself
+            refused.append((mode, preset, key, value))
+        else:
+            assert inside is not False, (mode, preset, key, value)
+    assert len(refused) > len(cases) // 2
+    # two keys in their domains can still put |beta|_max, and so the default n_max, past float range
+    with pytest.raises(ConfigError, match="no Fock cutoff"):
+        parse_config(preset="figS3", overrides={"g0": "1e300", "delta": "1"})
+    # a sample exits 2 through the CLI and leaves no output directory
+    out = tmp_path / "out"
+    sample = [r for i, r in enumerate(refused) if r[2] in ("n0", "grid_extent") or i % 20 == 0]
+    for mode, preset, key, value in sample + [c[:4] for c in ceilings if c[4] is False]:
+        if not isinstance(value, str):  # --set takes text only
+            continue
+        assert cli.main([mode, "--preset", preset, "--set", f"{key}={value}", "--out", str(out)]) == 2
+        assert not out.exists(), (mode, preset, key, value)
+
+
+def test_readme_key_table_names_every_key():
+    text = (pathlib.Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    table = text.split("| key ", 1)[1].split("\n\n", 1)[0]
+    named = {line.split("`")[1] for line in table.splitlines()[2:]}
+    assert named == {f.name for f in dataclasses.fields(cli.RunConfig) if f.name != "overrides"} | {"units"}
