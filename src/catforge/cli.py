@@ -112,7 +112,6 @@ _FIG2_BASE = {
     "gamma_c": 0.2,
     "gamma_m": 1e-4,
     "n_th": 4.0,
-    "n_max": 30,
     "t_d": 12.6664,
     "t_end": "2pi/delta",
     "initial": "bell",
@@ -157,7 +156,6 @@ PRESETS = {
         "sweep": "xi",
         "sweep_values": (1.5271, 0.0),
         "t_end": 25.83,
-        "n_max": 22,
     },
     "figS3": {
         "mode": "closed",
@@ -203,7 +201,7 @@ MAX_GRID_POINTS = 1_000_000
 # figS5's quadrature axis has 1,766 points; at this ceiling and MAX_N_MAX the
 # quadrature holds three (n_max + 1)-row arrays over the axis, about 0.4 GB.
 MAX_AXIS_POINTS = 20_000
-# figS4's delta/g = 0.5 resolves n_max = 49.
+# figS4's delta/g = 0.5 resolves n_max = 55.
 MAX_N_MAX = 500
 # figS3's omega_m = 100 takes 104,986 closed steps.  The open advance holds a
 # whole segment's stage times and <R|U_h> rows, about 920 B a step: 0.9 GB here.
@@ -466,11 +464,6 @@ def _resolve(config: RunConfig, sweep_value: float | None = None) -> _Resolved:
             params = SystemParams.with_detuning(delta=delta, **kw)
         d = derive(params)
 
-        # the domain keeps a given n_max and record_stride >= 1; open runs default to at least 30
-        n_max = config.n_max or max(30 if is_open else 1, closed.default_n_max(d))
-        if n_max > MAX_N_MAX:
-            raise ConfigError(f"n_max = {n_max} (|beta|_max = {d.beta_max:.4g}) is past {MAX_N_MAX}")
-
         if config.mode == "detect-times":
             if config.t_d is None and d.delta == 0.0:
                 raise ConfigError("detect-times at delta=0 needs t_d (the window center pi/delta is undefined)")
@@ -492,6 +485,12 @@ def _resolve(config: RunConfig, sweep_value: float | None = None) -> _Resolved:
             stride = config.record_stride or max(1, round(steps / 600))  # about 600 records
             solver = SolverConfig(dt=dt, t_end=t_end, record_stride=stride, t_mark=t_mark)
             solver.validate(params)
+
+        # a given n_max wins; only an open run's default depends on the bath, and so on t_end
+        bath = (params, solver.t_end) if is_open else ()
+        n_max = config.n_max or closed.default_n_max(d, *bath)
+        if n_max > MAX_N_MAX:
+            raise ConfigError(f"n_max = {n_max} (|beta|_max = {d.beta_max:.4g}) is past {MAX_N_MAX}")
 
         grid = None
         if tomography:  # raises past float range

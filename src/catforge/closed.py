@@ -51,7 +51,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fock import coherent_coeffs, coherent_cutoff, tail_population
+from .fock import TAIL_BUDGET, coherent_coeffs, coherent_cutoff, tail_population
 from .model import DerivedModulation, SystemParams, beta_of_t, derive, hopping_unitary, mu_of_t, target_states
 from .trajectory import TrajectoryRecord
 
@@ -76,6 +76,10 @@ CLOSED_COLUMNS = ("t", "nL", "nR", "x_over_x0", "nb", "P_L", "P_R", "F", "F_L", 
 NORM_ABORT = 1e-6
 P_FLOOR = 1e-12
 TAIL_ABORT = 1e-6
+# invariants.truncation_estimate is tail_max times this: at each preset's
+# default cutoff a closed solve's worst record-cell error against n_max + 20
+# measured 0.2 to 5.4 times its tail_max
+TAIL_TO_ERROR = 6.0
 
 
 class SolverAbort(RuntimeError):
@@ -177,10 +181,57 @@ def default_dt(params: SystemParams, points_per_period: int = 128) -> float:
     return (2.0 * math.pi / w_max) / points_per_period
 
 
-def default_n_max(d: DerivedModulation) -> int:
-    """Phonon cutoff covering the peak coherent displacement |beta|_max of d."""
-    beta = d.beta_max if math.isfinite(d.beta_max) else 4.0
-    return coherent_cutoff(beta)
+# The phonon cutoff's error target, and the constants default_n_max fits to it.
+TRUNCATION_TARGET = 2e-11
+_NON_RWA = 1.1
+_FLIP_WEIGHT = 2e-4
+
+
+def default_n_max(d: DerivedModulation, params: SystemParams | None = None, t_end: float = 0.0) -> int:
+    """The phonon cutoff both solvers default to.  Pass an open run's params
+    and t_end; a closed run has no phonon bath, and d alone sets its cutoff.
+
+    Target: every record column within TRUNCATION_TARGET = 2e-11 of the same
+    solve at a much larger cutoff, a tenth of the default RK4 step error
+    (default_dt).  F_L and F_R divide their numerators' error by P_L and P_R,
+    so at records where a sector holds almost nothing they can miss it: an
+    open fig2 run from initial = left reads 5e-11 where P_R = 3e-6.
+
+    The cutoff is the larger fock.coherent_cutoff of two displaced thermal
+    states, both with the occupation the bath adds,
+    n_T = n_th (1 - exp(-gamma_m t_end)):
+    - the cat, at 1.1 |beta|_max: at omega_m = 20 the non-RWA terms widen the
+      Poisson tail of the RWA amplitude |beta|_max as a 10% larger one would;
+    - on open runs, the weight W = 2e-4 gamma_m (2 n_th + 1) tau, with
+      tau = (1 - exp(-gamma_c t_end))/gamma_c the photon's mean presence,
+      that phonon jumps in the photon's presence move onto the opposite
+      branch's loop.  By t_end it reaches
+      R = |beta|_max max(1, 1 - cos(min(delta t_end, 2 pi)/2)): |beta|_max up
+      to t_d = pi/delta, 2 |beta|_max at 2 pi/delta.  Its budget is
+      fock.TAIL_BUDGET / W.
+    The amplitude factor and the budget are fitted to truncation errors
+    measured at omega_m = 20, 40 and 100 (closed) and at omega_m = 20,
+    gamma_c = 0.2 and t_end up to 2 pi/delta (open); W's coefficient is twice
+    its fit, which covers gamma_c = 0.05 too.  Past 2 pi/delta a hot bath
+    widens the conditional states' tail faster than this: gamma_m = 1e-3,
+    n_th = 10 to 3 pi/delta needs 57 levels, and the rule gives 55.
+
+    At |beta|_max = 2 the rule gives 27 on closed runs and on open runs at
+    fig2's rates up to t_d, and 40 for fig2 to 2 pi/delta.  At delta = 0
+    |beta|_max is unbounded: 0 stands in when g = 0 (nothing is driven), 4
+    otherwise.
+    """
+    beta = d.beta_max if math.isfinite(d.beta_max) else (0.0 if d.g == 0.0 else 4.0)
+    n_thermal, weight = 0.0, 0.0
+    if params is not None:
+        n_thermal = params.n_th * -math.expm1(-params.gamma_m * t_end)
+        tau = -math.expm1(-params.gamma_c * t_end) / params.gamma_c if params.gamma_c else t_end
+        weight = _FLIP_WEIGHT * params.gamma_m * (2.0 * params.n_th + 1.0) * tau
+    n_max = coherent_cutoff(_NON_RWA * beta, n_thermal)
+    if weight > 0.0:
+        reach = beta * max(1.0, 1.0 - math.cos(min(abs(d.delta) * t_end, 2.0 * math.pi) / 2.0))
+        n_max = max(n_max, coherent_cutoff(_NON_RWA * reach, n_thermal, TAIL_BUDGET / weight))
+    return n_max
 
 
 def initial_state(kind: str, n_max: int) -> SinglePhotonState:
@@ -483,7 +534,8 @@ def evolve_closed(
     analytic target exists for that preparation); pass compute_fidelities to
     override the auto-detection.  Aborts when the norm drifts by more than
     1e-6 or the top-two-level phonon population exceeds 1e-6; the Run's
-    invariants hold the worst norm_drift and tail_max.
+    invariants hold the worst norm_drift and tail_max, and the
+    truncation_estimate TAIL_TO_ERROR * tail_max.
     """
     cfg.validate(params)
     norm0 = initial.norm_sq()
@@ -558,4 +610,5 @@ def evolve_closed(
         num = abs(amps.T) ** 2
     columns.update(_detection_columns(np.moveaxis(u_h, -1, 0), tau, num))
     record = TrajectoryRecord(CLOSED_COLUMNS, nL=columns["P_L"], nR=columns["P_R"], **columns)
-    return Run(record, final, marked, guards.worst)
+    invariants = dict(guards.worst, truncation_estimate=TAIL_TO_ERROR * guards.worst["tail_max"])
+    return Run(record, final, marked, invariants)

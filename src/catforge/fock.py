@@ -22,6 +22,7 @@ import math
 import numpy as np
 
 __all__ = [
+    "TAIL_BUDGET",
     "coherent_cutoff",
     "coherent_coeffs",
     "displacement_matrices",
@@ -37,16 +38,39 @@ def _check_cutoff(n_max: int) -> int:
     return n_max
 
 
-def coherent_cutoff(beta_abs: float) -> int:
-    """Fock cutoff adequate for coherent amplitudes up to |beta| = beta_abs, and at least 20.
+# Population the top two levels of coherent_cutoff's state may hold.
+# closed.default_n_max fits it, with its other constants, to measured
+# truncation errors.
+TAIL_BUDGET = 7.5e-11
+# Past this mean occupation exp(-nbar) underflows, and no cutoff is computed.
+_MAX_NBAR = 700.0
 
-    Poisson-tail bound: keeping nbar + 8*sqrt(nbar+1) levels (nbar = |beta|^2)
-    leaves less than ~1e-8 of the population above the cutoff.
+
+def coherent_cutoff(beta_abs: float, n_thermal: float = 0.0, budget: float = TAIL_BUDGET) -> int:
+    """The smallest Fock cutoff, and at least 20, past the mean occupation at
+    which a coherent state |beta| = beta_abs, broadened by the thermal
+    occupation n_thermal, holds at most budget in its top two levels.
+
+    That state is D(beta) rho_th(n_thermal) D(beta)^dag, whose populations are
+    p_n = q^n L_n(-y) exp(-|beta|^2/(1+n_T))/(1+n_T), with q = n_T/(1+n_T) and
+    y = |beta|^2/(n_T(1+n_T)); at n_thermal = 0 they are the Poisson ones.  They
+    run up the three-term Laguerre recurrence, which is stable forward: at a
+    negative argument L_n is positive and grows.  The tail falls geometrically,
+    by q per level, once n_thermal dominates.
     """
-    if not abs(beta_abs) < 1e150:  # nbar would overflow, or beta_abs is NaN
-        raise ValueError(f"no Fock cutoff covers |beta| = {beta_abs:g}")
-    nbar = float(beta_abs) ** 2
-    return max(20, math.ceil(nbar + 8.0 * math.sqrt(nbar + 1.0)))
+    nbar_coherent, n_thermal = float(beta_abs) * float(beta_abs), float(n_thermal)  # inf, not OverflowError
+    nbar = nbar_coherent + n_thermal
+    if not nbar <= _MAX_NBAR:  # NaN fails this too
+        raise ValueError(f"no Fock cutoff covers |beta| = {abs(beta_abs):g}: |beta|^2 is past {_MAX_NBAR:g}")
+    q = n_thermal / (1.0 + n_thermal)
+    c = nbar_coherent / (1.0 + n_thermal) ** 2
+    # p_n = p_0 r_n with r_n = q^n L_n(-y): (n+1) r_{n+1} = ((2n+1) q + c) r_n - n q^2 r_{n-1}
+    prev, p, n = 0.0, math.exp(-nbar_coherent / (1.0 + n_thermal)) / (1.0 + n_thermal), 0
+    while True:
+        prev, p = p, (((2 * n + 1) * q + c) * p - n * q * q * prev) / (n + 1)
+        n += 1
+        if n > nbar and prev + p <= budget:
+            return max(20, n)
 
 
 def coherent_coeffs(beta, n_max: int) -> np.ndarray:

@@ -30,7 +30,8 @@ def test_preset_fig2_values():
     assert (p.gamma_m, p.n_th, p.gamma_c) == (1e-4, 4.0, 0.2)
     assert abs(res.d.delta - res.d.g) < 1e-15
     assert cfg.t_d == 12.6664
-    assert res.n_max == 30
+    # no preset n_max: the truncation rule's, with the bath's terms of a run to 2 pi/delta
+    assert res.n_max == closed.default_n_max(res.d, p, res.solver.t_end) == 40
 
 
 def test_empty_document_lists_required_fields():
@@ -248,6 +249,29 @@ def test_figS1_preset_series(tmp_path):
     # fidelity columns are empty for the right-initial preparation
     lines = (tmp_path / "xi=1.5271" / "trajectory.csv").read_text().splitlines()
     assert lines[1].endswith(",,,")
+
+
+# (mode, preset, overrides, sweep value, measured error of the default cutoff against n_max + 10)
+DEFAULT_CUTOFF_CASES = [
+    ("closed", "figS3", {}, 20.0, 8.9e-12),  # to 2 pi/delta, n_max 27
+    ("closed", "figS3", {}, 100.0, 1.2e-12),  # n_max 27
+    ("closed", "figS4", {}, 0.5, 1.1e-11),  # to pi/delta, n_max 55
+    ("open", "fig2", {"t_end": 2}, None, 4.4e-16),  # n_max 27
+    ("open", "fig2", {"t_end": 2, "gamma_m": 1e-3, "n_th": 10}, None, 4.4e-16),  # n_max 28
+]
+
+
+@pytest.mark.parametrize("mode, preset, overrides, value, measured", DEFAULT_CUTOFF_CASES)
+def test_default_cutoff_meets_its_target(mode, preset, overrides, value, measured):
+    # every record cell of a solve at the default n_max lies within closed.TRUNCATION_TARGET
+    # (2e-11) of the same solve at n_max + 10; the manifest's estimate stays below it too
+    cfg = parse_config(preset=preset, mode=mode, overrides=overrides)
+    res = cli._resolve(cfg, value)
+    runs = [cli._evolve(mode, cfg, dataclasses.replace(res, n_max=n)) for n in (res.n_max, res.n_max + 10)]
+    diff = np.stack([runs[0].record.column(c) - runs[1].record.column(c) for c in runs[0].record.columns])
+    err = np.max(np.abs(diff[~np.isnan(diff)]))  # the empty fidelity cells of a figS3 member are NaN
+    assert err < closed.TRUNCATION_TARGET, (err, measured)
+    assert runs[0].invariants["truncation_estimate"] < closed.TRUNCATION_TARGET
 
 
 def test_manifest_round_trip(tmp_path):

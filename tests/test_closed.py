@@ -461,7 +461,7 @@ def test_frame_targets_batched_at_large_beta():
     n_max = closed.default_n_max(d)
     cfg = SolverConfig(dt=closed.default_dt(params), t_end=math.pi / d.delta, record_stride=430)
     ts = np.array([t for t, _ in counted_records(cfg)[0]])
-    assert n_max == 49 and ts.size == 50
+    assert n_max == 55 and ts.size == 50
     assert max(abs(model.beta_of_t(d, params.omega_m, t)) for t in ts) > 3.99
     batch = closed._frame_targets(params, d, ts, n_max, model.hopping_unitary(params, ts))
     phases = np.exp(1j * params.omega_m * ts[:, None] * np.arange(n_max + 1))

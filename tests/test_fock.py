@@ -56,6 +56,19 @@ def test_coherent_cutoff_leaves_small_tail():
         assert 1.0 - np.sum(np.abs(c) ** 2) < 1e-8
 
 
+def test_coherent_cutoff_reads_the_displaced_thermal_tail():
+    # the recurrence's populations are those of D(beta) rho_th D(beta)^dag, built densely at
+    # 80 levels; the cutoff is the first past the mean whose top two levels fit the budget
+    for beta_abs, n_th, budget in ((2.0, 0.0, fock.TAIL_BUDGET), (2.2, 0.3, 1e-12), (4.4, 0.05, fock.TAIL_BUDGET)):
+        d = fock.displacement_matrices(np.array([beta_abs]), 80)[0]
+        thermal = (n_th / (1 + n_th)) ** np.arange(81) / (1 + n_th)
+        p = np.real(np.einsum("ik,k,ik->i", d, thermal, d.conj()))
+        n = fock.coherent_cutoff(beta_abs, n_th, budget)
+        assert n > 20 and p[n - 1] + p[n] <= budget < p[n - 2] + p[n - 1]
+    with pytest.raises(ValueError, match="no Fock cutoff"):
+        fock.coherent_cutoff(30.0)
+
+
 def test_cutoff_validation():
     with pytest.raises(ValueError):
         fock.coherent_coeffs(1.0, 0)
