@@ -18,6 +18,7 @@ from .fock import (
     displacement_matrices,  # unused here; perfbench/spans.py wraps this module-level name
     oscillator_eigenfunctions,
 )
+from .closed import MAX_N_MAX, TAIL_BUDGET
 from .model import CatState, DerivedModulation, SystemParams, beta_of_t, coupling
 
 __all__ = [
@@ -204,7 +205,7 @@ def wigner_numeric(rho_m: np.ndarray, grid: PhaseSpaceGrid) -> np.ndarray:
 def quadrature_analytic(state: CatState, axis: QuadratureAxis, n_max: int | None = None) -> np.ndarray:
     """Distribution P[X(theta)] of a pure cat state along a rotated quadrature."""
     if n_max is None:
-        n_max = coherent_cutoff(abs(state.beta))
+        n_max = coherent_cutoff(abs(state.beta), 0.0, TAIL_BUDGET, MAX_N_MAX)
     v = state.fock_vector(n_max)
     psi = oscillator_eigenfunctions(n_max, axis.x_values)
     phases = np.exp(-1j * axis.theta * np.arange(n_max + 1))

@@ -201,8 +201,8 @@ MAX_GRID_POINTS = 1_000_000
 # figS5's quadrature axis has 1,766 points; at this ceiling and MAX_N_MAX the
 # quadrature holds three (n_max + 1)-row arrays over the axis, about 0.4 GB.
 MAX_AXIS_POINTS = 20_000
-# figS4's delta/g = 0.5 resolves n_max = 55.
-MAX_N_MAX = 500
+# closed.default_n_max refuses a default past this cutoff ceiling itself.
+MAX_N_MAX = closed.MAX_N_MAX
 # figS3's omega_m = 100 takes 104,986 closed steps.  The open advance holds a
 # whole segment's stage times and <R|U_h> rows, about 920 B a step: 0.9 GB here.
 MAX_STEPS = 1_000_000
@@ -489,8 +489,8 @@ def _resolve(config: RunConfig, sweep_value: float | None = None) -> _Resolved:
         # a given n_max wins; only an open run's default depends on the bath, and so on t_end
         bath = (params, solver.t_end) if is_open else ()
         n_max = config.n_max or closed.default_n_max(d, *bath)
-        if n_max > MAX_N_MAX:
-            raise ConfigError(f"n_max = {n_max} (|beta|_max = {d.beta_max:.4g}) is past {MAX_N_MAX}")
+        if n_max > MAX_N_MAX:  # a given one: the rule refuses its own past the ceiling
+            raise ConfigError(f"n_max = {n_max} is past {MAX_N_MAX}")
 
         grid = None
         if tomography:  # raises past float range

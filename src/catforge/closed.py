@@ -51,7 +51,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fock import TAIL_BUDGET, coherent_coeffs, coherent_cutoff, tail_population
+from .fock import coherent_coeffs, coherent_cutoff, tail_population
 from .model import DerivedModulation, SystemParams, beta_of_t, derive, hopping_unitary, mu_of_t, target_states
 from .trajectory import TrajectoryRecord
 
@@ -181,10 +181,16 @@ def default_dt(params: SystemParams, points_per_period: int = 128) -> float:
     return (2.0 * math.pi / w_max) / points_per_period
 
 
-# The phonon cutoff's error target, and the constants default_n_max fits to it.
+# The phonon cutoff's error target, and the constants default_n_max fits to
+# it: TAIL_BUDGET is the population the top two levels of each displaced
+# thermal state may hold.
 TRUNCATION_TARGET = 2e-11
+TAIL_BUDGET = 7.5e-11
 _NON_RWA = 1.1
 _FLIP_WEIGHT = 2e-4
+# The largest cutoff a run takes, default or given; figS4's delta/g = 0.5
+# resolves 55.
+MAX_N_MAX = 500
 
 
 def default_n_max(d: DerivedModulation, params: SystemParams | None = None, t_end: float = 0.0) -> int:
@@ -208,7 +214,7 @@ def default_n_max(d: DerivedModulation, params: SystemParams | None = None, t_en
       branch's loop.  By t_end it reaches
       R = |beta|_max max(1, 1 - cos(min(delta t_end, 2 pi)/2)): |beta|_max up
       to t_d = pi/delta, 2 |beta|_max at 2 pi/delta.  Its budget is
-      fock.TAIL_BUDGET / W.
+      TAIL_BUDGET / W.
     The amplitude factor and the budget are fitted to truncation errors
     measured at omega_m = 20, 40 and 100 (closed) and at omega_m = 20,
     gamma_c = 0.2 and t_end up to 2 pi/delta (open); W's coefficient is twice
@@ -219,7 +225,8 @@ def default_n_max(d: DerivedModulation, params: SystemParams | None = None, t_en
     At |beta|_max = 2 the rule gives 27 on closed runs and on open runs at
     fig2's rates up to t_d, and 40 for fig2 to 2 pi/delta.  At delta = 0
     |beta|_max is unbounded: 0 stands in when g = 0 (nothing is driven), 4
-    otherwise.
+    otherwise.  Raises ValueError when no cutoff up to MAX_N_MAX meets the
+    budget.
     """
     beta = d.beta_max if math.isfinite(d.beta_max) else (0.0 if d.g == 0.0 else 4.0)
     n_thermal, weight = 0.0, 0.0
@@ -227,10 +234,10 @@ def default_n_max(d: DerivedModulation, params: SystemParams | None = None, t_en
         n_thermal = params.n_th * -math.expm1(-params.gamma_m * t_end)
         tau = -math.expm1(-params.gamma_c * t_end) / params.gamma_c if params.gamma_c else t_end
         weight = _FLIP_WEIGHT * params.gamma_m * (2.0 * params.n_th + 1.0) * tau
-    n_max = coherent_cutoff(_NON_RWA * beta, n_thermal)
+    n_max = coherent_cutoff(_NON_RWA * beta, n_thermal, TAIL_BUDGET, MAX_N_MAX)
     if weight > 0.0:
         reach = beta * max(1.0, 1.0 - math.cos(min(abs(d.delta) * t_end, 2.0 * math.pi) / 2.0))
-        n_max = max(n_max, coherent_cutoff(_NON_RWA * reach, n_thermal, TAIL_BUDGET / weight))
+        n_max = max(n_max, coherent_cutoff(_NON_RWA * reach, n_thermal, TAIL_BUDGET / weight, MAX_N_MAX))
     return n_max
 
 

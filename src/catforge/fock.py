@@ -22,7 +22,6 @@ import math
 import numpy as np
 
 __all__ = [
-    "TAIL_BUDGET",
     "coherent_cutoff",
     "coherent_coeffs",
     "displacement_matrices",
@@ -38,39 +37,46 @@ def _check_cutoff(n_max: int) -> int:
     return n_max
 
 
-# Population the top two levels of coherent_cutoff's state may hold.
-# closed.default_n_max fits it, with its other constants, to measured
-# truncation errors.
-TAIL_BUDGET = 7.5e-11
 # Past this mean occupation exp(-nbar) underflows, and no cutoff is computed.
 _MAX_NBAR = 700.0
 
 
-def coherent_cutoff(beta_abs: float, n_thermal: float = 0.0, budget: float = TAIL_BUDGET) -> int:
-    """The smallest Fock cutoff, and at least 20, past the mean occupation at
-    which a coherent state |beta| = beta_abs, broadened by the thermal
-    occupation n_thermal, holds at most budget in its top two levels.
+def coherent_cutoff(beta_abs: float, n_thermal: float, budget: float, n_limit: int) -> int:
+    """The smallest Fock cutoff, at least 20 and looked for up to n_limit,
+    past the mean occupation at which a coherent state |beta| = beta_abs,
+    broadened by the thermal occupation n_thermal, holds at most budget in
+    its top two levels.  Raises ValueError when |beta|^2 + n_thermal is past
+    700 or no cutoff up to n_limit fits the budget.
 
     That state is D(beta) rho_th(n_thermal) D(beta)^dag, whose populations are
     p_n = q^n L_n(-y) exp(-|beta|^2/(1+n_T))/(1+n_T), with q = n_T/(1+n_T) and
     y = |beta|^2/(n_T(1+n_T)); at n_thermal = 0 they are the Poisson ones.  They
     run up the three-term Laguerre recurrence, which is stable forward: at a
     negative argument L_n is positive and grows.  The tail falls geometrically,
-    by q per level, once n_thermal dominates.
+    by q per level, once n_thermal dominates.  The search stops at n_limit
+    because a budget of 0 or in the subnormal floats is never met: the
+    populations stall there instead of reaching 0.  closed.default_n_max sets
+    the budget and the limit.
     """
     nbar_coherent, n_thermal = float(beta_abs) * float(beta_abs), float(n_thermal)  # inf, not OverflowError
     nbar = nbar_coherent + n_thermal
     if not nbar <= _MAX_NBAR:  # NaN fails this too
-        raise ValueError(f"no Fock cutoff covers |beta| = {abs(beta_abs):g}: |beta|^2 is past {_MAX_NBAR:g}")
+        raise ValueError(
+            f"no Fock cutoff covers |beta|^2 + n_thermal = {nbar_coherent:.4g} + {n_thermal:.4g}:"
+            f" the sum is past {_MAX_NBAR:g}"
+        )
     q = n_thermal / (1.0 + n_thermal)
     c = nbar_coherent / (1.0 + n_thermal) ** 2
-    # p_n = p_0 r_n with r_n = q^n L_n(-y): (n+1) r_{n+1} = ((2n+1) q + c) r_n - n q^2 r_{n-1}
-    prev, p, n = 0.0, math.exp(-nbar_coherent / (1.0 + n_thermal)) / (1.0 + n_thermal), 0
-    while True:
-        prev, p = p, (((2 * n + 1) * q + c) * p - n * q * q * prev) / (n + 1)
-        n += 1
+    # p_n = p_0 r_n with r_n = q^n L_n(-y): n r_n = ((2n-1) q + c) r_{n-1} - (n-1) q^2 r_{n-2}
+    prev, p = 0.0, math.exp(-nbar_coherent / (1.0 + n_thermal)) / (1.0 + n_thermal)
+    for n in range(1, n_limit + 1):
+        prev, p = p, (((2 * n - 1) * q + c) * p - (n - 1) * q * q * prev) / n
         if n > nbar and prev + p <= budget:
             return max(20, n)
+    raise ValueError(
+        f"no Fock cutoff covers |beta| = {abs(beta_abs):.4g} at n_thermal = {n_thermal:.4g} within"
+        f" {budget:.3g}: it is past {n_limit}"
+    )
 
 
 def coherent_coeffs(beta, n_max: int) -> np.ndarray:

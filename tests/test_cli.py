@@ -784,6 +784,12 @@ def test_every_key_value_is_a_config_or_a_config_error(tmp_path):
     # two keys in their domains can still put |beta|_max, and so the default n_max, past float range
     with pytest.raises(ConfigError, match="no Fock cutoff"):
         parse_config(preset="figS3", overrides={"g0": "1e300", "delta": "1"})
+    # an open run's bath can too: a huge phonon-jump weight leaves the rule a budget in the
+    # subnormal floats, and a hot bath's occupation is named next to |beta|^2
+    with pytest.raises(ConfigError, match="no Fock cutoff .* past 500"):
+        parse_config(preset="fig2", overrides={"gamma_m": "1e300", "n_th": "10"})
+    with pytest.raises(ConfigError, match=r"n_thermal = 4\.84 \+ 700: the sum is past 700"):
+        parse_config(preset="fig2", overrides={"n_th": "700", "gamma_m": "1"})
     # a sample exits 2 through the CLI and leaves no output directory
     out = tmp_path / "out"
     sample = [r for i, r in enumerate(refused) if r[2] in ("n0", "grid_extent") or i % 20 == 0]

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy import linalg
 
-from catforge import fock
+from catforge import closed, fock
 
 import oracles
 
@@ -50,7 +50,7 @@ def test_coherent_coeffs_batch_matches_single_calls():
 
 def test_coherent_cutoff_leaves_small_tail():
     for beta_abs in (0.3, 1.0, 2.0, 3.0):
-        n_max = fock.coherent_cutoff(beta_abs)
+        n_max = fock.coherent_cutoff(beta_abs, 0.0, closed.TAIL_BUDGET, closed.MAX_N_MAX)
         assert n_max >= max(20, beta_abs**2 + 8 * math.sqrt(beta_abs**2 + 1) - 1)
         c = fock.coherent_coeffs(beta_abs * np.exp(0.7j), n_max)
         assert 1.0 - np.sum(np.abs(c) ** 2) < 1e-8
@@ -59,14 +59,20 @@ def test_coherent_cutoff_leaves_small_tail():
 def test_coherent_cutoff_reads_the_displaced_thermal_tail():
     # the recurrence's populations are those of D(beta) rho_th D(beta)^dag, built densely at
     # 80 levels; the cutoff is the first past the mean whose top two levels fit the budget
-    for beta_abs, n_th, budget in ((2.0, 0.0, fock.TAIL_BUDGET), (2.2, 0.3, 1e-12), (4.4, 0.05, fock.TAIL_BUDGET)):
+    for beta_abs, n_th, budget in ((2.0, 0.0, closed.TAIL_BUDGET), (2.2, 0.3, 1e-12), (4.4, 0.05, closed.TAIL_BUDGET)):
         d = fock.displacement_matrices(np.array([beta_abs]), 80)[0]
         thermal = (n_th / (1 + n_th)) ** np.arange(81) / (1 + n_th)
         p = np.real(np.einsum("ik,k,ik->i", d, thermal, d.conj()))
-        n = fock.coherent_cutoff(beta_abs, n_th, budget)
+        n = fock.coherent_cutoff(beta_abs, n_th, budget, 80)
         assert n > 20 and p[n - 1] + p[n] <= budget < p[n - 2] + p[n - 1]
+        with pytest.raises(ValueError, match=f"no Fock cutoff .* past {n - 1}"):
+            fock.coherent_cutoff(beta_abs, n_th, budget, n - 1)
     with pytest.raises(ValueError, match="no Fock cutoff"):
-        fock.coherent_cutoff(30.0)
+        fock.coherent_cutoff(30.0, 0.0, closed.TAIL_BUDGET, 500)
+    # a budget no population meets (0, or below where they stall in the subnormal floats) ends at the limit
+    for budget in (0.0, 1e-323):
+        with pytest.raises(ValueError, match="past 500"):
+            fock.coherent_cutoff(2.2, 690.0, budget, 500)
 
 
 def test_cutoff_validation():
