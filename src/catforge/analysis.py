@@ -14,11 +14,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .fock import (
-    coherent_cutoff,
     displacement_matrices,  # unused here; perfbench/spans.py wraps this module-level name
     oscillator_eigenfunctions,
 )
-from .closed import MAX_N_MAX, TAIL_BUDGET
 from .model import CatState, DerivedModulation, SystemParams, beta_of_t, coupling
 
 __all__ = [
@@ -202,10 +200,8 @@ def wigner_numeric(rho_m: np.ndarray, grid: PhaseSpaceGrid) -> np.ndarray:
     return total.reshape(grid.n_im, grid.n_re)
 
 
-def quadrature_analytic(state: CatState, axis: QuadratureAxis, n_max: int | None = None) -> np.ndarray:
+def quadrature_analytic(state: CatState, axis: QuadratureAxis, n_max: int) -> np.ndarray:
     """Distribution P[X(theta)] of a pure cat state along a rotated quadrature."""
-    if n_max is None:
-        n_max = coherent_cutoff(abs(state.beta), 0.0, TAIL_BUDGET, MAX_N_MAX)
     v = state.fock_vector(n_max)
     psi = oscillator_eigenfunctions(n_max, axis.x_values)
     phases = np.exp(-1j * axis.theta * np.arange(n_max + 1))

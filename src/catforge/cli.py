@@ -203,8 +203,9 @@ MAX_GRID_POINTS = 1_000_000
 MAX_AXIS_POINTS = 20_000
 # closed.default_n_max refuses a default past this cutoff ceiling itself.
 MAX_N_MAX = closed.MAX_N_MAX
-# figS3's omega_m = 100 takes 104,986 closed steps.  The open advance holds a
-# whole segment's stage times and <R|U_h> rows, about 920 B a step: 0.9 GB here.
+# figS3's omega_m = 100 takes 104,986 closed steps.  A solve holds one chunk of
+# steps and its records: at record_stride = 1 and n_max = 27 about 1.1 kB a
+# record (open) and 5.8 kB (closed), up to 5.8 GB here.
 MAX_STEPS = 1_000_000
 # fig1a's delta grid has 91 points.
 MAX_DELTA_POINTS = 100_000

@@ -25,13 +25,15 @@ The generator is rank-1 in photon space, so each of a step's s stages
 (_TABLEAU, RK4) is r'_k (x) x_k with a phonon vector x_k of length
 d = n_max + 1, and a step works on d-element operands.  The state
 y = [phi_L; phi_R] and the stages x_1..x_s are the rows of one (s + 2, d)
-buffer.  The stage matrices and the varying entries of the photon block of
-projections and combine weights are evaluated for a chunk of steps at a
-time; one store per step writes a step's row into the kernel's memory, and
-the step is then s projections, s d x d products and one combine into the
-other buffer.  The tables are built lazily, one chunk at a time, and
-chained into one stream of rows; between two records the steps run over an
-islice of that stream.
+buffer.  Both solvers step over one stream, _stage_stream: per chunk of
+_CHUNK steps, a segment's stage times and their rows <R|U_h(t_k)>, built
+when the chunk is reached, so neither solver holds more of a segment than
+one chunk.  From a chunk this solver builds a stage table, the stage
+matrices and the varying entries of the photon block of projections and
+combine weights; one store per step writes a step's row into the kernel's
+memory, and the step is then s projections, s d x d products and one
+combine into the other buffer.  The tables' rows are chained into one
+stream; between two records the steps run over an islice of it.
 
 At each record only the guards run (norm drift and truncation tail) and the
 frame state is kept; the record columns are computed once after the solve,
@@ -256,12 +258,6 @@ def initial_state(kind: str, n_max: int) -> SinglePhotonState:
     return SinglePhotonState(a, b, 0.0)
 
 
-# Steps whose stage tables are built together: at n_max = 22 a chunk's RK4
-# table takes 256 * 195 * 16 B = 0.80 MB.  advance steps through the chained
-# rows of the chunks' tables, so a longer chunk means fewer table builds per
-# solve.
-_CHUNK = 256
-
 # The classical RK4 as the Butcher tableau (c, A, b) both solvers step with
 # (Hairer, Norsett & Wanner, Solving ODEs I, section II.1): stage k of a step h
 # from t is f_k = f(t + c_k h, y + h sum_j A_kj f_j), and the step returns
@@ -271,6 +267,25 @@ _TABLEAU = (
     np.array([[0.0, 0.0, 0.0, 0.0], [0.5, 0.0, 0.0, 0.0], [0.0, 0.5, 0.0, 0.0], [0.0, 0.0, 1.0, 0.0]]),
     np.array([1.0, 2.0, 2.0, 1.0]) / 6.0,
 )
+
+# Steps per chunk of _stage_stream, which bounds what either solver holds of a
+# segment's grid, however long the segment: at the default n_max = 27 a closed
+# chunk's RK4 stage table takes 256 * 235 * 16 B = 0.96 MB, and an open
+# chunk's stage times and rows as Python lists about 0.21 MB.  A longer chunk
+# means fewer numpy calls per solve.
+_CHUNK = 256
+
+
+def _stage_stream(params: SystemParams, t0: float, h: float, n: int):
+    """The stage times and hopping rows of n steps of size h from t0, which
+    both solvers step over: per chunk of up to _CHUNK steps it yields t, the
+    stage times t0 + i h + c_k h of shape (steps, s), and r = <R|U_h(t)>, the
+    R row of model.hopping_unitary, of shape (2, steps, s).  c is read from
+    _TABLEAU on each call."""
+    c = _TABLEAU[0]
+    for i in range(0, n, _CHUNK):
+        t = (t0 + np.arange(i, min(i + _CHUNK, n)) * h)[:, None] + h * c
+        yield t, hopping_unitary(params, t)[1]
 
 
 def _kernel_layout(d: int) -> np.ndarray:
@@ -293,33 +308,32 @@ def _kernel_layout(d: int) -> np.ndarray:
     return np.concatenate([stages, *(s * d * d + x for x in block)])
 
 
-def _stage_table(params: SystemParams, n_max: int, ts: np.ndarray, h: float) -> np.ndarray:
-    """Stage-table rows, in _kernel_layout order, for steps of size h starting at ts.
+def _stage_table(params: SystemParams, n_max: int, h: float, t: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """Stage-table rows, in _kernel_layout order, for a _stage_stream chunk
+    (t, r) of steps of size h.
 
-    At the stage times t_k = t + c_k h a row holds the stage matrices
-    h i g0 X(t_k) (lowering entries i g0 sqrt(m+1) e^{-i omega_m t_k} h,
+    For a step whose stage times t_k are a row of t, a row holds the stage
+    matrices h i g0 X(t_k) (lowering entries i g0 sqrt(m+1) e^{-i omega_m t_k} h,
     raising entries their e^{+i omega_m t_k} partners) and the varying
     entries of the photon block over the buffer rows [y_L, y_R, x_1..x_s]:
     its row k projects u_k = <r'_k|y + sum_j A_kj <r'_k|r'_j> x_j, with
-    <r'_k| = <R|U_h(t_k), and its last two rows combine
+    <r'_k| = <R|U_h(t_k) from r, and its last two rows combine
     y + sum_k b_k |r'_k> (x) x_k.
     """
-    c, a, b = _TABLEAU
-    s, d = len(c), n_max + 1
+    _, a, b = _TABLEAU
+    (steps, s), d = t.shape, n_max + 1
     i, j = np.nonzero(a)
     k, p = 2 * s * (d - 1), 2 * s + i.size
-    t = ts[:, None] + h * c
-    out = np.empty((ts.size, k + p + 2 * s), dtype=complex)
+    out = np.empty((steps, k + p + 2 * s), dtype=complex)
     low = np.exp(-1j * params.omega_m * t) * (1j * params.g0 * h)
     rungs = np.stack([low, -low.conj()], axis=2)[..., None]
-    np.multiply(rungs, np.sqrt(np.arange(1.0, d)), out=out[:, :k].reshape(ts.size, s, 2, d - 1))
-    r = hopping_unitary(params, t)[1]  # <r'_k|, shape (2, steps, s)
-    projections = out[:, k : k + 2 * s].reshape(ts.size, s, 2)
-    projections[..., 0], projections[..., 1] = r
+    np.multiply(rungs, np.sqrt(np.arange(1.0, d)), out=out[:, :k].reshape(steps, s, 2, d - 1))
+    projections = out[:, k : k + 2 * s].reshape(steps, s, 2)
+    projections[..., 0], projections[..., 1] = r  # <r'_k|
     # the overlaps <r'_k|r'_j> = <R|U_h(t_k) U_h(t_j)^dag|R> = cos((mu_k - mu_j)/2)
     half = mu_of_t(params, t) / 2.0
     out[:, k + 2 * s : k + p] = a[i, j] * np.cos(half[:, i] - half[:, j])
-    out[:, k + p :].reshape(ts.size, 2, s)[...] = np.moveaxis(r.conj(), 0, 1) * b
+    out[:, k + p :].reshape(steps, 2, s)[...] = np.moveaxis(r.conj(), 0, 1) * b
     return out
 
 
@@ -590,9 +604,8 @@ def evolve_closed(
         bufs = np.zeros((2, len(_TABLEAU[0]) + 2, n_max + 1), dtype=complex)
         bufs[0, :2] = y
         a, b = _row_views(bufs[0]), _row_views(bufs[1])
-        n = sum(gaps)
-        chunks = (t0 + np.arange(c, min(c + _CHUNK, n)) * dt for c in range(0, n, _CHUNK))
-        rows = itertools.chain.from_iterable(_stage_table(params, n_max, ts, dt) for ts in chunks)
+        chunks = _stage_stream(params, t0, dt, sum(gaps))
+        rows = itertools.chain.from_iterable(_stage_table(params, n_max, dt, *chunk) for chunk in chunks)
         for gap in gaps:
             for row in itertools.islice(rows, gap):
                 a, b = step(row, a, b), a

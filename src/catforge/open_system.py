@@ -24,12 +24,15 @@ photon partial trace, the phonon bath acts on the phonon alone), so the
 frame changes nothing else; the vacuum block is untouched.  What remains
 varies on the slow coupling scales: at the open default of 64 points per
 period of the fastest retained oscillation (closed.default_dt) a fig2 solve
-to t = 2 is within about 2e-10 of a 1024-point one.  Records read the trace,
-the phonon number, the truncation tail and the spectrum straight off the
-frame blocks, where they are unchanged; P_L, P_R and the fidelities rotate a
-2 x 2 trace and the target vectors; only the marked and final states are
-rotated back to the lab frame.  omega_c multiplies only the dropped
-coherences, so it does not enter the solver.
+to t = 2 is within about 2e-10 of a 1024-point one.  The steps take
+closed._TABLEAU's method over closed._stage_stream, the stream of stage
+times and <R|U_h(t_k)> rows the closed solver steps over too, one chunk at
+a time.  Records read the trace, the phonon number, the truncation tail
+and the spectrum straight off the frame blocks, where they are unchanged;
+P_L, P_R and the fidelities rotate a 2 x 2 trace and the target vectors;
+only the marked and final states are rotated back to the lab frame.
+omega_c multiplies only the dropped coherences, so it does not enter the
+solver.
 
 The phonon ladder's default cutoff is closed.default_n_max's with the
 bath's terms: phonon jumps widen the tail as a run goes on, most of all past
@@ -46,8 +49,9 @@ from enum import Enum
 
 import numpy as np
 
+from . import closed
 from .closed import (
-    _TABLEAU, P_FLOOR, TAIL_ABORT, Run, SolverConfig, _detection_columns, _frame_targets, _Guards,
+    P_FLOOR, TAIL_ABORT, Run, SolverConfig, _detection_columns, _frame_targets, _Guards, _stage_stream,
     initial_state, integrate,
 )
 from .model import SystemParams, derive, hopping_unitary
@@ -277,8 +281,8 @@ class _Generators:
     def apply(self, t: float, hop, y: np.ndarray, out: np.ndarray) -> np.ndarray:
         """Write scale times the hopping-frame time derivative of the packed
         state y at t into out and return out.  hop is <R|U_h(t), the R row of
-        model.hopping_unitary(params, t), which evolve_open evaluates for a
-        whole segment in one call.  y's one-photon block must be Hermitian."""
+        model.hopping_unitary(params, t), which evolve_open takes from
+        closed._stage_stream.  y's one-photon block must be Hermitian."""
         d = self.d
         k = 4 * d * d
         one, vac, out_vac = y[:k], y[k:], out[k:]
@@ -377,11 +381,11 @@ def evolve_open(
         # the generator writes h times the derivative: stage k writes
         # hf[k] = h f(t + c_k h, y + sum_j A_kj hf[j]), and the update scales each hf[k]
         # by b_k in place and adds it to y
-        c, a, b = _TABLEAU
+        c, a, b = closed._TABLEAU
         gen = _Generators(params, n - 1, dt)
-        ts = (t0 + np.arange(sum(gaps)) * dt)[:, None] + dt * c
-        hops = np.moveaxis(hopping_unitary(params, ts)[1], 0, -1).tolist()
-        steps = zip(ts.tolist(), hops)
+        # the stage times and <R|U_h> rows, each chunk turned into Python lists when reached
+        chunks = _stage_stream(params, t0, dt, sum(gaps))
+        steps = itertools.chain.from_iterable(zip(t.tolist(), np.moveaxis(r, 0, -1).tolist()) for t, r in chunks)
         hf = [np.empty_like(y) for _ in c]
         # Python floats: a NumPy scalar operand adds overhead to every ufunc call
         terms = [[(float(a[i, j]), hf[j]) for j in np.flatnonzero(a[i])] for i in range(len(c))]

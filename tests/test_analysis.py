@@ -178,7 +178,7 @@ def test_wigner_parity_identity():
 
 def test_quadrature_vacuum():
     axis = QuadratureAxis(0.0, np.linspace(-6, 6, 1201))
-    p = analysis.quadrature_analytic(model.CatState(0.0, 1.0, 0.0), axis)
+    p = analysis.quadrature_analytic(model.CatState(0.0, 1.0, 0.0), axis, n_max=20)
     ref = np.exp(-axis.x_values**2) / math.sqrt(math.pi)
     assert np.max(np.abs(p - ref)) < 1e-12
 
@@ -187,7 +187,7 @@ def test_quadrature_fringes_at_theta0():
     _, _, phi_l, phi_r = detection_cat()
     theta0 = analysis.default_theta(phi_l.beta)
     axis = QuadratureAxis.around_cat(theta0, abs(phi_l.beta))
-    p = analysis.quadrature_analytic(phi_l, axis)
+    p = analysis.quadrature_analytic(phi_l, axis, n_max=24)
     assert abs(axis.integrate(p) - 1.0) < 1e-6
     assert oracles.fringe_visibility(axis.x_values, p) > 0.5
 
@@ -196,7 +196,7 @@ def test_quadrature_bimodal_along_separation():
     _, _, phi_l, _ = detection_cat()
     theta = float(np.angle(phi_l.beta))
     axis = QuadratureAxis.around_cat(theta, abs(phi_l.beta))
-    p = analysis.quadrature_analytic(phi_l, axis)
+    p = analysis.quadrature_analytic(phi_l, axis, n_max=24)
     x = axis.x_values
     lobe = math.sqrt(2) * abs(phi_l.beta)
     i_plus = np.argmax(np.where(x > 0, p, 0))

@@ -1,5 +1,7 @@
+import itertools
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -96,10 +98,10 @@ def kernel_case(seed):
 
 
 def kernel_step(params, n_max, y, t0, h, i):
-    # one kernel call on row i of the chunked stage table, from random finite buffers holding y
-    c0 = i - i % closed._CHUNK
-    ts = t0 + np.arange(c0, c0 + closed._CHUNK) * h
-    row = closed._stage_table(params, n_max, ts, h)[i - c0]
+    # one kernel call on row i of the stage stream's tables, from random finite buffers holding y
+    chunks = closed._stage_stream(params, t0, h, 2 * closed._CHUNK)
+    rows = itertools.chain.from_iterable(closed._stage_table(params, n_max, h, *chunk) for chunk in chunks)
+    row = next(itertools.islice(rows, i, None))
     step = closed._interaction_rhs(n_max)
     rng = np.random.default_rng(i)
     bufs = rng.normal(size=(2, len(closed._TABLEAU[0]) + 2, n_max + 1)) * (1 + 1j)
@@ -276,6 +278,66 @@ def test_closed_and_open_share_the_record_times():
     times = [t for t, _ in counted_records(cfg)[0]]
     assert crun.record.column("t").tolist() == orun.record.column("t").tolist() == times
     assert crun.marked.t == orun.marked.t == 0.33
+
+
+def test_both_solvers_step_over_whole_segment_stage_values(monkeypatch):
+    # the chunked stream against each segment's stage times and <R|U_h> rows evaluated at
+    # once, as both solvers consume it: the closed kernel's stage-table rows and the open
+    # generator's (t, hop) arguments, bit for bit over 266 + 290 steps split at t_mark
+    params, n_max = fig2_params(), 6
+    cfg = SolverConfig(dt=closed.default_dt(params), t_end=0.69, record_stride=7, t_mark=0.33)
+    c = closed._TABLEAU[0]
+    whole = []
+    for t0, t1 in ((0.0, 0.33), (0.33, 0.69)):
+        n, h = closed._segment_steps(cfg.dt, t0, t1)
+        assert closed._CHUNK < n < 2 * closed._CHUNK
+        t = (t0 + np.arange(n) * h)[:, None] + h * c
+        whole.append((h, t, model.hopping_unitary(params, t)[1]))
+
+    rows, calls = [], []
+    kernel, apply = closed._interaction_rhs, osys._Generators.apply
+
+    def keeping_rows(n_max):
+        step = kernel(n_max)
+
+        def keeping(row, a, b):
+            rows.append(row.copy())
+            return step(row, a, b)
+
+        return keeping
+
+    def keeping_calls(gen, t, hop, y, out):
+        calls.append((t, hop))
+        return apply(gen, t, hop, y, out)
+
+    monkeypatch.setattr(closed, "_interaction_rhs", keeping_rows)
+    monkeypatch.setattr(osys._Generators, "apply", keeping_calls)
+    closed.evolve_closed(closed.initial_state("bell", n_max), params, cfg)
+    osys.evolve_open(osys.initial_density("bell", n_max), params, cfg)
+    expect = np.concatenate([closed._stage_table(params, n_max, h, t, r) for h, t, r in whole])
+    assert np.array_equal(np.stack(rows), expect)
+    times = [x for _, t, _ in whole for x in t.reshape(-1).tolist()]
+    hops = [x for _, _, r in whole for x in np.moveaxis(r, 0, -1).reshape(-1, 2).tolist()]
+    assert calls == list(zip(times, hops))
+
+
+def test_open_solve_memory_does_not_grow_with_steps():
+    # the open step loop holds one chunk of the stage stream, not the segment's: the traced
+    # peak of a 3,000-step solve is within 50 kB of a 300-step one (a segment-long list of
+    # the stage values, about 920 B a step, would add 2.5 MB)
+    params = model.SystemParams.with_detuning(20.0, XI, 5.0, gamma_c=0.2, gamma_m=1e-4)
+    dt = closed.default_dt(params, 64)
+    peaks = []
+    for steps in (300, 3000):
+        cfg = SolverConfig(dt=dt, t_end=steps * dt, record_stride=10**6)
+        start = osys.initial_density("bell", 10)
+        tracemalloc.start()
+        try:
+            osys.evolve_open(start, params, cfg)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] < peaks[0] + 50_000
 
 
 def test_free_evolution_preserves_moduli():

@@ -193,8 +193,8 @@ def test_open_rk4_order(monkeypatch):
         cfg = SolverConfig(dt=dt, t_end=t_end, record_stride=10**6)
         return osys.evolve_open(osys.initial_density("bell", 6), params, cfg).final.rho
 
-    for tableau in (osys._TABLEAU, oracles.KUTTA_38):
-        monkeypatch.setattr(osys, "_TABLEAU", tableau)
+    for tableau in (closed._TABLEAU, oracles.KUTTA_38):
+        monkeypatch.setattr(closed, "_TABLEAU", tableau)
         ref = final(h / 8)
         e1 = np.max(np.abs(final(h) - ref))
         e2 = np.max(np.abs(final(h / 2) - ref))
