@@ -204,9 +204,12 @@ MAX_AXIS_POINTS = 20_000
 # closed.default_n_max refuses a default past this cutoff ceiling itself.
 MAX_N_MAX = closed.MAX_N_MAX
 # figS3's omega_m = 100 takes 104,986 closed steps.  A solve holds one chunk of
-# steps and its records: at record_stride = 1 and n_max = 27 about 1.1 kB a
-# record (open) and 5.8 kB (closed), up to 5.8 GB here.
+# steps, so its records, not its steps, set its memory.
 MAX_STEPS = 1_000_000
+# t_end/dt/record_stride; the default stride keeps about 600.  At n_max = 27 a
+# record takes about 1.1 kB (open) and 5.8 kB (closed, with its post-solve
+# columns), up to 0.29 GB here.
+MAX_RECORDS = 50_000
 # fig1a's delta grid has 91 points.
 MAX_DELTA_POINTS = 100_000
 
@@ -484,6 +487,8 @@ def _resolve(config: RunConfig, sweep_value: float | None = None) -> _Resolved:
             if not steps <= MAX_STEPS:
                 raise ConfigError(f"t_end/dt = {steps:.4g} steps is past {MAX_STEPS:,}")
             stride = config.record_stride or max(1, round(steps / 600))  # about 600 records
+            if not steps / stride <= MAX_RECORDS:
+                raise ConfigError(f"t_end/dt/record_stride = {steps / stride:.4g} records is past {MAX_RECORDS:,}")
             solver = SolverConfig(dt=dt, t_end=t_end, record_stride=stride, t_mark=t_mark)
             solver.validate(params)
 
@@ -537,7 +542,8 @@ def _evolve(solver: str, config: RunConfig, res: _Resolved, **kw):
         state = _load_initial_closed(config.initial, res.n_max)
         return closed.evolve_closed(state, res.params, res.solver, **kw)
     rho0 = open_system.initial_density(config.initial, res.n_max)
-    return open_system.evolve_open(rho0, res.params, res.solver, **kw)
+    # a given n_max is a fixed cutoff; the rule's own grows with the run
+    return open_system.evolve_open(rho0, res.params, res.solver, grow=config.n_max is None, **kw)
 
 
 def _manifest(path, doc: dict):
@@ -590,13 +596,14 @@ def config_from_manifest(path) -> RunConfig:
 def _mechanical_states_at_td(config: RunConfig, res: _Resolved):
     """Mechanical states at the detection time for tomography modes.
 
-    Returns (stateL, stateR, beta): CatState pairs for the analytic source,
-    density matrices for closed/open sources.
+    Returns (stateL, stateR, beta, cutoff_schedule): CatState pairs and no
+    schedule for the analytic source, density matrices and the solve's
+    cutoff schedule for closed/open sources.
     """
     t_d = config.t_d
     if config.source == "analytic":
         phi_l, phi_r = model.target_states(res.params, res.d, t_d)
-        return phi_l, phi_r, model.beta_of_t(res.d, res.params.omega_m, t_d)
+        return phi_l, phi_r, model.beta_of_t(res.d, res.params.omega_m, t_d), None
     # res runs these modes to t_end = t_d; an empty detection sector has no state to image
     if config.source == "closed":
         run_ = _evolve("closed", config, res, compute_fidelities=False)
@@ -613,7 +620,7 @@ def _mechanical_states_at_td(config: RunConfig, res: _Resolved):
             rho_r, _ = open_system.reduce_mechanical(run_.final, open_system.PhotonSector.R)
         except ValueError as exc:  # names the sector and its probability
             raise ConfigError(f"{exc} at t_d={t_d:g}") from None
-    return rho_l, rho_r, model.beta_of_t(res.d, res.params.omega_m, t_d)
+    return rho_l, rho_r, model.beta_of_t(res.d, res.params.omega_m, t_d), run_.cutoff_schedule
 
 
 def _execute_single(config: RunConfig, out_dir: str, sweep_value: float | None = None) -> dict:
@@ -659,6 +666,7 @@ def _execute_single(config: RunConfig, out_dir: str, sweep_value: float | None =
                 if rho is not None:
                     open_system.write_snapshot(output(name), rho)
         doc["invariants"] = run_.invariants
+        doc["solver"]["cutoff_schedule"] = run_.cutoff_schedule
         doc["initial"] = config.initial
         if res.solver.t_mark is not None:
             doc["t_d"] = res.solver.t_mark
@@ -666,7 +674,9 @@ def _execute_single(config: RunConfig, out_dir: str, sweep_value: float | None =
         doc["final"] = run_.record.row_at(res.solver.t_end)
 
     elif mode in ("wigner", "quadrature"):
-        state_l, state_r, beta = _mechanical_states_at_td(config, res)
+        state_l, state_r, beta, schedule = _mechanical_states_at_td(config, res)
+        if schedule is not None:
+            doc["solver"]["cutoff_schedule"] = schedule
         doc["t_d"] = config.t_d
         doc["source"] = config.source
         doc["beta_at_t_d"] = {"re": beta.real, "im": beta.imag}

@@ -190,12 +190,18 @@ TRUNCATION_TARGET = 2e-11
 TAIL_BUDGET = 7.5e-11
 _NON_RWA = 1.1
 _FLIP_WEIGHT = 2e-4
+# The rule at a time reached mid-run: _EXCURSION g0/omega_m stands in for the
+# cutoff's floor of 20, and the open solver steps CUTOFF_LEAD levels above it.
+_EXCURSION = 2.0
+CUTOFF_LEAD = 2
 # The largest cutoff a run takes, default or given; figS4's delta/g = 0.5
 # resolves 55.
 MAX_N_MAX = 500
 
 
-def default_n_max(d: DerivedModulation, params: SystemParams | None = None, t_end: float = 0.0) -> int:
+def default_n_max(
+    d: DerivedModulation, params: SystemParams | None = None, t_end: float = 0.0, reached: bool = False
+) -> int:
     """The phonon cutoff both solvers default to.  Pass an open run's params
     and t_end; a closed run has no phonon bath, and d alone sets its cutoff.
 
@@ -224,6 +230,18 @@ def default_n_max(d: DerivedModulation, params: SystemParams | None = None, t_en
     widens the conditional states' tail faster than this: gamma_m = 1e-3,
     n_th = 10 to 3 pi/delta needs 57 levels, and the rule gives 55.
 
+    With reached, the same rule gives the cutoff an open run needs by the
+    time t_end, from the displacement it has reached then
+    (Bose, Jacobs & Knight, PRA 59, 3204 (1999)): the cat term takes
+    |beta|_max s with s = sin(min(|delta| t_end, pi)/2) in place of
+    |beta|_max, and R becomes |beta|_max max(s, 1 - cos(min(|delta| t_end,
+    2 pi)/2)), which is the R above from t_d on.  The floor of 20 gives way
+    to a margin for the non-RWA excursion: each amplitude is 1.1 times its
+    reach plus 2 g0/omega_m.  evolve_open steps on this plus CUTOFF_LEAD
+    levels, up to the run's cutoff: with no lead F_L at t_d was 1.0e-10 off
+    a fixed-cutoff solve, with one level 4.2e-11 at 2 pi/delta.  At delta = 0
+    s is 1.
+
     At |beta|_max = 2 the rule gives 27 on closed runs and on open runs at
     fig2's rates up to t_d, and 40 for fig2 to 2 pi/delta.  At delta = 0
     |beta|_max is unbounded: 0 stands in when g = 0 (nothing is driven), 4
@@ -231,15 +249,20 @@ def default_n_max(d: DerivedModulation, params: SystemParams | None = None, t_en
     budget.
     """
     beta = d.beta_max if math.isfinite(d.beta_max) else (0.0 if d.g == 0.0 else 4.0)
+    share, margin, floor = 1.0, 0.0, 20
+    if reached:
+        share = math.sin(min(abs(d.delta) * t_end, math.pi) / 2.0) if d.delta else 1.0
+        margin, floor = _EXCURSION * params.g0 / params.omega_m, 0
     n_thermal, weight = 0.0, 0.0
     if params is not None:
         n_thermal = params.n_th * -math.expm1(-params.gamma_m * t_end)
         tau = -math.expm1(-params.gamma_c * t_end) / params.gamma_c if params.gamma_c else t_end
         weight = _FLIP_WEIGHT * params.gamma_m * (2.0 * params.n_th + 1.0) * tau
-    n_max = coherent_cutoff(_NON_RWA * beta, n_thermal, TAIL_BUDGET, MAX_N_MAX)
+    n_max = coherent_cutoff(_NON_RWA * beta * share + margin, n_thermal, TAIL_BUDGET, MAX_N_MAX, floor)
     if weight > 0.0:
-        reach = beta * max(1.0, 1.0 - math.cos(min(abs(d.delta) * t_end, 2.0 * math.pi) / 2.0))
-        n_max = max(n_max, coherent_cutoff(_NON_RWA * reach, n_thermal, TAIL_BUDGET / weight, MAX_N_MAX))
+        reach = beta * max(share, 1.0 - math.cos(min(abs(d.delta) * t_end, 2.0 * math.pi) / 2.0))
+        budget = TAIL_BUDGET / weight
+        n_max = max(n_max, coherent_cutoff(_NON_RWA * reach + margin, n_thermal, budget, MAX_N_MAX, floor))
     return n_max
 
 
@@ -534,13 +557,16 @@ def fidelity_conditional(
 
 @dataclass
 class Run:
-    """A solve: its records, the lab-frame final and marked (at t_mark) states
-    and the worst value of each guarded invariant by manifest name."""
+    """A solve: its records, the lab-frame final and marked (at t_mark) states,
+    the worst value of each guarded invariant by manifest name and the
+    cutoffs it stepped on, as (t, n_max) from t on: one entry for a fixed
+    cutoff."""
 
     record: TrajectoryRecord
     final: object
     marked: object | None
     invariants: dict[str, float]
+    cutoff_schedule: list[tuple[float, int]]
 
 
 def evolve_closed(
@@ -631,4 +657,4 @@ def evolve_closed(
     columns.update(_detection_columns(np.moveaxis(u_h, -1, 0), tau, num))
     record = TrajectoryRecord(CLOSED_COLUMNS, nL=columns["P_L"], nR=columns["P_R"], **columns)
     invariants = dict(guards.worst, truncation_estimate=TAIL_TO_ERROR * guards.worst["tail_max"])
-    return Run(record, final, marked, invariants)
+    return Run(record, final, marked, invariants, [(0.0, n_max)])

@@ -41,8 +41,8 @@ def _check_cutoff(n_max: int) -> int:
 _MAX_NBAR = 700.0
 
 
-def coherent_cutoff(beta_abs: float, n_thermal: float, budget: float, n_limit: int) -> int:
-    """The smallest Fock cutoff, at least 20 and looked for up to n_limit,
+def coherent_cutoff(beta_abs: float, n_thermal: float, budget: float, n_limit: int, floor: int = 20) -> int:
+    """The smallest Fock cutoff, at least floor and looked for up to n_limit,
     past the mean occupation at which a coherent state |beta| = beta_abs,
     broadened by the thermal occupation n_thermal, holds at most budget in
     its top two levels.  Raises ValueError when |beta|^2 + n_thermal is past
@@ -72,7 +72,7 @@ def coherent_cutoff(beta_abs: float, n_thermal: float, budget: float, n_limit: i
     for n in range(1, n_limit + 1):
         prev, p = p, (((2 * n - 1) * q + c) * p - (n - 1) * q * q * prev) / n
         if n > nbar and prev + p <= budget:
-            return max(20, n)
+            return max(floor, n)
     raise ValueError(
         f"no Fock cutoff covers |beta| = {abs(beta_abs):.4g} at n_thermal = {n_thermal:.4g} within"
         f" {budget:.3g}: it is past {n_limit}"

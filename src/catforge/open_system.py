@@ -36,7 +36,22 @@ solver.
 
 The phonon ladder's default cutoff is closed.default_n_max's with the
 bath's terms: phonon jumps widen the tail as a run goes on, most of all past
-t_d, so an open run's cutoff grows with gamma_m, n_th and t_end.
+t_d, so an open run's cutoff grows with gamma_m, n_th and t_end.  A step
+costs about (n_max + 1)^2, and early on the state is a mixture of displaced
+thermal states that have reached only |beta|_max sin(delta t/2), so a run at
+the default cutoff steps on the levels it has reached: before each record
+gap the solver takes the same rule at the gap's end time with the
+displacement reached by then (default_n_max with reached), plus
+closed.CUTOFF_LEAD levels, and zero-pads the state and rebuilds the
+generator and the stage buffers when that is more than it steps on.  The
+ladder grows up to the run's cutoff and never shrinks; the time grid, the
+steps and the records are those of a fixed cutoff, records are read on the
+ladder of the moment, and the marked and final states are padded to the
+run's cutoff.  The run's cutoff_schedule lists (t, n_max) from t on.  A
+cutoff other than the rule's, an initial state with weight above the phonon
+ground level, and a run with grow = False (the CLI's for a given n_max) are
+stepped on as they are, so the schedule never starts below the initial
+state's own support.
 """
 
 from __future__ import annotations
@@ -44,6 +59,7 @@ from __future__ import annotations
 import cmath
 import itertools
 import json
+import math
 from dataclasses import dataclass
 from enum import Enum
 
@@ -73,11 +89,16 @@ OPEN_COLUMNS = ("t", "P_L", "P_R", "P_V", "nb", "F_L", "F_R", "trace_err", "min_
 
 TRACE_ABORT = 1e-6
 EIG_ABORT = -1e-6
-# invariants.truncation_estimate is tail_max times this: at each preset's
-# default cutoff an open solve's worst record-cell error against n_max + 20
-# measured 0.6 to 29 times its tail_max; the fidelities late in a run, divided
-# by a sector probability of a few 1e-3, give the large ratios
-TAIL_TO_ERROR = 30.0
+# invariants.truncation_estimate is tail_max times this.  tail_max reads the
+# top two levels of the ladder stepped on, which grows with the run (see the
+# module docstring).  At the default cutoff, an open solve's worst
+# record-cell error against a fixed n_max + 20 measured 2.9 (fig2 to t_d) to
+# 85 (fig2 and fig3b's n_th = 1, to 2 pi/delta) times its tail_max; a fixed
+# cutoff read up to 27.  The early, narrow ladder adds error that the late
+# tail does not show, and the fidelities late in a run, divided by a sector
+# probability of a few 1e-3, give the large ratios.  Runs that end before
+# the ladder reaches the run's cutoff read errors at rounding level (6e-16).
+TAIL_TO_ERROR = 100.0
 
 
 class PhotonSector(Enum):
@@ -313,20 +334,45 @@ def reduce_mechanical(rho: SystemDensityMatrix, sector: PhotonSector) -> tuple[n
     return blk / p, p
 
 
+def _blocks(y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The one-photon block, as a (2, d, 2, d) view, and the (d, d) vacuum
+    block of a packed state; d is read off the state's size, 5 d^2."""
+    d = math.isqrt(y.size // 5)
+    return y[: 4 * d * d].reshape(2, d, 2, d), y[4 * d * d :].reshape(d, d)
+
+
+def _resized(y: np.ndarray, n_max: int) -> np.ndarray:
+    """A packed state on the ladder 0..n_max: zero-padded, or cut to it."""
+    out = np.zeros(5 * (n_max + 1) ** 2, dtype=complex)
+    (one, vac), (big_one, big_vac) = _blocks(y), _blocks(out)
+    d = min(vac.shape[0], n_max + 1)
+    big_one[:, :d, :, :d] = one[:, :d, :, :d]
+    big_vac[:d, :d] = vac[:d, :d]
+    return out
+
+
 def evolve_open(
     initial: SystemDensityMatrix,
     params: SystemParams,
     cfg: SolverConfig,
+    grow: bool = True,
 ) -> Run:
     """Propagate the master equation, recording probabilities and fidelities.
 
     The one-photon and vacuum blocks are evolved in the hopping frame (see
     the module docstring), each replaced by its Hermitian part.  Aborts when
     the trace drifts by more than 1e-6, an eigenvalue dips below -1e-6 or the
-    top-two-level phonon population exceeds 1e-6 (all checked at record
-    times; positivity is an O(dim^3) solve per block); the Run's invariants
-    hold the worst trace_err_max, min_eig_min and tail_max, and the
-    truncation_estimate TAIL_TO_ERROR * tail_max.
+    population of the top two levels of the cutoff stepped on exceeds 1e-6
+    (all checked at record times; positivity is an O(dim^3) solve per
+    block); the Run's invariants hold the worst trace_err_max, min_eig_min
+    and tail_max, and the truncation_estimate TAIL_TO_ERROR * tail_max.
+
+    With grow, the ladder grows with the run (see the module docstring) when
+    the initial state is the rule's start: its cutoff is
+    closed.default_n_max's for the run and its phonon is in the ground
+    state.  Any other initial state, and every one without grow, is stepped
+    on its own cutoff throughout.  The marked and final states are on the
+    initial state's ladder either way.
     """
     cfg.validate(params)
     # written as not (error <= bound) so that a NaN entry is refused too
@@ -336,38 +382,41 @@ def evolve_open(
         raise ValueError("initial density matrix must be Hermitian")
 
     d = derive(params)
-    n = initial.n_max + 1
-    k = 2 * n
-    levels = np.arange(n)
+    n_run = initial.n_max
     gathered = []  # per record: t, U_h, tau, the two fidelity numerators, P_V, nb, trace_err, min_eig
     guards = _Guards(
         trace_err_max=("trace drift", TRACE_ABORT, 1, "reduce dt"),
         min_eig_min=("negative eigenvalue", EIG_ABORT, -1, "reduce dt or increase n_max"),
-        tail_max=("phonon tail population", TAIL_ABORT, 1, f"increase n_max (current {n - 1})"),
+        tail_max=("phonon tail population", TAIL_ABORT, 1, f"increase n_max (current {n_run})"),
     )
 
     def lab_state(t: float, y: np.ndarray) -> SystemDensityMatrix:
         # rho = U_h phi U_h^dag, then the phonon phases e^{-i omega_m t (p - q)}; einsum
         # loops in C, where a 2d x 2d matrix product would wake every BLAS thread
+        one, vac = _blocks(_resized(y, n_run))
         u_h = hopping_unitary(params, t)
-        one = np.einsum("ab,bpcq,dc->apdq", u_h, y[: k * k].reshape(2, n, 2, n), u_h.conj())
-        ph = np.exp(-1j * params.omega_m * t * levels)
+        one = np.einsum("ab,bpcq,dc->apdq", u_h, one, u_h.conj())
+        ph = np.exp(-1j * params.omega_m * t * np.arange(n_run + 1))
         one = ph[None, :, None, None] * one * ph.conj()[None, None, None, :]
-        vac = ph[:, None] * y[k * k :].reshape(n, n) * ph.conj()[None, :]
-        return SystemDensityMatrix(one.reshape(k, k), vac, t)
+        vac = ph[:, None] * vac * ph.conj()[None, :]
+        return SystemDensityMatrix(one.reshape(2 * n_run + 2, 2 * n_run + 2), vac, t)
 
     def emit(t: float, y: np.ndarray):
         # the trace, the phonon diagonal summed over photon sectors and the
         # spectrum are the same in the frame and in the lab, so the guards and
         # nb read the frame blocks; P_L, P_R and the fidelities rotate, from what
         # is gathered here as Python numbers (small arrays cost more) after the solve
-        one = y[: k * k].reshape(k, k)
-        frame = SystemDensityMatrix(one, y[k * k :].reshape(n, n), t)
+        one, vac = _blocks(y)
+        n = vac.shape[0]
+        k = 2 * n
+        one = one.reshape(k, k)
+        frame = SystemDensityMatrix(one, vac, t)
         tr_err = frame.trace_error()
         guards.check(t, trace_err_max=tr_err)  # first: eigvalsh raises on a non-finite state
         mineig = frame.min_eigenvalue()
         diag = np.real(frame.diagonal())
-        # fock.tail_population's gauge: population of the top two phonon levels, all sectors
+        # fock.tail_population's gauge: population of the top two phonon levels of the
+        # ladder stepped on now, all sectors
         tail = float(np.sum(diag.reshape(3, n)[:, -2:]))
         guards.check(t, min_eig_min=mineig, tail_max=tail)
         # tau is the 2 x 2 photon trace of phi; <v_s| rho_ss |v_s> = <w_s| phi |w_s>
@@ -377,21 +426,51 @@ def evolve_open(
         p_v = float(np.sum(diag[k:]))
         gathered.append((t, u_h.tolist(), tau.tolist(), num, p_v, mean_phonon_number(frame), tr_err, mineig))
 
+    # apply's one-photon block Z + Z^H is the generator only on Hermitian input;
+    # at t = 0 the hopping frame coincides with the lab frame
+    y = np.concatenate([(0.5 * (b + b.conj().T)).ravel() for b in (initial.one, initial.vac)])
+    one, vac = _blocks(y)
+    ground = not (one[:, 1:].any() or vac[1:].any())  # y is Hermitian: rows suffice
+    try:
+        grows = grow and ground and n_run == closed.default_n_max(d, params, cfg.t_end)
+    except ValueError:  # the rule refuses a bath it cannot cover: no cutoff is the rule's
+        grows = False
+
+    def cutoff(t: float) -> int:
+        # the cutoff a growing run needs by t; past what the rule covers, n_run
+        try:
+            return min(n_run, closed.default_n_max(d, params, t, reached=True) + closed.CUTOFF_LEAD)
+        except ValueError:
+            return n_run
+
+    if grows:  # a ground start holds nothing above the first levels
+        y = _resized(y, cutoff(0.0))
+    schedule = []  # (t, n_max) from t on
+
     def advance(y, t0, dt, gaps):
         # the generator writes h times the derivative: stage k writes
         # hf[k] = h f(t + c_k h, y + sum_j A_kj hf[j]), and the update scales each hf[k]
         # by b_k in place and adds it to y
         c, a, b = closed._TABLEAU
-        gen = _Generators(params, n - 1, dt)
         # the stage times and <R|U_h> rows, each chunk turned into Python lists when reached
         chunks = _stage_stream(params, t0, dt, sum(gaps))
         steps = itertools.chain.from_iterable(zip(t.tolist(), np.moveaxis(r, 0, -1).tolist()) for t, r in chunks)
-        hf = [np.empty_like(y) for _ in c]
-        # Python floats: a NumPy scalar operand adds overhead to every ufunc call
-        terms = [[(float(a[i, j]), hf[j]) for j in np.flatnonzero(a[i])] for i in range(len(c))]
-        updates = list(zip(b.tolist(), hf))
-        v, tmp = np.empty_like(y), np.empty_like(y)
-        for gap in gaps:
+        m, gen = _blocks(y)[1].shape[0] - 1, None
+        for i, gap in zip(itertools.accumulate(gaps, initial=0), gaps):
+            # before each gap, grow the ladder to the cutoff needed by the gap's end; a run
+            # that does not grow starts on n_run
+            n = m if m == n_run else max(m, cutoff(t0 + (i + gap) * dt))
+            if not schedule or n > schedule[-1][1]:
+                schedule.append((t0 + i * dt, n))
+            if n > m:
+                y, m = _resized(y, n), n
+            if gen is None or gen.d != m + 1:  # the generator and stage buffers of this ladder
+                gen = _Generators(params, m, dt)
+                hf = [np.empty_like(y) for _ in c]
+                # Python floats: a NumPy scalar operand adds overhead to every ufunc call
+                terms = [[(float(a[k, j]), hf[j]) for j in np.flatnonzero(a[k])] for k in range(len(c))]
+                updates = list(zip(b.tolist(), hf))
+                v, tmp = np.empty_like(y), np.empty_like(y)
             for t_stages, hop_stages in itertools.islice(steps, gap):
                 for t, hop, row, out in zip(t_stages, hop_stages, terms, hf):
                     x = y
@@ -407,9 +486,6 @@ def evolve_open(
                     y += out
             yield y
 
-    # apply's one-photon block Z + Z^H is the generator only on Hermitian input;
-    # at t = 0 the hopping frame coincides with the lab frame
-    y = np.concatenate([(0.5 * (b + b.conj().T)).ravel() for b in (initial.one, initial.vac)])
     final, marked = integrate(y, cfg, advance, emit, lab_state)
     t, u_h, tau, num, p_v, nb, tr_err, mineig = zip(*gathered)
     record = TrajectoryRecord(
@@ -417,7 +493,7 @@ def evolve_open(
         **_detection_columns(np.array(u_h), np.array(tau), np.array(num)),
     )
     invariants = dict(guards.worst, truncation_estimate=TAIL_TO_ERROR * guards.worst["tail_max"])
-    return Run(record, final, marked, invariants)
+    return Run(record, final, marked, invariants, schedule)
 
 
 def write_snapshot(path, sdm: SystemDensityMatrix):

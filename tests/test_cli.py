@@ -251,7 +251,8 @@ def test_figS1_preset_series(tmp_path):
     assert lines[1].endswith(",,,")
 
 
-# (mode, preset, overrides, sweep value, measured error of the default cutoff against n_max + 10)
+# (mode, preset, overrides, sweep value, measured error of the default cutoff against n_max + 10);
+# the open values are those of a fixed cutoff: on the growing ladder the two read 8.9e-16 and 1.0e-15
 DEFAULT_CUTOFF_CASES = [
     ("closed", "figS3", {}, 20.0, 8.9e-12),  # to 2 pi/delta, n_max 27
     ("closed", "figS3", {}, 100.0, 1.2e-12),  # n_max 27
@@ -338,7 +339,8 @@ def test_preset_config_round_trip(tmp_path, preset):
 
 
 def test_manifest_solver_blocks(tmp_path):
-    # a job that runs a solver records its step settings, as before; one that runs none only n_max
+    # a job that runs a solver records its step settings and, for a given n_max, a
+    # one-entry cutoff schedule; one that runs none only n_max
     solver_jobs = {
         "closed": (
             ["closed", "--preset", "fig2", "--set", "t_end=3", "--set", "t_d=1.5", "--set", "n_max=8"],
@@ -354,6 +356,8 @@ def test_manifest_solver_blocks(tmp_path):
             {"dt": 0.0012422939900311497, "t_end": 0.3, "record_stride": 1, "t_mark": None, "n_max": 8},
         ),
     }
+    for _, solver in solver_jobs.values():
+        solver["cutoff_schedule"] = [[0.0, solver["n_max"]]]
     for name, (argv, solver) in solver_jobs.items():
         assert cli.main(argv + ["--out", str(tmp_path / name)]) == 0
         assert json.loads((tmp_path / name / "manifest.json").read_text())["solver"] == dict(solver, method="rk4")
@@ -747,6 +751,8 @@ def ceiling_cases():
     """(mode, preset, key, value, inside) just inside and just outside each work-size ceiling."""
     half = float(cli._resolve(parse_config(preset="figS5", mode="quadrature")).grid.x_values[-1])
     dt = cli._resolve(parse_config(preset="fig2")).solver.dt
+    fast = cli._resolve(parse_config(preset="figS3"), 100.0).solver  # figS3's member with the most steps
+    stride = math.ceil(fast.t_end / fast.dt / cli.MAX_RECORDS)
     n = math.isqrt(cli.MAX_GRID_POINTS)
     cases = [
         ("wigner", "figS5", "grid_step", 9.0 / (n - 2), True),  # figS5's grid_extent is 4.5
@@ -758,6 +764,8 @@ def ceiling_cases():
         ("quadrature", "figS5", "delta", 1e-6, False),  # the default n_max
         ("open", "fig2", "t_end", dt * (cli.MAX_STEPS - 1), True),
         ("open", "fig2", "t_end", dt * (cli.MAX_STEPS + 1), False),
+        ("closed", "figS3", "record_stride", stride, True),
+        ("closed", "figS3", "record_stride", stride - 1, False),
         ("sweep", "fig1a", "delta_step", 0.45 / (cli.MAX_DELTA_POINTS - 2), True),
         ("sweep", "fig1a", "delta_step", 0.45 / cli.MAX_DELTA_POINTS, False),
     ]

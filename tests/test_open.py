@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from catforge import closed, model
+from catforge import closed, fock, model
 from catforge import open_system as osys
 from catforge.closed import SolverConfig
 from catforge.open_system import PhotonSector, SystemDensityMatrix
@@ -402,6 +402,53 @@ def test_tail_guard_counts_every_sector():
         with pytest.raises(closed.SolverAbort, match="phonon tail"):
             osys.evolve_open(SystemDensityMatrix.from_full(rho), params, cfg)
     assert osys.evolve_open(osys.initial_density("left", d - 1), params, cfg).invariants["tail_max"] < 1e-12
+
+
+def test_growing_cutoff_meets_the_target_past_t_d():
+    # fig2 to t = 14, past t_d: the default run steps on a ladder that grows from 8 levels to
+    # the run's 27; every record cell lies within closed.TRUNCATION_TARGET of a fixed n_max + 20
+    # solve (measured 1.3e-12), and the marked and final states are on the run's ladder
+    params = fig2_params()
+    cfg = SolverConfig(dt=closed.default_dt(params, 64), t_end=14.0, record_stride=64, t_mark=T_D[20.0])
+    n_max = closed.default_n_max(model.derive(params), params, cfg.t_end)
+    run = osys.evolve_open(osys.initial_density("bell", n_max), params, cfg)
+    ref = osys.evolve_open(osys.initial_density("bell", n_max + 20), params, cfg)
+    diff = np.stack([run.record.column(c) - ref.record.column(c) for c in osys.OPEN_COLUMNS])
+    assert np.max(np.abs(diff)) < closed.TRUNCATION_TARGET
+    times, cutoffs = zip(*run.cutoff_schedule)
+    assert times[0] == 0.0 and np.all(np.diff(times) > 0) and np.all(np.diff(cutoffs) > 0)
+    assert cutoffs[0] < cutoffs[-1] == n_max
+    assert ref.cutoff_schedule == [(0.0, n_max + 20)]  # a cutoff other than the rule's stays fixed
+    assert run.final.n_max == run.marked.n_max == n_max
+
+
+def test_start_above_the_ground_level_keeps_its_cutoff():
+    # the schedule assumes the photon's phonon starts in its ground state; a displaced or
+    # thermal start at the rule's own cutoff is stepped on that cutoff throughout
+    params = fig2_params()
+    cfg = SolverConfig(dt=closed.default_dt(params, 64), t_end=0.5, record_stride=50)
+    n_max = closed.default_n_max(model.derive(params), params, cfg.t_end)
+    assert len(osys.evolve_open(osys.initial_density("left", n_max), params, cfg).cutoff_schedule) > 1
+    coherent = fock.coherent_coeffs(1.5, n_max)
+    thermal = (0.5 / 1.5) ** np.arange(n_max + 1)
+    for phonon in (np.outer(coherent, coherent.conj()), np.diag(thermal)):
+        one = np.zeros((2 * n_max + 2, 2 * n_max + 2), dtype=complex)
+        one[: n_max + 1, : n_max + 1] = phonon / np.trace(phonon)  # the photon on the left
+        rho = SystemDensityMatrix(one, np.zeros((n_max + 1, n_max + 1)))
+        run = osys.evolve_open(rho, params, cfg)
+        assert run.cutoff_schedule == [(0.0, n_max)]
+        assert run.final.n_max == n_max
+
+
+def test_bath_past_the_rule_keeps_its_given_cutoff():
+    # n_th = 700, gamma_m = 1 to t = 10 is past what closed.default_n_max covers (it raises
+    # ValueError); a run at a given cutoff there is not the rule's and is stopped by its guards
+    params = fig2_params(n_th=700.0, gamma_m=1.0)
+    cfg = SolverConfig(dt=0.003, t_end=10.0)
+    with pytest.raises(ValueError, match="no Fock cutoff"):
+        closed.default_n_max(model.derive(params), params, cfg.t_end)
+    with pytest.raises(closed.SolverAbort, match="negative eigenvalue"):
+        osys.evolve_open(osys.initial_density("left", 10), params, cfg)
 
 
 def test_eigenvalue_guard_trips_at_t0():
