@@ -9,6 +9,12 @@ the figure-reproduction parameter sets; explicit keys override preset values
 and the override is logged and recorded in the manifest.  Every manifest
 carries the full ``RunConfig`` it ran, which ``config_from_manifest`` rebuilds.
 
+A config resolves to its job list once, at parse time: one frozen job per
+sweep member (or one for the whole run), each with its output directory,
+sweep value and resolved params, cutoff, step settings and grid.  A refusal
+is raised there, before anything is written; ``run`` and its worker pool
+only execute the jobs.
+
 Exit codes: 0 success, 2 config error, 3 solver invariant abort.
 """
 
@@ -16,6 +22,7 @@ from __future__ import annotations
 
 import argparse
 import concurrent.futures
+import functools
 import json
 import logging
 import math
@@ -193,8 +200,8 @@ PRESETS = {
 }
 
 
-# Work-size ceilings, checked when a job is resolved and before anything is
-# allocated; each sits next to the largest preset value it covers.
+# Work-size ceilings, checked when a config's jobs are resolved and before
+# anything is allocated; each sits next to the largest preset value it covers.
 # figS5's Wigner grid has 181^2 = 32,761 points; a map takes a few grid-sized
 # complex arrays, 16 MB each at the ceiling.
 MAX_GRID_POINTS = 1_000_000
@@ -272,6 +279,47 @@ class RunConfig:
     preset: str | None = _key(_as_str)
     workers: int = _key(_as_int, 1, domain=_AT_LEAST_1)
     overrides: dict = field(default_factory=dict)
+
+    @functools.cached_property
+    def _jobs(self) -> tuple[tuple[str, float | None, _Resolved | np.ndarray], ...]:
+        """Every job the config fans out to, resolved once, once its cross-key rules hold: (member
+        directory under the output root, "" for the root itself; sweep value, None for a single job;
+        _Resolved, or the sweep mode's delta grid).  Not a field: asdict, == and replace ignore it."""
+        swept = self.sweep is not None and self.mode not in ("sweep", "detect-times")
+        if swept and not self.sweep_values:
+            raise ConfigError("sweep requires sweep_values")
+        members: dict[str, list] = {}  # directory: the values written there
+        for v in self.sweep_values if swept else (None,):
+            members.setdefault(f"{self.sweep}={v:g}" if swept else "", []).append(v)
+        for name, vs in members.items():
+            if len(vs) > 1:
+                raise ConfigError(f"sweep_values {', '.join(map(repr, vs))} share the output directory {name!r}")
+        detuning_swept = swept and self.sweep in ("delta", "delta_over_g")
+        if self.mode == "sweep":
+            needed = ("xi_list", "delta_min", "delta_max", "delta_step")
+            required = [k for k in needed if getattr(self, k) is None]
+        else:
+            required = [k for k in ("omega_m", "xi") if getattr(self, k) is None]
+            if self.omega_0 is None and self.delta is None and not detuning_swept:
+                required.append("omega_0 (or delta)")
+            if self.mode in ("wigner", "quadrature") and self.t_d is None:
+                required.append("t_d")
+        if required:
+            raise ConfigError(f"missing required fields for mode={self.mode}: {', '.join(required)}")
+        if self.omega_0 is not None and (self.delta is not None or detuning_swept):
+            raise ConfigError("give either omega_0 or delta, not both")
+        # refuse what the library would (a bad delta grid, a coarse dt, ...) before anything is written
+        if self.mode == "sweep":
+            if self.delta_min > self.delta_max:
+                raise ConfigError("delta grid needs delta_min <= delta_max")
+            points = (self.delta_max - self.delta_min) / self.delta_step + 1
+            if not points <= MAX_DELTA_POINTS:
+                raise ConfigError(f"the delta grid has {points:.4g} points, past {MAX_DELTA_POINTS:,}")
+            return (("", None, np.arange(self.delta_min, self.delta_max + self.delta_step / 2, self.delta_step)),)
+        return tuple((name, v, _resolve(self, v)) for name, (v,) in members.items())
+
+    def __getstate__(self):  # a pickled config (a pool's task) carries its fields, not its jobs
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
 def _field_meta(key: str) -> dict:
@@ -366,8 +414,7 @@ def parse_config(
 
 
 def _checked(values: dict, overrides: dict) -> RunConfig:
-    """The RunConfig of cast values in g0 units, once every number lies in its
-    key's domain, the cross-key rules hold and every job it fans out to resolves."""
+    """The RunConfig of cast values in g0 units, once each number is in its key's domain and its jobs resolve."""
     if "mode" not in values:
         raise ConfigError("missing required field: mode")
     config = RunConfig(**values, overrides=overrides)
@@ -379,65 +426,20 @@ def _checked(values: dict, overrides: dict) -> RunConfig:
             for test, says in (_FINITE, meta["domain"] or _FINITE):  # finite, then in the domain
                 if not (v is None or isinstance(v, str) or test(v)):
                     raise ConfigError(says.format(key=key, v=v))
-
-    members = _sweep_values(config)
-    detuning_swept = members is not None and config.sweep in ("delta", "delta_over_g")
-    if config.mode == "sweep":
-        needed = ("xi_list", "delta_min", "delta_max", "delta_step")
-        required = [k for k in needed if getattr(config, k) is None]
-    else:
-        required = [k for k in ("omega_m", "xi") if getattr(config, k) is None]
-        if config.omega_0 is None and config.delta is None and not detuning_swept:
-            required.append("omega_0 (or delta)")
-        if config.mode in ("wigner", "quadrature") and config.t_d is None:
-            required.append("t_d")
-    if required:
-        raise ConfigError(f"missing required fields for mode={config.mode}: {', '.join(required)}")
-    if config.omega_0 is not None and (config.delta is not None or detuning_swept):
-        raise ConfigError("give either omega_0 or delta, not both")
-    # refuse what the library would (a bad delta grid, a coarse dt, ...) before anything is written
-    if config.mode == "sweep":
-        if config.delta_min > config.delta_max:
-            raise ConfigError("delta grid needs delta_min <= delta_max")
-        points = (config.delta_max - config.delta_min) / config.delta_step + 1
-        if not points <= MAX_DELTA_POINTS:
-            raise ConfigError(f"the delta grid has {points:.4g} points, past {MAX_DELTA_POINTS:,}")
-    else:
-        for value in members or (None,):
-            _resolve(config, value)
+    config._jobs  # resolved here, so a refused job is a config error before anything is written
     return config
-
-
-def _sweep_values(config: RunConfig) -> tuple[float, ...] | None:
-    """The values a run fans out over, or None for a single job."""
-    if config.sweep is None or config.mode in ("sweep", "detect-times"):
-        return None
-    if not config.sweep_values:
-        raise ConfigError("sweep requires sweep_values")
-    shared: dict[str, list] = {}
-    for v in config.sweep_values:
-        shared.setdefault(_member_dir(config, v), []).append(v)
-    for name, vs in shared.items():
-        if len(vs) > 1:
-            raise ConfigError(f"sweep_values {', '.join(map(repr, vs))} share the output directory {name!r}")
-    return config.sweep_values
-
-
-def _member_dir(config: RunConfig, value: float) -> str:
-    """The output directory of a sweep member, under the run's output root."""
-    return f"{config.sweep}={value:g}"
 
 
 @dataclass(frozen=True)
 class _Resolved:
-    """One concrete job: its params and phonon cutoff, and (else None) a solver
-    job's step settings and a tomography job's Wigner grid or quadrature axis."""
+    """One concrete job: its params and phonon cutoff, and (else None) a solver job's step settings
+    and where it samples: a Wigner grid, a quadrature axis or a detect-times window centre."""
 
     params: SystemParams
     d: model.DerivedModulation
     n_max: int
     solver: SolverConfig | None
-    grid: analysis.PhaseSpaceGrid | analysis.QuadratureAxis | None
+    grid: analysis.PhaseSpaceGrid | analysis.QuadratureAxis | float | None
 
 
 def _resolve(config: RunConfig, sweep_value: float | None = None) -> _Resolved:
@@ -468,11 +470,12 @@ def _resolve(config: RunConfig, sweep_value: float | None = None) -> _Resolved:
             params = SystemParams.with_detuning(delta=delta, **kw)
         d = derive(params)
 
+        grid = None
         if config.mode == "detect-times":
             if config.t_d is None and d.delta == 0.0:
                 raise ConfigError("detect-times at delta=0 needs t_d (the window center pi/delta is undefined)")
+            grid = center = config.t_d if config.t_d is not None else math.pi / abs(d.delta)
             # beta_of_t raises past float range, here at the far end of the window
-            center = config.t_d if config.t_d is not None else math.pi / abs(d.delta)
             model.beta_of_t(d, params.omega_m, center + math.pi / params.omega_0)
         solver = None
         if runs_solver:
@@ -498,7 +501,6 @@ def _resolve(config: RunConfig, sweep_value: float | None = None) -> _Resolved:
         if n_max > MAX_N_MAX:  # a given one: the rule refuses its own past the ceiling
             raise ConfigError(f"n_max = {n_max} is past {MAX_N_MAX}")
 
-        grid = None
         if tomography:  # raises past float range
             beta = model.beta_of_t(d, params.omega_m, config.t_d)
         if config.mode == "wigner":
@@ -568,12 +570,18 @@ def _base_manifest(config: RunConfig, res: _Resolved | None) -> dict:
             "beta_max": res.d.beta_max if math.isfinite(res.d.beta_max) else "unbounded",
             "rwa_regime_ok": res.params.rwa_regime_ok,
         }
-        doc["solver"] = {"n_max": res.n_max}
-        if res.solver is not None:
-            doc["solver"].update(method="rk4", **asdict(res.solver))
+        doc["solver"] = _solver_block(res)
         if not res.params.rwa_regime_ok:
             log.warning("parameters are outside the RWA regime (|delta|, g0/2 vs omega_0/5, omega_m/5)")
     return doc
+
+
+def _solver_block(res: _Resolved) -> dict:
+    """A job's manifest ``solver`` block, before its solve adds the cutoff schedule."""
+    block = {"n_max": res.n_max}
+    if res.solver is not None:
+        block.update(method="rk4", **asdict(res.solver))
+    return block
 
 
 def config_from_manifest(path) -> RunConfig:
@@ -623,19 +631,29 @@ def _mechanical_states_at_td(config: RunConfig, res: _Resolved):
     return rho_l, rho_r, model.beta_of_t(res.d, res.params.omega_m, t_d), run_.cutoff_schedule
 
 
-def _execute_single(config: RunConfig, out_dir: str, sweep_value: float | None = None) -> dict:
-    """Run one concrete job into out_dir; returns its manifest dict.
+def _execute_single(config: RunConfig, job: tuple) -> dict:
+    """Run one of the config's jobs; returns its manifest dict.  A solver abort
+    leaves with the job attached (``exc.job``), out of a worker pool too."""
+    try:
+        return _execute(config, *job)
+    except SolverAbort as exc:
+        exc.job = job
+        raise
 
-    out_dir is made only when the first output is written, so a job refused
-    on the way (an unreadable initial file, an empty detection sector) leaves
-    no directory behind."""
+
+def _execute(config: RunConfig, member: str, value: float | None, res: _Resolved | np.ndarray) -> dict:
+    """Run one job into its member directory; returns its manifest dict.
+
+    The directory is made only when the first output is written, so a job
+    refused on the way (an unreadable initial file, an empty detection
+    sector) leaves no directory behind."""
     t_start = time.perf_counter()
     mode = config.mode
+    out_dir = os.path.join(_out_root(config), member)
 
-    res = None if mode == "sweep" else _resolve(config, sweep_value)
-    doc = _base_manifest(config, res)
-    if sweep_value is not None:
-        doc["sweep"] = {"key": config.sweep, "value": sweep_value}
+    doc = _base_manifest(config, None if mode == "sweep" else res)
+    if value is not None:
+        doc["sweep"] = {"key": config.sweep, "value": value}
     outputs = []
 
     def output(name: str) -> str:
@@ -645,17 +663,15 @@ def _execute_single(config: RunConfig, out_dir: str, sweep_value: float | None =
         return os.path.join(out_dir, name)
 
     if mode == "sweep":
-        deltas = np.arange(config.delta_min, config.delta_max + config.delta_step / 2, config.delta_step)
-        rows = analysis.sweep_beta_max(config.xi_list, deltas, config.n0, config.g0)
+        rows = analysis.sweep_beta_max(config.xi_list, res, config.n0, config.g0)
         write_columns(output("beta_max.csv"), ("xi", "delta", "beta_max"), zip(*rows))
         doc["xi_list"] = list(config.xi_list)
         doc["delta_grid"] = {"min": config.delta_min, "max": config.delta_max, "step": config.delta_step}
 
     elif mode == "detect-times":
-        center = config.t_d if config.t_d is not None else math.pi / abs(res.d.delta)
-        cands = analysis.detection_time_candidates(res.params, res.d, center)
+        cands = analysis.detection_time_candidates(res.params, res.d, res.grid)
         write_columns(output("detection_times.csv"), ("t", "beta_abs"), zip(*cands))
-        doc["window_center"] = center
+        doc["window_center"] = res.grid
         doc["n_candidates"] = len(cands)
 
     elif mode in ("closed", "open"):
@@ -720,26 +736,26 @@ def _out_root(config: RunConfig) -> str:
 
 
 def run(config: RunConfig) -> dict:
-    """Execute a run configuration; returns the top-level manifest dict."""
+    """Execute a run configuration's jobs; returns the top-level manifest dict."""
     out_root = _out_root(config)
-    values = _sweep_values(config)
-    if values is None:
-        return _execute_single(config, out_root)
+    jobs = config._jobs
+    if jobs[0][1] is None:  # one job, with no sweep value: written to the output root
+        return _execute_single(config, jobs[0])
 
     t_start = time.perf_counter()
-    jobs = [(config, os.path.join(out_root, _member_dir(config, v)), v) for v in values]
     # no more processes than members: a fork-started pool launches all of them at once
     workers = min(config.workers, len(jobs))
     if workers > 1:
         with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
-            futures = [pool.submit(_execute_single, *job) for job in jobs]
+            futures = [pool.submit(_execute_single, config, job) for job in jobs]
             docs = [f.result() for f in futures]
     else:
-        docs = [_execute_single(*job) for job in jobs]
+        docs = [_execute_single(config, job) for job in jobs]
 
     top = _base_manifest(config, None)
+    members, values, _ = zip(*jobs)
     top["sweep"] = {"key": config.sweep, "values": list(values)}
-    top["runs"] = [os.path.basename(j[1]) for j in jobs]
+    top["runs"] = list(members)
     if all("final" in d for d in docs):
         columns = (config.sweep,) + tuple(docs[0]["final"].keys())
         rows = [
@@ -802,10 +818,12 @@ def main(argv=None) -> int:
     except SolverAbort as exc:
         out_root = _out_root(config)
         os.makedirs(out_root, exist_ok=True)
-        _manifest(
-            os.path.join(out_root, "diagnostics.json"),
-            {"error": str(exc), "mode": config.mode, "preset": config.preset, "config": asdict(config)},
-        )
+        diagnostics = {"error": str(exc), "mode": config.mode, "preset": config.preset, "config": asdict(config)}
+        _, value, res = exc.job
+        diagnostics["solver"] = _solver_block(res)  # the aborting job's, less its cutoff schedule
+        if value is not None:
+            diagnostics["sweep"] = {"key": config.sweep, "value": value}
+        _manifest(os.path.join(out_root, "diagnostics.json"), diagnostics)
         print(f"catforge: solver abort: {exc}", file=sys.stderr)
         return 3
     except ConfigError as exc:

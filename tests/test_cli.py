@@ -262,7 +262,17 @@ DEFAULT_CUTOFF_CASES = [
 ]
 
 
-@pytest.mark.parametrize("mode, preset, overrides, value, measured", DEFAULT_CUTOFF_CASES)
+def cutoff_case_id(mode, preset, overrides, value, measured):
+    """mode-preset, the overrides and the sweep value: "open-fig2-t_end=2", "closed-figS3-20"."""
+    settings = [f"{key}={v:g}" for key, v in overrides.items()] + ([] if value is None else [f"{value:g}"])
+    return "-".join([mode, preset, *settings])
+
+
+@pytest.mark.parametrize(
+    "mode, preset, overrides, value, measured",
+    DEFAULT_CUTOFF_CASES,
+    ids=[cutoff_case_id(*case) for case in DEFAULT_CUTOFF_CASES],
+)
 def test_default_cutoff_meets_its_target(mode, preset, overrides, value, measured):
     # every record cell of a solve at the default n_max lies within closed.TRUNCATION_TARGET
     # (2e-11) of the same solve at n_max + 10; the manifest's estimate stays below it too
@@ -291,6 +301,30 @@ def test_manifest_round_trip(tmp_path):
     manifest = json.loads((tmp_path / "manifest.json").read_text())
     for key in ("omega_c", "omega_m", "g0", "xi", "n0", "omega_0", "gamma_c", "gamma_m", "n_th"):
         assert key in manifest["params"]
+
+
+def test_each_job_resolved_once(tmp_path, monkeypatch):
+    # a config resolves its jobs once, when it is checked; run only executes them
+    resolved = []
+    resolve = cli._resolve
+    monkeypatch.setattr(cli, "_resolve", lambda config, value=None: resolved.append(value) or resolve(config, value))
+    runs = [
+        (["open", "--preset", "fig2", "--set", "t_end=0.2", "--set", "t_d=0.1"], 1),
+        (["closed", "--preset", "figS3", "--set", "t_end=0.3", "--set", "record_stride=50"], 3),
+        (["quadrature", "--preset", "figS5"], 1),
+    ]
+    fields = {f.name for f in dataclasses.fields(cli.RunConfig)}
+    for i, (argv, jobs) in enumerate(runs):
+        out = tmp_path / str(i)
+        resolved.clear()
+        assert cli.main(argv + ["--out", str(out)]) == 0
+        assert len(resolved) == jobs, argv
+        resolved.clear()
+        cli.run(cli.config_from_manifest(out / "manifest.json"))
+        assert len(resolved) == jobs, argv
+        # the manifest's config is the RunConfig's fields, without the jobs
+        for manifest in out.rglob("manifest.json"):
+            assert set(json.loads(manifest.read_text())["config"]) == fields, manifest
 
 
 # per preset: settings that shorten the run, as --set strings; each differs
@@ -404,7 +438,7 @@ def test_sweep_summary_and_workers(tmp_path):
 
 def test_sweep_manifest_wall_times(tmp_path, monkeypatch):
     # members report 5 s each; the sweep's own wall time is what elapsed
-    def fake_member(config, out_dir, sweep_value=None):
+    def fake_member(config, job):
         return {"wall_time_s": 5.0}
 
     monkeypatch.setattr(cli, "_execute_single", fake_member)
@@ -440,7 +474,7 @@ def test_sweep_workers_capped_at_members(tmp_path, monkeypatch):
             return future
 
     monkeypatch.setattr(cli.concurrent.futures, "ProcessPoolExecutor", InlinePool)
-    monkeypatch.setattr(cli, "_execute_single", lambda config, out_dir, sweep_value=None: {"wall_time_s": 0.0})
+    monkeypatch.setattr(cli, "_execute_single", lambda config, job: {"wall_time_s": 0.0})
     top = cli.run(parse_config(preset="figS3", out=str(tmp_path), workers=64))
     assert pools == [3]
     assert top["runs"] == ["omega_m=20", "omega_m=40", "omega_m=100"]
@@ -536,6 +570,27 @@ def test_open_tail_guard_exit_3(tmp_path):
     assert code == 3
     diagnostics = json.loads((out / "diagnostics.json").read_text())
     assert "phonon tail" in diagnostics["error"]
+    # the job's resolved solver block, as its manifest would hold it before the solve
+    assert diagnostics["solver"]["n_max"] == 4
+    assert set(diagnostics["solver"]) == {"method", "dt", "t_end", "record_stride", "t_mark", "n_max"}
+    assert "sweep" not in diagnostics
+
+
+def test_sweep_abort_diagnostics_name_the_member(tmp_path):
+    # n_max = 4 holds the xi = 0 member but not the cat of the second one; the diagnostics
+    # name the member that aborted in a worker process and carry its solver block
+    out = tmp_path / "abort"
+    overrides = {"sweep_values": "0,1.5271", "n_max": "4", "t_end": "1"}
+    argv = ["closed", "--preset", "figS1", "--workers", "2", "--out", str(out)]
+    for key, val in overrides.items():
+        argv += ["--set", f"{key}={val}"]
+    assert cli.main(argv) == 3
+    diagnostics = json.loads((out / "diagnostics.json").read_text())
+    assert "phonon tail" in diagnostics["error"]
+    assert diagnostics["sweep"] == {"key": "xi", "value": 1.5271}
+    member = cli._resolve(parse_config(preset="figS1", overrides=overrides), 1.5271)
+    assert diagnostics["solver"] == dict(n_max=4, method="rk4", **dataclasses.asdict(member.solver))
+    assert (out / "xi=0" / "manifest.json").exists()
 
 
 def test_wigner_csv_coordinates(tmp_path):
