@@ -12,8 +12,10 @@ carries the full ``RunConfig`` it ran, which ``config_from_manifest`` rebuilds.
 A config resolves to its job list once, at parse time: one frozen job per
 sweep member (or one for the whole run), each with its output directory,
 sweep value and resolved params, cutoff, step settings and grid.  A refusal
-is raised there, before anything is written; ``run`` and its worker pool
-only execute the jobs.
+is raised there, before anything is written.  ``run`` is the one place that
+executes the jobs, in job order, in this process or in a worker pool, and
+the one place that reports a solver abort: it writes ``diagnostics.json``,
+naming the job that aborted, and re-raises.
 
 Exit codes: 0 success, 2 config error, 3 solver invariant abort.
 """
@@ -22,6 +24,7 @@ from __future__ import annotations
 
 import argparse
 import concurrent.futures
+import contextlib
 import functools
 import json
 import logging
@@ -318,9 +321,6 @@ class RunConfig:
             return (("", None, np.arange(self.delta_min, self.delta_max + self.delta_step / 2, self.delta_step)),)
         return tuple((name, v, _resolve(self, v)) for name, (v,) in members.items())
 
-    def __getstate__(self):  # a pickled config (a pool's task) carries its fields, not its jobs
-        return {f.name: getattr(self, f.name) for f in fields(self)}
-
 
 def _field_meta(key: str) -> dict:
     f = RunConfig.__dataclass_fields__.get(key)
@@ -580,7 +580,7 @@ def _solver_block(res: _Resolved) -> dict:
     """A job's manifest ``solver`` block, before its solve adds the cutoff schedule."""
     block = {"n_max": res.n_max}
     if res.solver is not None:
-        block.update(method="rk4", **asdict(res.solver))
+        block.update(method=closed.METHOD, **asdict(res.solver))
     return block
 
 
@@ -632,22 +632,13 @@ def _mechanical_states_at_td(config: RunConfig, res: _Resolved):
 
 
 def _execute_single(config: RunConfig, job: tuple) -> dict:
-    """Run one of the config's jobs; returns its manifest dict.  A solver abort
-    leaves with the job attached (``exc.job``), out of a worker pool too."""
-    try:
-        return _execute(config, *job)
-    except SolverAbort as exc:
-        exc.job = job
-        raise
-
-
-def _execute(config: RunConfig, member: str, value: float | None, res: _Resolved | np.ndarray) -> dict:
-    """Run one job into its member directory; returns its manifest dict.
+    """Run one of the config's jobs into its member directory; returns its manifest dict.
 
     The directory is made only when the first output is written, so a job
     refused on the way (an unreadable initial file, an empty detection
     sector) leaves no directory behind."""
     t_start = time.perf_counter()
+    member, value, res = job
     mode = config.mode
     out_dir = os.path.join(_out_root(config), member)
 
@@ -736,21 +727,33 @@ def _out_root(config: RunConfig) -> str:
 
 
 def run(config: RunConfig) -> dict:
-    """Execute a run configuration's jobs; returns the top-level manifest dict."""
+    """Execute a run configuration's jobs in job order; returns the top-level manifest
+    dict, or the job's own for a run that is not a sweep."""
     out_root = _out_root(config)
     jobs = config._jobs
-    if jobs[0][1] is None:  # one job, with no sweep value: written to the output root
-        return _execute_single(config, jobs[0])
-
     t_start = time.perf_counter()
     # no more processes than members: a fork-started pool launches all of them at once
     workers = min(config.workers, len(jobs))
-    if workers > 1:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
-            futures = [pool.submit(_execute_single, config, job) for job in jobs]
-            docs = [f.result() for f in futures]
-    else:
-        docs = [_execute_single(config, job) for job in jobs]
+    docs = []
+    with concurrent.futures.ProcessPoolExecutor(workers) if workers > 1 else contextlib.nullcontext() as pool:
+        futures = [pool.submit(_execute_single, config, job) for job in jobs] if pool else []
+        try:
+            for i, job in enumerate(jobs):  # the first failure read is the first failing job's
+                docs.append(futures[i].result() if pool else _execute_single(config, job))
+        except BaseException as exc:
+            for f in futures:  # those no worker has taken; a taken job runs to its end
+                f.cancel()
+            if isinstance(exc, SolverAbort):  # diagnostics.json names the job that aborted
+                _, value, res = jobs[len(docs)]
+                diagnostics = {"error": str(exc), "mode": config.mode, "preset": config.preset}
+                diagnostics.update(config=asdict(config), solver=_solver_block(res))  # less its schedule
+                if value is not None:
+                    diagnostics["sweep"] = {"key": config.sweep, "value": value}
+                os.makedirs(out_root, exist_ok=True)
+                _manifest(os.path.join(out_root, "diagnostics.json"), diagnostics)
+            raise
+    if jobs[0][1] is None:  # one job, with no sweep value: written to the output root
+        return docs[0]
 
     top = _base_manifest(config, None)
     members, values, _ = zip(*jobs)
@@ -815,15 +818,7 @@ def main(argv=None) -> int:
             workers=args.workers,
         )
         run(config)
-    except SolverAbort as exc:
-        out_root = _out_root(config)
-        os.makedirs(out_root, exist_ok=True)
-        diagnostics = {"error": str(exc), "mode": config.mode, "preset": config.preset, "config": asdict(config)}
-        _, value, res = exc.job
-        diagnostics["solver"] = _solver_block(res)  # the aborting job's, less its cutoff schedule
-        if value is not None:
-            diagnostics["sweep"] = {"key": config.sweep, "value": value}
-        _manifest(os.path.join(out_root, "diagnostics.json"), diagnostics)
+    except SolverAbort as exc:  # run wrote diagnostics.json
         print(f"catforge: solver abort: {exc}", file=sys.stderr)
         return 3
     except ConfigError as exc:

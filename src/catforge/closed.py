@@ -53,7 +53,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fock import coherent_coeffs, coherent_cutoff, tail_population
+from .fock import coherent_coeffs, coherent_cutoff
+from .fock import tail_population  # unused here; perfbench/spans.py wraps this module-level name
 from .model import DerivedModulation, SystemParams, beta_of_t, derive, hopping_unitary, mu_of_t, target_states
 from .trajectory import TrajectoryRecord
 
@@ -131,9 +132,6 @@ class SinglePhotonState:
 
     def norm_sq(self) -> float:
         return float(np.sum(np.abs(self.a) ** 2 + np.abs(self.b) ** 2))
-
-    def tail_population(self) -> float:
-        return tail_population(self.a, self.b)
 
 
 @dataclass(frozen=True)
@@ -284,7 +282,9 @@ def initial_state(kind: str, n_max: int) -> SinglePhotonState:
 # The classical RK4 as the Butcher tableau (c, A, b) both solvers step with
 # (Hairer, Norsett & Wanner, Solving ODEs I, section II.1): stage k of a step h
 # from t is f_k = f(t + c_k h, y + h sum_j A_kj f_j), and the step returns
-# y + h sum_k b_k f_k.  A is strictly lower-triangular.
+# y + h sum_k b_k f_k.  A is strictly lower-triangular.  METHOD names it in
+# every manifest's solver block.
+METHOD = "rk4"
 _TABLEAU = (
     np.array([0.0, 0.5, 0.5, 1.0]),
     np.array([[0.0, 0.0, 0.0, 0.0], [0.5, 0.0, 0.0, 0.0], [0.0, 0.5, 0.0, 0.0], [0.0, 0.0, 1.0, 0.0]]),

@@ -7,10 +7,10 @@ operators and sharing no kernel with the library; the library's vectorized,
 interaction-frame, hopping-frame and live-block routines are checked against
 these.  Also the scalar and single-item forms of library routines (one
 displacement matrix, one eigenfunction, one CSV cell, the fidelities of a
-kept open state) and the estimates and figures of merit that only the tests
-evaluate (photon survival, fringe visibility), and a second explicit
-Runge-Kutta tableau with dense rows (Kutta's 3/8 rule) to swap in for the
-solvers' RK4.
+kept open state, a closed state's truncation tail) and the estimates and
+figures of merit that only the tests evaluate (photon survival, fringe
+visibility), and a second explicit Runge-Kutta tableau with dense rows
+(Kutta's 3/8 rule) to swap in for the solvers' RK4.
 """
 
 from __future__ import annotations
@@ -140,6 +140,11 @@ def fidelity_open(
         else:
             out.append(math.nan)
     return out[0], out[1]
+
+
+def tail_population(state: SinglePhotonState) -> float:
+    """Population of the state's top two phonon levels in both photon sectors."""
+    return float(np.sum(np.abs(state.a[-2:]) ** 2) + np.sum(np.abs(state.b[-2:]) ** 2))
 
 
 def rhs_closed(state: SinglePhotonState, params: SystemParams) -> tuple[np.ndarray, np.ndarray]:

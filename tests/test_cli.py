@@ -593,6 +593,31 @@ def test_sweep_abort_diagnostics_name_the_member(tmp_path):
     assert (out / "xi=0" / "manifest.json").exists()
 
 
+def test_pool_stops_at_an_abort(tmp_path):
+    # the first member aborts at t = 0.47 and the others hold to t_end.  A pool hands a member to
+    # a worker once it enters the call queue (max_workers + 1 deep), and a handed-over member runs
+    # to its end; the abort cancels the rest, so at most the first six of the nine later members
+    # are written
+    overrides = {"sweep_values": "1.5271," + ",".join(f"{k / 100:g}" for k in range(9)), "n_max": "4", "t_end": "40"}
+    out = tmp_path / "pool"
+    argv = ["closed", "--preset", "figS1", "--workers", "2", "--out", str(out)]
+    for key, val in overrides.items():
+        argv += ["--set", f"{key}={val}"]
+    assert cli.main(argv) == 3
+    written = json.loads((out / "diagnostics.json").read_text())
+    assert written["sweep"] == {"key": "xi", "value": 1.5271}
+    for member in ("xi=0.06", "xi=0.07", "xi=0.08"):
+        assert not (out / member).exists(), member
+    # run itself reports the abort, so a library call leaves the same diagnostics
+    config = parse_config(preset="figS1", overrides=overrides, out=str(tmp_path / "lib"))
+    with pytest.raises(closed.SolverAbort, match="phonon tail"):
+        cli.run(config)
+    path = tmp_path / "lib" / "diagnostics.json"
+    assert cli.config_from_manifest(path) == config
+    assert json.loads(path.read_text()) | {"config": None} == written | {"config": None}
+    assert sorted(p.name for p in (tmp_path / "lib").iterdir()) == ["diagnostics.json"]  # in process
+
+
 def test_wigner_csv_coordinates(tmp_path):
     # rows run over eta_re fastest; every cell is format_float of the grid value
     out = tmp_path / "wig"
