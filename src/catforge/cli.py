@@ -113,22 +113,22 @@ def _as_str(key, v):
 
 # Parameter sets for the bundled figure reproductions.  delta = "g" selects
 # the detuning equal to the effective coupling g0 J_{2 n0}(2 xi)/2; the
-# modulation frequency follows as omega_0 = (omega_m - delta)/(2 n0).
-_FIG2_BASE = {
-    "omega_m": 20.0,
-    "xi": 1.5271,
-    "n0": 1,
-    "delta": "g",
-    "gamma_c": 0.2,
-    "gamma_m": 1e-4,
-    "n_th": 4.0,
-    "t_d": 12.6664,
-    "t_end": "2pi/delta",
-    "initial": "bell",
-    "source": "open",
-    "grid_extent": 4.5,
-    "grid_step": 0.05,
-}
+# modulation frequency follows as omega_0 = (omega_m - delta)/(2 n0).  The
+# paper's working point: omega_m = 20 g0, xi = 1.5271 and n0 = 1.
+_WORKING_POINT = {"omega_m": 20.0, "xi": 1.5271, "n0": 1}
+_FIG2_BASE = dict(
+    _WORKING_POINT,
+    delta="g",
+    gamma_c=0.2,
+    gamma_m=1e-4,
+    n_th=4.0,
+    t_d=12.6664,
+    t_end="2pi/delta",
+    initial="bell",
+    source="open",
+    grid_extent=4.5,
+    grid_step=0.05,
+)
 
 _TWO_PI = 2.0 * math.pi
 
@@ -156,50 +156,42 @@ PRESETS = {
     ),
     "fig3a": dict(_FIG2_BASE, mode="open", sweep="gamma_m", sweep_values=(1e-4, 5e-4, 1e-3)),
     "fig3b": dict(_FIG2_BASE, mode="open", sweep="n_th", sweep_values=(1.0, 5.0, 10.0)),
-    "figS1": {
-        "mode": "closed",
-        "omega_m": 20.0,
-        "xi": 1.5271,
-        "n0": 1,
-        "delta": "g",
-        "initial": "right",
-        "sweep": "xi",
-        "sweep_values": (1.5271, 0.0),
-        "t_end": 25.83,
-    },
-    "figS3": {
-        "mode": "closed",
-        "omega_m": 20.0,
-        "xi": 1.5271,
-        "n0": 1,
-        "delta": "g",
-        "initial": "bell",
-        "sweep": "omega_m",
-        "sweep_values": (20.0, 40.0, 100.0),
-        "t_end": "2pi/delta",
-    },
-    "figS4": {
-        "mode": "closed",
-        "omega_m": 20.0,
-        "xi": 1.5271,
-        "n0": 1,
-        "initial": "bell",
-        "sweep": "delta_over_g",
-        "sweep_values": tuple(round(0.5 + 0.1 * k, 2) for k in range(16)),
-        "t_end": "pi/delta",
-    },
-    "figS5": {
-        "mode": "wigner",
-        "omega_m": 20.0,
-        "xi": 1.5271,
-        "n0": 1,
-        "delta": "g",
-        "t_d": 12.6664,
-        "source": "analytic",
-        "theta": "auto",
-        "grid_extent": 4.5,
-        "grid_step": 0.05,
-    },
+    "figS1": dict(
+        mode="closed",
+        **_WORKING_POINT,
+        delta="g",
+        initial="right",
+        sweep="xi",
+        sweep_values=(1.5271, 0.0),
+        t_end=25.83,
+    ),
+    "figS3": dict(
+        mode="closed",
+        **_WORKING_POINT,
+        delta="g",
+        initial="bell",
+        sweep="omega_m",
+        sweep_values=(20.0, 40.0, 100.0),
+        t_end="2pi/delta",
+    ),
+    "figS4": dict(
+        mode="closed",
+        **_WORKING_POINT,
+        initial="bell",
+        sweep="delta_over_g",
+        sweep_values=tuple(round(0.5 + 0.1 * k, 2) for k in range(16)),
+        t_end="pi/delta",
+    ),
+    "figS5": dict(
+        mode="wigner",
+        **_WORKING_POINT,
+        delta="g",
+        t_d=12.6664,
+        source="analytic",
+        theta="auto",
+        grid_extent=4.5,
+        grid_step=0.05,
+    ),
 }
 
 

@@ -34,24 +34,22 @@ only the marked and final states are rotated back to the lab frame.
 omega_c multiplies only the dropped coherences, so it does not enter the
 solver.
 
-The phonon ladder's default cutoff is closed.default_n_max's with the
-bath's terms: phonon jumps widen the tail as a run goes on, most of all past
-t_d, so an open run's cutoff grows with gamma_m, n_th and t_end.  A step
-costs about (n_max + 1)^2, and early on the state is a mixture of displaced
-thermal states that have reached only |beta|_max sin(delta t/2), so a run at
-the default cutoff steps on the levels it has reached: before each record
-gap the solver takes the same rule at the gap's end time with the
-displacement reached by then (default_n_max with reached), plus
-closed.CUTOFF_LEAD levels, and zero-pads the state and rebuilds the
-generator and the stage buffers when that is more than it steps on.  The
-ladder grows up to the run's cutoff and never shrinks; the time grid, the
-steps and the records are those of a fixed cutoff, records are read on the
-ladder of the moment, and the marked and final states are padded to the
-run's cutoff.  The run's cutoff_schedule lists (t, n_max) from t on.  A
-cutoff other than the rule's, an initial state with weight above the phonon
-ground level, and a run with grow = False (the CLI's for a given n_max) are
-stepped on as they are, so the schedule never starts below the initial
-state's own support.
+The phonon ladder's default cutoff is closed.default_n_max's with the bath's
+terms: phonon jumps widen the tail as a run goes on, most of all past t_d,
+so an open run's cutoff grows with gamma_m, n_th and t_end.  A step costs
+about (n_max + 1)^2, and early on the state is a mixture of displaced
+thermal states that have reached only |beta|_max sin(delta t/2), so a run
+with grow steps on the levels it has reached: before each record gap the
+solver takes the same rule at the gap's end time with the displacement
+reached by then (default_n_max with reached), plus closed.CUTOFF_LEAD
+levels, and zero-pads the state and rebuilds the generator and the stage
+buffers when that is more than it steps on.  The ladder grows up to the
+run's cutoff and never shrinks; the time grid, the steps and the records are
+those of a fixed cutoff, records are read on the ladder of the moment, and
+the marked and final states are padded to the run's cutoff.  The run's
+cutoff_schedule lists (t, n_max) from t on.  grow is the caller's word that
+the initial cutoff is the rule's; a run without it, or with weight above the
+phonon ground level, is stepped on its own cutoff.
 """
 
 from __future__ import annotations
@@ -329,7 +327,7 @@ def reduce_mechanical(rho: SystemDensityMatrix, sector: PhotonSector) -> tuple[n
     """Normalized reduced mechanical state and detection probability for a sector."""
     blk = rho.block(sector)
     p = float(np.trace(blk).real)
-    if p < P_FLOOR:
+    if not p > P_FLOOR:  # a NaN probability is refused too
         raise ValueError(f"sector {sector.name} probability {p:.3e} below {P_FLOOR:g}")
     return blk / p, p
 
@@ -355,7 +353,7 @@ def evolve_open(
     initial: SystemDensityMatrix,
     params: SystemParams,
     cfg: SolverConfig,
-    grow: bool = True,
+    grow: bool = False,
 ) -> Run:
     """Propagate the master equation, recording probabilities and fidelities.
 
@@ -367,12 +365,10 @@ def evolve_open(
     block); the Run's invariants hold the worst trace_err_max, min_eig_min
     and tail_max, and the truncation_estimate TAIL_TO_ERROR * tail_max.
 
-    With grow, the ladder grows with the run (see the module docstring) when
-    the initial state is the rule's start: its cutoff is
-    closed.default_n_max's for the run and its phonon is in the ground
-    state.  Any other initial state, and every one without grow, is stepped
-    on its own cutoff throughout.  The marked and final states are on the
-    initial state's ladder either way.
+    grow says that the initial cutoff is closed.default_n_max's for the run:
+    a phonon ground start then steps on a ladder that grows with the run (see
+    the module docstring), any other start on its own cutoff throughout.  The
+    marked and final states are on the initial state's ladder either way.
     """
     cfg.validate(params)
     # written as not (error <= bound) so that a NaN entry is refused too
@@ -429,12 +425,6 @@ def evolve_open(
     # apply's one-photon block Z + Z^H is the generator only on Hermitian input;
     # at t = 0 the hopping frame coincides with the lab frame
     y = np.concatenate([(0.5 * (b + b.conj().T)).ravel() for b in (initial.one, initial.vac)])
-    one, vac = _blocks(y)
-    ground = not (one[:, 1:].any() or vac[1:].any())  # y is Hermitian: rows suffice
-    try:
-        grows = grow and ground and n_run == closed.default_n_max(d, params, cfg.t_end)
-    except ValueError:  # the rule refuses a bath it cannot cover: no cutoff is the rule's
-        grows = False
 
     def cutoff(t: float) -> int:
         # the cutoff a growing run needs by t; past what the rule covers, n_run
@@ -443,7 +433,9 @@ def evolve_open(
         except ValueError:
             return n_run
 
-    if grows:  # a ground start holds nothing above the first levels
+    # a phonon ground start holds nothing above the first levels; y is Hermitian: rows suffice
+    one, vac = _blocks(y)
+    if grow and not (one[:, 1:].any() or vac[1:].any()):
         y = _resized(y, cutoff(0.0))
     schedule = []  # (t, n_max) from t on
 

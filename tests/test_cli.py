@@ -893,3 +893,16 @@ def test_readme_key_table_names_every_key():
     table = text.split("| key ", 1)[1].split("\n\n", 1)[0]
     named = {line.split("`")[1] for line in table.splitlines()[2:]}
     assert named == {f.name for f in dataclasses.fields(cli.RunConfig) if f.name != "overrides"} | {"units"}
+
+
+def test_readme_key_table_units_match_the_schema():
+    # each row's unit cell is the power of g0 that RunConfig declares for its key
+    text = (pathlib.Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    table = text.split("| key | unit |", 1)[1].split("\n\n", 1)[0]
+    rows = [line.split("|")[1:3] for line in table.splitlines()[2:]]
+    units = {key.strip().strip("`"): unit.strip() for key, unit in rows}
+    fields = {f.name: f for f in dataclasses.fields(cli.RunConfig) if f.name != "overrides"}
+    assert len(units) == len(rows) == len(fields) + 1
+    assert set(units) == set(fields) | {"units"}
+    assert units.pop("units") == "0" and units.pop("sweep_values") == "the swept key's"
+    assert {key: int(unit) for key, unit in units.items()} == {key: fields[key].metadata["dim"] for key in units}

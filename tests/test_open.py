@@ -355,6 +355,12 @@ def test_reduce_mechanical_trivia():
         assert abs(np.trace(rho_m) - 1.0) < 1e-12
     with pytest.raises(ValueError, match="probability"):
         osys.reduce_mechanical(rho0, PhotonSector.V)
+    # a sector at P_FLOOR exactly is refused, as closed.conditional_states refuses it; so is NaN
+    for p in (closed.P_FLOOR, math.nan):
+        one = np.zeros((22, 22), dtype=complex)
+        one[0, 0] = p
+        with pytest.raises(ValueError, match=r"sector L probability (1\.000e-12|nan) below 1e-12"):
+            osys.reduce_mechanical(SystemDensityMatrix(one, np.zeros((11, 11))), PhotonSector.L)
 
 
 def test_invariant_accessors():
@@ -411,14 +417,14 @@ def test_growing_cutoff_meets_the_target_past_t_d():
     params = fig2_params()
     cfg = SolverConfig(dt=closed.default_dt(params, 64), t_end=14.0, record_stride=64, t_mark=T_D[20.0])
     n_max = closed.default_n_max(model.derive(params), params, cfg.t_end)
-    run = osys.evolve_open(osys.initial_density("bell", n_max), params, cfg)
+    run = osys.evolve_open(osys.initial_density("bell", n_max), params, cfg, grow=True)
     ref = osys.evolve_open(osys.initial_density("bell", n_max + 20), params, cfg)
     diff = np.stack([run.record.column(c) - ref.record.column(c) for c in osys.OPEN_COLUMNS])
     assert np.max(np.abs(diff)) < closed.TRUNCATION_TARGET
     times, cutoffs = zip(*run.cutoff_schedule)
     assert times[0] == 0.0 and np.all(np.diff(times) > 0) and np.all(np.diff(cutoffs) > 0)
     assert cutoffs[0] < cutoffs[-1] == n_max
-    assert ref.cutoff_schedule == [(0.0, n_max + 20)]  # a cutoff other than the rule's stays fixed
+    assert ref.cutoff_schedule == [(0.0, n_max + 20)]  # a run without grow stays fixed
     assert run.final.n_max == run.marked.n_max == n_max
 
 
@@ -428,14 +434,14 @@ def test_start_above_the_ground_level_keeps_its_cutoff():
     params = fig2_params()
     cfg = SolverConfig(dt=closed.default_dt(params, 64), t_end=0.5, record_stride=50)
     n_max = closed.default_n_max(model.derive(params), params, cfg.t_end)
-    assert len(osys.evolve_open(osys.initial_density("left", n_max), params, cfg).cutoff_schedule) > 1
+    assert len(osys.evolve_open(osys.initial_density("left", n_max), params, cfg, grow=True).cutoff_schedule) > 1
     coherent = fock.coherent_coeffs(1.5, n_max)
     thermal = (0.5 / 1.5) ** np.arange(n_max + 1)
     for phonon in (np.outer(coherent, coherent.conj()), np.diag(thermal)):
         one = np.zeros((2 * n_max + 2, 2 * n_max + 2), dtype=complex)
         one[: n_max + 1, : n_max + 1] = phonon / np.trace(phonon)  # the photon on the left
         rho = SystemDensityMatrix(one, np.zeros((n_max + 1, n_max + 1)))
-        run = osys.evolve_open(rho, params, cfg)
+        run = osys.evolve_open(rho, params, cfg, grow=True)
         assert run.cutoff_schedule == [(0.0, n_max)]
         assert run.final.n_max == n_max
 
